@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import characters, schur
@@ -187,6 +188,8 @@ def _cmd_jacobi_trudi(args) -> str:
 
 
 def _cmd_oracle_check(args):
+    if args.max_d is not None and args.max_d < 0:
+        raise _InputError(f"--max-d: must be non-negative, got {args.max_d}")
     if args.max_d is not None and args.max_d > 8 and not args.force:
         raise _InputError("--max-d: values above 8 need --force")
     results = run_suites(args.suite, args.max_d)
@@ -204,22 +207,38 @@ def _key_parts(text: str):
 
 
 def load_cache(path: str) -> None:
-    """Seed the in-memory memo tables from a cache file, if it exists."""
+    """Seed the in-memory memo tables from a cache file, if it exists.
+
+    Raises ValueError, and seeds nothing, when the file is not a JSON object
+    in the format save_cache writes.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         return
-    for key, val in data.get("lr", {}).items():
-        outer, left, right = key.split("|")
-        schur._LR_CACHE[(_key_parts(outer), _key_parts(left), _key_parts(right))] = int(val)
-    for key, val in data.get("characters", {}).items():
-        lam, rho = key.split("|")
-        characters._MN_CACHE[(_key_parts(lam), _key_parts(rho))] = int(val)
+    if not isinstance(data, dict):
+        raise ValueError("the cache file does not hold a JSON object")
+    lr, mn = {}, {}
+    try:
+        for key, val in data.get("lr", {}).items():
+            outer, left, right = key.split("|")
+            lr[(_key_parts(outer), _key_parts(left), _key_parts(right))] = int(val)
+        for key, val in data.get("characters", {}).items():
+            lam, rho = key.split("|")
+            mn[(_key_parts(lam), _key_parts(rho))] = int(val)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed cache entry: {exc}") from None
+    schur._LR_CACHE.update(lr)
+    characters._MN_CACHE.update(mn)
 
 
 def save_cache(path: str) -> None:
-    """Persist the LR and character memo tables as a single JSON file."""
+    """Persist the LR and character memo tables as a single JSON file.
+
+    The tables go to a temporary file in the same directory, which then
+    replaces `path`, so an interrupted save leaves the old file intact.
+    """
     data = {
         "lr": {
             "|".join(_key_text(p) for p in key): val
@@ -230,9 +249,15 @@ def save_cache(path: str) -> None:
             for (lam, rho), val in sorted(characters._MN_CACHE.items())
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,6 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_cache_flag(path: str) -> None:
+    try:
+        load_cache(path)
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"--cache: cannot load {path}: {exc}") from None
+
+
 def run(argv) -> int:
     """Parse argv, dispatch, print the report; returns the exit code."""
     parser = build_parser()
@@ -297,9 +329,9 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    if args.cache:
-        load_cache(args.cache)
     try:
+        if args.cache:
+            _load_cache_flag(args.cache)
         out = args.func(args)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -15,14 +15,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
-from .partitions import Composition, Partition, SkewShape, iter_contingency, partitions_of
-from .schur import (
-    SchurExpansion,
-    conjugate_expansion,
-    lr_coeff,
-    schur_outer_product,
-    skew_schur_expansion,
-)
+from .partitions import Composition, Partition, _conjugate_parts, iter_contingency
+from .schur import SchurExpansion, _add_product, _skew_terms, conjugate_expansion
 
 GAMMA = "Gamma"
 SYM = "Sym"
@@ -32,9 +26,7 @@ _FAMILIES = (GAMMA, SYM, WEDGE)
 #: Default cap on the number of rows a Jacobi-Trudi determinant may have.
 JACOBI_TRUDI_BOUND = 12
 
-_WEYL_CACHE: dict[tuple, SchurExpansion] = {}
-_PAIR_SUM_CACHE: dict[tuple, SchurExpansion] = {}
-_HOOK_MIXED_CACHE: dict[tuple, SchurExpansion] = {}
+_CHAIN_CACHE: dict[tuple, dict] = {}
 
 
 class CharTwoMode(Enum):
@@ -152,24 +144,88 @@ def exponential_tensor(
     return ExpDecomposition(family, _contingency_weights(left.weight, right.weight))
 
 
-def _partitions_between(lower: Partition, upper: Partition, size: int):
+def _partitions_between(lower: tuple, upper: tuple, size: int):
     """Partitions beta with lower <= beta <= upper cell-wise and |beta| = size."""
-    up = upper.parts
-    n = len(up)
+    n = len(upper)
+    below = [0] * (n + 1)  # below[r]: cells of upper in rows >= r
+    for r in range(n - 1, -1, -1):
+        below[r] = below[r + 1] + upper[r]
     out = []
 
     def rec(row, prev, remaining, acc):
-        if row == n:
-            if remaining == 0:
-                out.append(Partition(acc))
+        if remaining == 0 and row >= len(lower):
+            out.append(tuple(acc))
             return
-        lo = lower.row(row)
-        hi = min(up[row], prev, remaining)
-        for x in range(hi, lo - 1, -1):
-            rec(row + 1, x, remaining - x, acc + [x])
+        if row == n:
+            return
+        lo = max(lower[row] if row < len(lower) else 1, remaining - below[row + 1])
+        for x in range(min(upper[row], prev, remaining), lo - 1, -1):
+            acc.append(x)
+            rec(row + 1, x, remaining - x, acc)
+            acc.pop()
 
     rec(0, size, size, [])
     return out
+
+
+def _steps(*pairs) -> tuple:
+    """Canonical chain steps: the nonzero (size, family) pairs, smallest first.
+
+    The factors h_size (GAMMA) and e_size (WEDGE) commute and a zero step
+    only pauses the chain, so every order gives the same chain sum; this one
+    is the memo key.  Smallest first is also the cheapest order: the last
+    step does most of the multiplying, and it then multiplies expansions of
+    the lowest degree.
+    """
+    return tuple(sorted((pair for pair in pairs if pair[0])))
+
+
+def _chain(lam: tuple, steps: tuple) -> dict:
+    """The chain sum of lam over `steps`, keyed by parts tuples.
+
+    It sums, over chains of nested partitions growing from the empty shape
+    to lam by the step sizes, the product of the step pieces: s_{beta/alpha}
+    for a GAMMA step and its conjugate s_{beta'/alpha'} for a WEDGE step.
+    That is the Kronecker product of s_lam with the product of the h_size
+    and e_size, so it does not depend on the order of the steps; callers
+    pass the canonical order of _steps.  The returned dict is the memo's own
+    and must not be changed.
+    """
+    key = (lam, steps)
+    hit = _CHAIN_CACHE.get(key)
+    if hit is None:
+        dp = {(): {(): 1}}
+        for size, family in steps:
+            # by_piece[beta][gamma] sums c^{beta/alpha}_gamma * dp[alpha] over
+            # alpha, so each (mu, gamma) product is expanded once per beta.
+            by_piece = {}
+            for alpha, expn in dp.items():
+                for beta in _partitions_between(alpha, lam, sum(alpha) + size):
+                    if family == WEDGE:
+                        piece = _skew_terms(_conjugate_parts(beta), _conjugate_parts(alpha))
+                    else:
+                        piece = _skew_terms(beta, alpha)
+                    groups = by_piece.get(beta)
+                    if groups is None:
+                        groups = by_piece[beta] = {}
+                    for gamma, c in piece.items():
+                        acc = groups.get(gamma)
+                        if acc is None:
+                            acc = groups[gamma] = {}
+                        for mu, x in expn.items():
+                            acc[mu] = acc.get(mu, 0) + c * x
+            dp = {}
+            for beta, groups in by_piece.items():
+                target = dp[beta] = {}
+                for gamma, acc in groups.items():
+                    _add_product(target, acc, gamma)
+        hit = dp[lam]
+        _CHAIN_CACHE[key] = hit
+    return hit
+
+
+def _gamma_steps(nu: Composition) -> tuple:
+    return _steps(*((x, GAMMA) for x in nu))
 
 
 def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
@@ -185,29 +241,21 @@ def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
         raise DegreeMismatchError(
             f"partition has size {lam.size} but weight has degree {nu.degree}"
         )
-    key = (lam.parts, nu.entries)
-    hit = _WEYL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    empty = Partition(())
-    dp = {empty: SchurExpansion.single(empty)}
-    for step in nu:
-        ndp = {}
-        for alpha, expn in dp.items():
-            for beta in _partitions_between(alpha, lam, alpha.size + step):
-                piece = skew_schur_expansion(SkewShape(beta, alpha))
-                if not piece:
-                    continue
-                contrib = schur_outer_product(expn, piece)
-                if beta in ndp:
-                    ndp[beta] = ndp[beta] + contrib
-                else:
-                    ndp[beta] = contrib
-        dp = ndp
-        if not dp:
-            break
-    result = dp.get(lam, SchurExpansion.zero(lam.size))
-    _WEYL_CACHE[key] = result
+    return SchurExpansion._from_parts(lam.size, _chain(lam.parts, _gamma_steps(nu)))
+
+
+def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
+    """The Kronecker product of lam and `other` as a signed sum of chain sums;
+    the cancellations must leave every coefficient >= 0."""
+    acc = {}
+    for sign, steps in signed_steps:
+        for beta, c in _chain(lam.parts, steps).items():
+            acc[beta] = acc.get(beta, 0) + sign * c
+    result = SchurExpansion._from_parts(lam.size, acc)
+    if not result.is_nonnegative():
+        raise ConsistencyError(
+            f"negative coefficient in kronecker product of {lam.text()} and {other}: {result!r}"
+        )
     return result
 
 
@@ -267,51 +315,26 @@ def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
         raise DegreeMismatchError(
             f"partitions have sizes {lam.size} and {mu.size}"
         )
-    acc = SchurExpansion.zero(lam.size)
-    for sign, nu in jacobi_trudi(mu):
-        acc = acc + sign * weyl_tensor_gamma(lam, nu)
-    if not acc.is_nonnegative():
-        raise ConsistencyError(
-            f"negative coefficient in kronecker product of {lam.text()} and {mu.text()}: {acc!r}"
-        )
-    return acc
-
-
-def _lr_pair_sum(lam: Partition, a: int, b: int) -> SchurExpansion:
-    """Sum over mu of a, nu of b of c^lam_{mu,nu} * (s_mu * s_nu)."""
-    key = (lam.parts, a, b)
-    hit = _PAIR_SUM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    acc = SchurExpansion.zero(lam.size)
-    for mu in partitions_of(a):
-        if not lam.contains(mu):
-            continue
-        left = SchurExpansion.single(mu)
-        for nu in partitions_of(b):
-            c = lr_coeff(lam, mu, nu)
-            if c:
-                acc = acc + c * schur_outer_product(left, SchurExpansion.single(nu))
-    _PAIR_SUM_CACHE[key] = acc
-    return acc
+    signed = [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(mu)]
+    return _signed_chains(lam, signed, mu.text())
 
 
 def kronecker_two_row(lam: Partition, a: int, b: int) -> SchurExpansion:
     """Kronecker product with the two-row partition (a, b).
 
     The coefficient of alpha is the difference of the two double
-    Littlewood-Richardson sums at splittings (a, b) and (a+1, b-1).
+    Littlewood-Richardson sums at splittings (a, b) and (a+1, b-1); the sum
+    at (a, b) is the two-step chain sum over s_mu * s_{lam/mu}, mu of a.
     """
     if not (a >= b >= 1):
         raise ValueError(f"need a >= b >= 1, got ({a}, {b})")
     if a + b != lam.size:
         raise DegreeMismatchError(f"{a} + {b} != {lam.size}")
-    result = _lr_pair_sum(lam, a, b) - _lr_pair_sum(lam, a + 1, b - 1)
-    if not result.is_nonnegative():
-        raise ConsistencyError(
-            f"negative coefficient in kronecker product of {lam.text()} and ({a},{b})"
-        )
-    return result
+    signed = [
+        (1, _steps((a, GAMMA), (b, GAMMA))),
+        (-1, _steps((a + 1, GAMMA), (b - 1, GAMMA))),
+    ]
+    return _signed_chains(lam, signed, f"({a},{b})")
 
 
 def kronecker_one_box(lam: Partition, a: int) -> SchurExpansion:
@@ -338,23 +361,8 @@ def hook_mixed(lam: Partition, p: int, q: int) -> SchurExpansion:
         raise ValueError(f"need p >= 1 and q >= 0, got ({p}, {q})")
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
-    key = (lam.parts, p, q)
-    hit = _HOOK_MIXED_CACHE.get(key)
-    if hit is not None:
-        return hit
-    lam_c = lam.conjugate()
-    acc = SchurExpansion.zero(lam.size)
-    for mu in partitions_of(p):
-        if not lam.contains(mu):
-            continue
-        left = SchurExpansion.single(mu)
-        mu_c = mu.conjugate()
-        for nu in partitions_of(q):
-            w = lr_coeff(lam_c, mu_c, nu)
-            if w:
-                acc = acc + w * schur_outer_product(left, SchurExpansion.single(nu))
-    _HOOK_MIXED_CACHE[key] = acc
-    return acc
+    steps = _steps((p, GAMMA), (q, WEDGE))
+    return SchurExpansion._from_parts(lam.size, _chain(lam.parts, steps))
 
 
 def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
@@ -364,16 +372,8 @@ def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
         raise ValueError(f"need p >= 1 and q >= 1, got ({p}, {q})")
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
-    acc = SchurExpansion.zero(lam.size)
-    sign = 1
-    for i in range(q + 1):
-        acc = acc + sign * hook_mixed(lam, p + i, q - i)
-        sign = -sign
-    if not acc.is_nonnegative():
-        raise ConsistencyError(
-            f"negative coefficient in kronecker product of {lam.text()} and ({p},1^{q})"
-        )
-    return acc
+    signed = [((-1) ** i, _steps((p + i, GAMMA), (q - i, WEDGE))) for i in range(q + 1)]
+    return _signed_chains(lam, signed, f"({p},1^{q})")
 
 
 def _hook_split(mu: Partition):

@@ -16,6 +16,15 @@ from .errors import DegreeMismatchError, SizeBoundError
 PARTITION_ENUMERATION_BOUND = 30
 
 
+def _conjugate_parts(parts: tuple) -> tuple:
+    """The conjugate of a partition given as a parts tuple."""
+    cols = [0] * (parts[0] if parts else 0)
+    for p in parts:
+        for i in range(p):
+            cols[i] += 1
+    return tuple(cols)
+
+
 @total_ordering
 class Partition:
     """A weakly decreasing sequence of positive integers.
@@ -69,13 +78,7 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram: result_i = #{j : parts_j >= i}."""
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for i in range(p):
-                cols[i] += 1
-        return Partition(cols)
+        return Partition(_conjugate_parts(self.parts))
 
     def contains(self, other: "Partition") -> bool:
         """Cell-wise containment of other's Young diagram in this one."""

@@ -1,23 +1,40 @@
-"""Schur-basis expansions and the tableau engine behind them.
+"""Schur-basis expansions and the Littlewood-Richardson kernel behind them.
 
-Littlewood-Richardson coefficients are counted by exhaustive enumeration of
-skew semistandard tableaux whose reverse reading word (right to left, top to
-bottom) is a lattice word; Kostka numbers reuse the same filling engine with
-the lattice condition switched off.  Both counters share a process-wide memo
-cache whose fills are idempotent, so concurrent readers are safe.
+Littlewood-Richardson terms are generated directly instead of being searched
+for one coefficient at a time (the technique of Buch's lrcalc):
+
+- `_product_terms(mu, nu)` grows mu by horizontal strips of nu_1 1s, nu_2 2s,
+  and so on, keeping the reverse reading word (right to left, top to bottom)
+  a lattice word row by row.  It reaches exactly the lam with a nonzero
+  c^lam_{mu,nu}, once per LR tableau.
+- `_skew_terms(outer, inner)` walks the LR fillings of outer/inner once, with
+  free content, and tallies them by content.
+
+Both work on `parts` tuples and return dicts keyed by the tuples of
+`partitions_of(d)`; the memo tables keep those dicts, which are never handed
+to callers.  `lr_coeff`, `skew_schur_expansion` and `schur_outer_product` are
+answered from them.  Kostka numbers come from a separate filling counter
+without the lattice condition.  Every memo fill is idempotent, so concurrent
+readers are safe.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DegreeMismatchError
 from .partitions import Composition, Partition, SkewShape, partitions_of
 
-_EMPTY = Partition(())
-
 _LR_CACHE: dict[tuple, int] = {}
 _KOSTKA_CACHE: dict[tuple, int] = {}
-_SKEW_CACHE: dict[tuple, "SchurExpansion"] = {}
-_PRODUCT_CACHE: dict[tuple, tuple] = {}
+_SKEW_CACHE: dict[tuple, dict] = {}
+_PRODUCT_CACHE: dict[tuple, dict] = {}
+
+
+@lru_cache(maxsize=None)
+def _canonical(d: int) -> dict:
+    """parts tuple -> the Partition object of partitions_of(d), built on first use."""
+    return {p.parts: p for p in partitions_of(d)}
 
 
 class SchurExpansion:
@@ -43,6 +60,16 @@ class SchurExpansion:
             if c:
                 clean[p] = c
         self.terms = clean
+
+    @classmethod
+    def _from_parts(cls, degree: int, terms: dict) -> "SchurExpansion":
+        """A fresh expansion from {parts tuple: int} with keys known to be
+        partitions of `degree`; keys become the objects of partitions_of."""
+        canon = _canonical(degree)
+        self = object.__new__(cls)
+        self.degree = degree
+        self.terms = {canon[p]: c for p, c in terms.items() if c}
+        return self
 
     @classmethod
     def zero(cls, degree: int) -> "SchurExpansion":
@@ -104,47 +131,32 @@ class SchurExpansion:
         return f"SchurExpansion({self.degree}, {body})"
 
 
-def _count_fillings(outer, inner, content, lattice):
-    """Count skew semistandard fillings of outer/inner with the given content.
+def _count_fillings(shape, content):
+    """Count semistandard fillings of the shape with the given content.
 
-    Cells are scanned row by row, right to left, which is exactly the order
-    of the reverse reading word; with `lattice` the prefix of that word must
-    always contain at least as many i's as (i+1)'s.
+    Cells are scanned row by row, right to left.
     """
-    cells = []
-    for r in range(len(outer)):
-        lo = inner[r] if r < len(inner) else 0
-        for c in range(outer[r] - 1, lo - 1, -1):
-            cells.append((r, c))
+    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r] - 1, -1, -1)]
     if len(cells) != sum(content):
         return 0
     nvals = len(content)
     remaining = list(content)
-    counts = [0] * (nvals + 2)
     grid = {}
 
     def rec(k):
         if k == len(cells):
             return 1
         r, c = cells[k]
-        lo = 1
-        if r > 0:
-            inner_above = inner[r - 1] if r - 1 < len(inner) else 0
-            if inner_above <= c < outer[r - 1]:
-                lo = grid[(r - 1, c)] + 1
-        hi = grid.get((r, c + 1), nvals) if c + 1 < outer[r] else nvals
+        lo = grid[(r - 1, c)] + 1 if r > 0 else 1
+        hi = grid[(r, c + 1)] if c + 1 < shape[r] else nvals
         total = 0
         for v in range(lo, hi + 1):
             if remaining[v - 1] == 0:
                 continue
-            if lattice and v > 1 and counts[v - 1] <= counts[v]:
-                continue
             remaining[v - 1] -= 1
-            counts[v] += 1
             grid[(r, c)] = v
             total += rec(k + 1)
             del grid[(r, c)]
-            counts[v] -= 1
             remaining[v - 1] += 1
         return total
 
@@ -165,9 +177,133 @@ def kostka(shape: Partition, content: Composition, *, strict: bool = False) -> i
     key = (shape.parts, content.entries)
     hit = _KOSTKA_CACHE.get(key)
     if hit is None:
-        hit = _count_fillings(shape.parts, (), content.entries, lattice=False)
+        hit = _count_fillings(shape.parts, content.entries)
         _KOSTKA_CACHE[key] = hit
     return hit
+
+
+def _grow(base, content):
+    """LR tableaux of shape lam/base and content `content`, counted by lam.
+
+    Letter k+1 goes in as a horizontal strip of content[k] cells, placed row
+    by row from the top.  With x cells of it in row r the reverse reading
+    word stays a lattice word iff, summed over rows <= r, the letter k+1
+    occurs no more often than the letter k does in rows < r; the `slack` of
+    a row is that bound less what the rows above already used.
+    """
+    shape = list(base) + [0] * len(content)
+    tally = {}
+
+    def strip(k, prev):
+        if k == len(content):
+            lam = tuple(shape[: shape.index(0)] if 0 in shape else shape)
+            tally[lam] = tally.get(lam, 0) + 1
+            return
+        old = shape[:]
+        cur = [0] * len(shape)
+        top = old.index(0)  # the one row this strip may open
+        # room[r]: how many more cells rows >= r may take than row r's slack
+        room = [0] * (top + 2)
+        for r in range(top - 1, -1, -1):
+            room[r] = room[r + 1] + prev[r]
+
+        def row(r, left, slack):
+            if left == 0:
+                strip(k + 1, cur)
+                return
+            if left > slack + room[r]:
+                return
+            cap = min(left, slack, old[r - 1] - old[r]) if r else min(left, slack)
+            # A horizontal strip puts at most old[r] cells below row r.
+            for x in range(cap, max(left - old[r], 0) - 1, -1):
+                shape[r] = old[r] + x
+                cur[r] = x
+                row(r + 1, left - x, slack - x + prev[r])
+            shape[r] = old[r]
+            cur[r] = 0
+
+        # The 1s have no lattice bound; every later letter starts at slack 0.
+        row(0, content[k], content[k] if k == 0 else 0)
+
+    strip(0, [0] * len(shape))
+    return tally
+
+
+def _product_terms(mu: tuple, nu: tuple) -> dict:
+    """{lam: c^lam_{mu,nu}} over the lam with a nonzero coefficient.
+
+    The factor with more rows is grown by the content of the other, which
+    needs fewer letters; s_mu*s_nu and s_nu*s_mu share one memo entry.  The
+    returned dict is the memo's own and must not be changed.
+    """
+    hit = _PRODUCT_CACHE.get((mu, nu))
+    if hit is None:
+        base, content = (mu, nu) if (len(nu), nu) <= (len(mu), mu) else (nu, mu)
+        canon = _canonical(sum(mu) + sum(nu))
+        hit = {canon[lam].parts: c for lam, c in _grow(base, content).items()}
+        _PRODUCT_CACHE[(mu, nu)] = _PRODUCT_CACHE[(nu, mu)] = hit
+    return hit
+
+
+def _tally_skew(outer, inner):
+    """LR fillings of outer/inner with free content, counted by content.
+
+    Cells are visited in reverse reading order.  A cell is at most its right
+    neighbour (rows weakly increase), more than the cell above it (columns
+    strictly increase), and a letter v > 1 needs more (v-1)s than vs so far.
+    """
+    right, above, index = [], [], {}
+    for r, hi in enumerate(outer):
+        lo = inner[r] if r < len(inner) else 0
+        for c in range(hi - 1, lo - 1, -1):
+            index[(r, c)] = len(right)
+            right.append(len(right) - 1 if c + 1 < hi else -1)
+            above.append(index.get((r - 1, c), -1))
+    n = len(right)
+    vals = [0] * n
+    counts = [0] * (n + 2)
+    tally = {}
+
+    def rec(k, top):
+        if k == n:
+            content = tuple(counts[1 : top + 1])
+            tally[content] = tally.get(content, 0) + 1
+            return
+        lo = vals[above[k]] + 1 if above[k] >= 0 else 1
+        hi = min(vals[right[k]], top + 1) if right[k] >= 0 else top + 1
+        for v in range(lo, hi + 1):
+            if v > 1 and counts[v - 1] <= counts[v]:
+                continue
+            vals[k] = v
+            counts[v] += 1
+            rec(k + 1, top if v <= top else v)
+            counts[v] -= 1
+
+    rec(0, 0)
+    return tally
+
+
+def _skew_terms(outer: tuple, inner: tuple) -> dict:
+    """{beta: c^outer_{inner,beta}} over the beta with a nonzero coefficient.
+
+    inner must be contained in outer.  The returned dict is the memo's own
+    and must not be changed.
+    """
+    key = (outer, inner)
+    hit = _SKEW_CACHE.get(key)
+    if hit is None:
+        canon = _canonical(sum(outer) - sum(inner))
+        hit = {canon[beta].parts: c for beta, c in _tally_skew(outer, inner).items()}
+        _SKEW_CACHE[key] = hit
+    return hit
+
+
+def _add_product(acc: dict, left: dict, nu: tuple, weight: int = 1) -> None:
+    """acc += weight * left * s_nu, with acc and left keyed by parts tuples."""
+    for mu, x in left.items():
+        w = weight * x
+        for lam, c in _product_terms(mu, nu).items():
+            acc[lam] = acc.get(lam, 0) + w * c
 
 
 def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:
@@ -180,55 +316,24 @@ def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:
     key = (outer.parts, left.parts, right.parts)
     hit = _LR_CACHE.get(key)
     if hit is None:
-        hit = _count_fillings(outer.parts, left.parts, right.parts, lattice=True)
+        hit = _product_terms(left.parts, right.parts).get(outer.parts, 0)
         _LR_CACHE[key] = hit
     return hit
 
 
 def skew_schur_expansion(shape: SkewShape) -> SchurExpansion:
     """Schur expansion of the skew Schur function of the shape."""
-    key = (shape.outer.parts, shape.inner.parts)
-    hit = _SKEW_CACHE.get(key)
-    if hit is None:
-        d = shape.size
-        terms = {}
-        for beta in partitions_of(d):
-            c = lr_coeff(shape.outer, shape.inner, beta)
-            if c:
-                terms[beta] = c
-        hit = SchurExpansion(d, terms)
-        _SKEW_CACHE[key] = hit
-    return hit
-
-
-def _single_product(mu: Partition, nu: Partition):
-    key = (mu.parts, nu.parts)
-    hit = _PRODUCT_CACHE.get(key)
-    if hit is None:
-        d = mu.size + nu.size
-        out = []
-        for lam in partitions_of(d):
-            c = lr_coeff(lam, mu, nu)
-            if c:
-                out.append((lam, c))
-        hit = tuple(out)
-        _PRODUCT_CACHE[key] = hit
-    return hit
+    terms = _skew_terms(shape.outer.parts, shape.inner.parts)
+    return SchurExpansion._from_parts(shape.size, terms)
 
 
 def schur_outer_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
     """Bilinear extension of s_mu * s_nu = sum of c^lam_{mu,nu} s_lam."""
-    if a.degree == 0:
-        return b * a.coefficient(_EMPTY)
-    if b.degree == 0:
-        return a * b.coefficient(_EMPTY)
     acc = {}
-    for mu, x in a.terms.items():
-        for nu, y in b.terms.items():
-            w = x * y
-            for lam, c in _single_product(mu, nu):
-                acc[lam] = acc.get(lam, 0) + w * c
-    return SchurExpansion(a.degree + b.degree, acc)
+    left = {p.parts: c for p, c in a.terms.items()}
+    for nu, y in b.terms.items():
+        _add_product(acc, left, nu.parts, y)
+    return SchurExpansion._from_parts(a.degree + b.degree, acc)
 
 
 def conjugate_expansion(a: SchurExpansion) -> SchurExpansion:

@@ -1,4 +1,7 @@
 import json
+import os
+
+import pytest
 
 from polykron import Partition, characters, lr_coeff, schur
 from polykron.cli import load_cache, run, save_cache
@@ -201,6 +204,12 @@ class TestOracleCheckCommand:
         assert code == 0
         assert "fixture: PASS" in out
 
+    def test_negative_max_d_is_rejected(self, capsys):
+        code, out, err = invoke(capsys, "oracle-check", "--suite", "kron", "--max-d", "-1")
+        assert code == 2
+        assert "--max-d" in err
+        assert out == ""
+
 
 class TestCache:
     def test_cache_file_round_trip(self, tmp_path, capsys):
@@ -227,3 +236,34 @@ class TestCache:
         data = json.loads(path.read_text())
         assert data["characters"]["2,1|3"] == -1
         assert "4,2|2,1|2,1" in data["lr"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"lr": {"2,1|1|1,1": 1}, "charac', "[1, 2]", '{"lr": {"2,1|1": 1}}'],
+        ids=["truncated", "not-an-object", "malformed-key"],
+    )
+    def test_bad_cache_file_is_an_input_error(self, tmp_path, capsys, text):
+        path = tmp_path / "memo.json"
+        path.write_text(text)
+        code, out, err = invoke(
+            capsys, "kron", "--lambda", "2,1", "--mu", "2,1", "--cache", str(path)
+        )
+        assert code == 2
+        assert "--cache" in err
+        assert out == ""
+        assert path.read_text() == text
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "memo.json"
+        save_cache(str(path))
+        before = path.read_text()
+
+        def dump_then_fail(data, fh, **kwargs):
+            fh.write('{"lr": {')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            save_cache(str(path))
+        assert path.read_text() == before
+        assert os.listdir(tmp_path) == ["memo.json"]

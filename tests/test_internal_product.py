@@ -377,3 +377,18 @@ class TestDispatch:
         expansion, method = kronecker(P(), P())
         assert expansion.terms == {P(): 1}
         assert method == "general"
+
+
+class TestCallersCannotPoisonTheMemo:
+    def test_mutating_a_weyl_filtration_leaves_kronecker_intact(self):
+        w = weyl_tensor_gamma(P(2, 1), C(2, 1))
+        w.terms[P(3)] = 99
+        assert kronecker_general(P(2, 1), P(2, 1)).terms == {P(3): 1, P(2, 1): 1, P(1, 1, 1): 1}
+        assert weyl_tensor_gamma(P(2, 1), C(2, 1)).coefficient(P(3)) == 1
+
+    def test_mutating_hook_mixed_leaves_later_calls_intact(self):
+        first = hook_mixed(P(3, 1), 2, 2)
+        want = dict(first.terms)
+        first.terms.clear()
+        assert hook_mixed(P(3, 1), 2, 2).terms == want
+        assert kronecker_hook(P(3, 1), 2, 2) == kronecker_oracle_expansion(P(3, 1), P(2, 1, 1))

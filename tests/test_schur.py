@@ -123,6 +123,11 @@ class TestSkewSchur:
             for lam in partitions_of(d):
                 assert skew_schur_expansion(SkewShape(lam, P())).terms == {lam: 1}
 
+    def test_mutating_a_result_leaves_later_calls_intact(self):
+        shape = SkewShape(P(2, 1), P(1))
+        skew_schur_expansion(shape).terms[P(2)] = 7
+        assert skew_schur_expansion(shape).terms == {P(2): 1, P(1, 1): 1}
+
 
 class TestOuterProduct:
     def test_pieri_fixtures(self):

@@ -322,6 +322,13 @@ def _load_cache_flag(path: str) -> None:
         raise _InputError(f"--cache: cannot load {path}: {exc}") from None
 
 
+def _save_cache_flag(path: str) -> None:
+    try:
+        save_cache(path)
+    except OSError as exc:
+        raise _InputError(f"--cache: cannot save {path}: {exc}") from None
+
+
 def run(argv) -> int:
     """Parse argv, dispatch, print the report; returns the exit code."""
     parser = build_parser()
@@ -333,6 +340,8 @@ def run(argv) -> int:
         if args.cache:
             _load_cache_flag(args.cache)
         out = args.func(args)
+        if args.cache:
+            _save_cache_flag(args.cache)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -341,8 +350,6 @@ def run(argv) -> int:
         return EXIT_INPUT
     text, code = out if isinstance(out, tuple) else (out, EXIT_OK)
     print(text)
-    if args.cache:
-        save_cache(args.cache)
     return code
 
 

@@ -4,11 +4,18 @@ All objects are immutable after construction and safe to share across
 threads.  Enumeration orders are deterministic (descending lexicographic for
 partitions, row-major lexicographic for matrices) so outputs are reproducible
 byte for byte.
+
+Contingency matrices are enumerated row by row.  The candidates for a row are
+the descending-lex vectors that sum to its row sum and fit under what remains
+of the column sums; `_row_vectors` builds them once per (row sum, remainder)
+and memoises the tuple.  The last row is the remainder itself, so only rows
+0..n-3 recurse and row n-2 closes each matrix in a flat loop.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
+from operator import sub
 
 from .errors import DegreeMismatchError, SizeBoundError
 
@@ -33,7 +40,7 @@ class Partition:
     unique partition of 0.
     """
 
-    __slots__ = ("parts", "size")
+    __slots__ = ("parts", "size", "_hash")
 
     def __init__(self, parts=()):
         parts = tuple(int(x) for x in parts)
@@ -46,6 +53,7 @@ class Partition:
                 raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
         self.parts = parts
         self.size = sum(parts)
+        self._hash = hash(parts)
 
     def __len__(self):
         return len(self.parts)
@@ -60,7 +68,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def __lt__(self, other):
         return self.parts < other.parts
@@ -302,47 +310,64 @@ def enumerate_compositions(d: int, length: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _row_vectors(need: int, rem: tuple) -> tuple:
+    """All vectors x with 0 <= x_j <= rem_j and sum(x) = need, descending lex."""
+    m = len(rem)
+    if m == 0:
+        return ((),) if need == 0 else ()
+    cap = [0] * (m + 1)  # cap[j] = rem[j] + ... + rem[m-1]
+    for j in range(m - 1, -1, -1):
+        cap[j] = cap[j + 1] + rem[j]
+    if need > cap[0]:
+        return ()
+    out = []
+    row = [0] * m
+
+    def fill(j, left):
+        if j == m - 1:
+            row[j] = left
+            out.append(tuple(row))
+            return
+        for x in range(min(left, rem[j]), max(0, left - cap[j + 1]) - 1, -1):
+            row[j] = x
+            fill(j + 1, left - x)
+
+    fill(0, need)
+    return tuple(out)
+
+
 def iter_contingency(mu: Composition, lam: Composition):
     """Yield every matrix with row sums mu and column sums lam exactly once.
 
     Matrices appear in descending row-major lexicographic order of their
-    flattened entries.
+    flattened entries.  Row i runs over the memoised `_row_vectors` of what
+    remains of lam; the last row is forced to be the remainder.
     """
     if mu.degree != lam.degree:
         raise DegreeMismatchError(
             f"row sums have degree {mu.degree} but column sums have degree {lam.degree}"
         )
-    n, m = len(mu), len(lam)
+    n = len(mu)
     if n == 0:
-        if lam.degree == 0:
-            yield ContingencyMatrix._trusted((), mu, lam)
+        yield ContingencyMatrix._trusted((), mu, lam)
         return
+    if n == 1:
+        yield ContingencyMatrix._trusted((lam.entries,), mu, lam)
+        return
+    sums = mu.entries
+    close = n - 2
 
-    def fill_row(j, need, rem, row):
-        # Descending-lex vectors of length m summing to `need`, bounded by rem.
-        if j == m:
-            if need == 0:
-                yield tuple(row)
+    def fill(i, rem, prefix):
+        if i == close:
+            for row in _row_vectors(sums[i], rem):
+                last = tuple(map(sub, rem, row))
+                yield ContingencyMatrix._trusted(prefix + (row, last), mu, lam)
             return
-        tail_capacity = sum(rem[j + 1 :])
-        lo = max(0, need - tail_capacity)
-        for x in range(min(need, rem[j]), lo - 1, -1):
-            row.append(x)
-            yield from fill_row(j + 1, need - x, rem, row)
-            row.pop()
+        for row in _row_vectors(sums[i], rem):
+            yield from fill(i + 1, tuple(map(sub, rem, row)), prefix + (row,))
 
-    def fill(i, rem, rows):
-        if i == n:
-            if all(r == 0 for r in rem):
-                yield ContingencyMatrix._trusted(tuple(rows), mu, lam)
-            return
-        for row in fill_row(0, mu[i], rem, []):
-            nrem = [rem[j] - row[j] for j in range(m)]
-            rows.append(row)
-            yield from fill(i + 1, nrem, rows)
-            rows.pop()
-
-    yield from fill(0, list(lam.entries), [])
+    yield from fill(0, lam.entries, ())
 
 
 def enumerate_contingency(mu: Composition, lam: Composition):

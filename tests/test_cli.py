@@ -253,6 +253,16 @@ class TestCache:
         assert out == ""
         assert path.read_text() == text
 
+    def test_unwritable_cache_path_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "memo.json"
+        code, out, err = invoke(
+            capsys, "kron", "--lambda", "2,1", "--mu", "2,1", "--cache", str(path)
+        )
+        assert code == 2
+        assert "--cache" in err
+        assert out == ""
+        assert not path.parent.exists()
+
     def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "memo.json"
         save_cache(str(path))

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from polykron import (
     SkewShape,
     enumerate_contingency,
     enumerate_partitions,
+    iter_contingency,
 )
 from polykron.partitions import enumerate_compositions, partitions_of
 
@@ -28,6 +30,10 @@ class TestPartition:
         assert P(3, 2, 0, 0) == P(3, 2)
         assert P(0) == P()
         assert P().parts == ()
+
+    def test_hash_follows_equality(self):
+        assert hash(P(3, 2, 0)) == hash(P(3, 2))
+        assert len({P(2, 1), P(2, 1, 0), P(3)}) == 2
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -224,6 +230,46 @@ class TestContingency:
                         kostka(v, mu) * kostka(v, lam) for v in partitions_of(d)
                     )
                     assert count == rsk, (mu, lam)
+
+    def test_is_a_lazy_generator(self):
+        # Tracers time a generator function per next() call.
+        assert inspect.isgeneratorfunction(iter_contingency)
+        # Listing (6^5) x (6^5) would take minutes; the first matrix does not.
+        six = C(6, 6, 6, 6, 6)
+        first = next(iter_contingency(six, six))
+        assert first.rows == tuple(
+            tuple(6 if i == j else 0 for j in range(5)) for i in range(5)
+        )
+
+    def test_degree_mismatch_raises_on_first_next(self):
+        matrices = iter_contingency(C(2, 1), C(2, 2))
+        with pytest.raises(DegreeMismatchError):
+            next(matrices)
+
+    def test_no_rows(self):
+        assert [m.rows for m in enumerate_contingency(C(), C())] == [()]
+        assert [m.rows for m in enumerate_contingency(C(), C(0, 0))] == [()]
+        assert [m.rows for m in enumerate_contingency(C(0, 0), C())] == [((), ())]
+
+    def test_rows_are_int_tuples_with_exact_margins(self):
+        cases = [
+            (C(3, 0, 2), C(1, 2, 2)),
+            (C(2, 2, 1, 1), C(3, 0, 3)),
+            (C(0, 4), C(2, 2)),
+            (C(1, 1, 1, 1, 1), C(2, 3)),
+        ]
+        for mu, lam in cases:
+            ms = enumerate_contingency(mu, lam)
+            assert ms
+            for m in ms:
+                assert type(m.rows) is tuple
+                assert len(m.rows) == len(mu)
+                for row in m.rows:
+                    assert type(row) is tuple and len(row) == len(lam)
+                    assert all(type(x) is int and x >= 0 for x in row)
+                assert tuple(sum(row) for row in m.rows) == mu.entries
+                assert tuple(sum(col) for col in zip(*m.rows)) == lam.entries
+                assert m.row_sums == mu and m.col_sums == lam
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
 """Property tests of the LR kernel and the Weyl chain against the character
-oracle, on random inputs beyond the sweep bounds."""
+oracle, and of the contingency enumerator against independent counts, on
+random inputs beyond the sweep bounds."""
 
-from hypothesis import given, settings
+from collections import Counter
+from itertools import product
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polykron import (
@@ -10,6 +14,8 @@ from polykron import (
     Partition,
     SchurExpansion,
     internal_h_oracle,
+    iter_contingency,
+    kostka,
     kronecker_oracle_expansion,
     lr_oracle,
     schur,
@@ -56,6 +62,56 @@ def weyl_cases(draw, max_d=9):
     return lam, nu, draw(st.permutations(padded))
 
 
+@st.composite
+def _compositions(draw, d, max_parts=5):
+    # n - 1 sorted cut points give every composition of d with n entries.
+    n = draw(st.integers(1, max_parts))
+    cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    return Composition(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+
+@st.composite
+def margin_pairs(draw, max_d=10):
+    d = draw(st.integers(0, max_d))
+    return draw(_compositions(d)), draw(_compositions(d))
+
+
+def _margin_count(mu, lam):
+    """Matrices with the given margins, by a DP over columns whose state is
+    the row sums still open; no matrix is built."""
+    states = {mu.entries: 1}
+    for c in lam:
+        nxt = Counter()
+        for rows, ways in states.items():
+            # Spread c over the rows one row at a time: (rows done, c left).
+            spread = {((), c): ways}
+            for r in rows:
+                step = Counter()
+                for (done, left), w in spread.items():
+                    for x in range(min(r, left) + 1):
+                        step[(done + (r - x,), left - x)] += w
+                spread = step
+            for (done, left), w in spread.items():
+                if left == 0:
+                    nxt[done] += w
+        states = nxt
+    return states.get((0,) * len(mu), 0)
+
+
+def _brute_force_matrices(mu, lam):
+    """Every row from a bounded product, every matrix from a product of rows,
+    kept when the margins match, sorted by flattened entries, descending."""
+    rows = [
+        [v for v in product(*(range(min(r, c) + 1) for c in lam)) if sum(v) == r]
+        for r in mu
+    ]
+    found = [
+        m for m in product(*rows)
+        if all(sum(row[j] for row in m) == c for j, c in enumerate(lam))
+    ]
+    return sorted(found, key=lambda m: [x for row in m for x in row], reverse=True)
+
+
 @PROPERTY
 @given(factor_pairs())
 def test_product_terms_match_the_oracle(pair):
@@ -91,6 +147,28 @@ def test_weyl_chain_ignores_step_order_and_zeros(case):
     assert SchurExpansion._from_parts(lam.size, unsorted) == got
     assert weyl_tensor_gamma(lam, Composition(shuffled)) == got
     assert got == internal_h_oracle(lam, Composition(nu))
+
+
+@PROPERTY
+@given(margin_pairs())
+@example((Composition([2, 2, 2, 2, 2]), Composition([2, 2, 2, 2, 2])))
+@example((Composition([3, 3, 2, 1, 1]), Composition([4, 2, 2, 1, 1])))
+def test_contingency_count_matches_rsk_and_the_margin_dp(pair):
+    mu, lam = pair
+    count = sum(1 for _ in iter_contingency(mu, lam))
+    rsk = sum(kostka(v, mu) * kostka(v, lam) for v in partitions_of(mu.degree))
+    assert count == rsk
+    assert count == _margin_count(mu, lam)
+
+
+@PROPERTY
+@given(margin_pairs(max_d=6))
+@example((Composition([2, 1, 1, 1, 1]), Composition([1, 2, 1, 1, 1])))
+@example((Composition([0, 3, 0, 2, 1]), Composition([1, 0, 2, 2, 1])))
+def test_contingency_order_matches_brute_force(pair):
+    mu, lam = pair
+    got = [m.rows for m in iter_contingency(mu, lam)]
+    assert got == _brute_force_matrices(mu, lam)
 
 
 def test_the_oracle_never_runs_the_tableau_engine(monkeypatch):

@@ -5,12 +5,22 @@ length is the largest remaining cycle, with sign (-1)^height, and recurse),
 dimensions from hook lengths, and every multiplicity formula is an exact
 class-function inner product.  All divisions are exact; a nonzero remainder
 raises instead of rounding.
+
+A decomposition needs one class sum per target partition, and all of them
+share the same factors.  So `kronecker_oracle_expansion` and
+`internal_h_oracle` first compute the per-class weights w[rho] (class size
+times the fixed characters) once per call, and then take one dot product with
+each target character.  Class sizes are memoised per cycle type, and the
+values of a permutation character are memoised per sorted block sizes, as a
+row aligned with `partitions_of(d)`; every call still returns a fresh
+`ClassFunction`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 from .errors import ConsistencyError, DegreeMismatchError
 from .partitions import Composition, Partition, partitions_of
@@ -30,6 +40,7 @@ def centralizer_order(rho: Partition) -> int:
     return z
 
 
+@lru_cache(maxsize=None)
 def class_size(rho: Partition) -> int:
     """Number of permutations with cycle type rho: d!/z_rho."""
     d = rho.size
@@ -109,6 +120,14 @@ class ClassFunction:
             raise ValueError("class function must be defined on every cycle type")
         self.values = {rho: int(v) for rho, v in values.items()}
 
+    @classmethod
+    def _trusted(cls, degree: int, values: dict):
+        # Fast path for callers that build the values on partitions_of(degree).
+        self = object.__new__(cls)
+        self.degree = degree
+        self.values = values
+        return self
+
     def __getitem__(self, rho: Partition) -> int:
         return self.values[rho]
 
@@ -122,7 +141,7 @@ class ClassFunction:
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         if self.degree != other.degree:
             raise DegreeMismatchError("cannot multiply class functions of different degrees")
-        return ClassFunction(
+        return ClassFunction._trusted(
             self.degree, {rho: v * other.values[rho] for rho, v in self.values.items()}
         )
 
@@ -132,7 +151,6 @@ class ClassFunction:
         return f"ClassFunction({self.degree}, {{{body}}})"
 
 
-@lru_cache(maxsize=None)
 def _perm_value(blocks: tuple, rho_parts: tuple) -> int:
     """Ways to distribute the cycles of rho over blocks of the given sizes."""
     groups = []
@@ -173,10 +191,14 @@ def perm_character(nu: Composition) -> ClassFunction:
     blocks of sizes nu_i; it depends only on the nonzero entries of nu.
     """
     d = nu.degree
-    blocks = nu.sorted_partition().parts
-    return ClassFunction(
-        d, {rho: _perm_value(blocks, rho.parts) for rho in partitions_of(d)}
-    )
+    row = _perm_row(nu.sorted_partition().parts)
+    return ClassFunction._trusted(d, dict(zip(partitions_of(d), row)))
+
+
+@lru_cache(maxsize=None)
+def _perm_row(blocks: tuple) -> tuple:
+    """The permutation character of the block sizes, aligned with partitions_of."""
+    return tuple(_perm_value(blocks, rho.parts) for rho in partitions_of(sum(blocks)))
 
 
 def kronecker_oracle(lam: Partition, mu: Partition, alpha: Partition) -> int:
@@ -201,12 +223,43 @@ def kronecker_oracle(lam: Partition, mu: Partition, alpha: Partition) -> int:
     return q
 
 
+def _class_sums(lam: Partition, values):
+    """Yield (alpha, sum over rho of z(rho) chi_lam(rho) values[rho] chi_alpha(rho))
+    for every alpha of lam's degree, where z(rho) is the class size and values
+    are aligned with partitions_of(d).
+
+    The weight of each class is computed once, and classes of weight zero
+    are skipped, so each alpha costs one dot product.
+    """
+    d = lam.size
+    classes, weights = [], []
+    for rho, v in zip(partitions_of(d), values):
+        w = class_size(rho) * mn_character(lam, rho) * v
+        if w:
+            classes.append(rho)
+            weights.append(w)
+    for alpha in partitions_of(d):
+        yield alpha, sum(map(mul, weights, [mn_character(alpha, rho) for rho in classes]))
+
+
 def kronecker_oracle_expansion(lam: Partition, mu: Partition) -> SchurExpansion:
     """The full tensor-product decomposition given by the class-sum formula."""
     d = lam.size
-    return SchurExpansion(
-        d, {alpha: kronecker_oracle(lam, mu, alpha) for alpha in partitions_of(d)}
-    )
+    if mu.size != d:
+        raise DegreeMismatchError("kronecker oracle needs three partitions of one degree")
+    d_fact = factorial(d)
+    chi_mu = [mn_character(mu, rho) for rho in partitions_of(d)]
+    terms = {}
+    for alpha, total in _class_sums(lam, chi_mu):
+        q, r = divmod(total, d_fact)
+        if r:
+            raise ConsistencyError(
+                f"kronecker class sum {total} is not divisible by {d}! "
+                f"for ({lam.text()}, {mu.text()}, {alpha.text()})"
+            )
+        if q:
+            terms[alpha] = q
+    return SchurExpansion(d, terms)
 
 
 def lr_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -221,12 +274,12 @@ def lr_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
         chi1 = mn_character(mu, rho1)
         if chi1 == 0:
             continue
-        w1 = factorial(a) // centralizer_order(rho1)
+        w1 = class_size(rho1)
         for rho2 in partitions_of(b):
             chi2 = mn_character(nu, rho2)
             if chi2 == 0:
                 continue
-            w2 = factorial(b) // centralizer_order(rho2)
+            w2 = class_size(rho2)
             union = Partition(sorted(rho1.parts + rho2.parts, reverse=True))
             total += w1 * w2 * chi1 * chi2 * mn_character(lam, union)
     q, r = divmod(total, factorial(a) * factorial(b))
@@ -245,18 +298,9 @@ def internal_h_oracle(lam: Partition, nu: Composition) -> SchurExpansion:
         raise DegreeMismatchError(
             f"partition has size {d} but weight has degree {nu.degree}"
         )
-    pc = perm_character(nu)
     d_fact = factorial(d)
     terms = {}
-    for beta in partitions_of(d):
-        total = 0
-        for rho in partitions_of(d):
-            total += (
-                class_size(rho)
-                * mn_character(lam, rho)
-                * pc[rho]
-                * mn_character(beta, rho)
-            )
+    for beta, total in _class_sums(lam, _perm_row(nu.sorted_partition().parts)):
         q, r = divmod(total, d_fact)
         if r:
             raise ConsistencyError(

@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+#: Format version of the --cache file; load_cache rejects any other.
+CACHE_VERSION = 1
+
 _FAMILY_NAMES = {"gamma": GAMMA, "sym": SYM, "wedge": WEDGE}
 _MODE_NAMES = {m.value: m for m in CharTwoMode}
 
@@ -206,11 +209,49 @@ def _key_parts(text: str):
     return () if text in ("", "0") else tuple(int(x) for x in text.split(","))
 
 
+def _cache_int(key: str, val) -> int:
+    if type(val) is not int:
+        raise ValueError(f"entry {key!r} holds {val!r}, not an integer")
+    return val
+
+
+def _cache_lr(key: str, val):
+    """The LR table entry for key, or ValueError when it cannot be right."""
+    outer, left, right = (Partition(_key_parts(t)) for t in key.split("|"))
+    val = _cache_int(key, val)
+    if outer.size != left.size + right.size:
+        raise ValueError(f"entry {key!r}: the sizes of its partitions disagree")
+    if not outer.contains(left):
+        raise ValueError(f"entry {key!r}: the inner partition does not fit in the outer one")
+    if val < 0:
+        raise ValueError(f"entry {key!r}: negative coefficient {val}")
+    return (outer.parts, left.parts, right.parts), val
+
+
+def _cache_character(key: str, val):
+    """The character table entry for key, or ValueError when it cannot be right."""
+    lam, rho = (Partition(_key_parts(t)) for t in key.split("|"))
+    val = _cache_int(key, val)
+    if lam.size != rho.size:
+        raise ValueError(f"entry {key!r}: the sizes of its partitions disagree")
+    dim = characters.dimension(lam)
+    if abs(val) > dim:
+        raise ValueError(f"entry {key!r}: |{val}| exceeds the dimension {dim}")
+    if rho.parts == (1,) * rho.size and val != dim:
+        raise ValueError(f"entry {key!r}: the value at the identity must be the dimension {dim}")
+    return (lam.parts, rho.parts), val
+
+
 def load_cache(path: str) -> None:
     """Seed the in-memory memo tables from a cache file, if it exists.
 
     Raises ValueError, and seeds nothing, when the file is not a JSON object
-    in the format save_cache writes.
+    in the format save_cache writes, has another format version, or holds an
+    entry that cannot be right: partitions whose sizes disagree, an LR value
+    that is negative or whose inner partition does not fit in the outer one,
+    or a character value larger than the dimension in absolute value or other
+    than the dimension at the identity.  Values that pass these checks are
+    trusted.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -219,14 +260,14 @@ def load_cache(path: str) -> None:
         return
     if not isinstance(data, dict):
         raise ValueError("the cache file does not hold a JSON object")
-    lr, mn = {}, {}
+    version = data.get("version")
+    if type(version) is not int or version != CACHE_VERSION:
+        raise ValueError(f"cache format version {version!r} is not {CACHE_VERSION}")
     try:
-        for key, val in data.get("lr", {}).items():
-            outer, left, right = key.split("|")
-            lr[(_key_parts(outer), _key_parts(left), _key_parts(right))] = int(val)
-        for key, val in data.get("characters", {}).items():
-            lam, rho = key.split("|")
-            mn[(_key_parts(lam), _key_parts(rho))] = int(val)
+        lr = dict(_cache_lr(key, val) for key, val in data.get("lr", {}).items())
+        mn = dict(
+            _cache_character(key, val) for key, val in data.get("characters", {}).items()
+        )
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed cache entry: {exc}") from None
     schur._LR_CACHE.update(lr)
@@ -240,6 +281,7 @@ def save_cache(path: str) -> None:
     replaces `path`, so an interrupted save leaves the old file intact.
     """
     data = {
+        "version": CACHE_VERSION,
         "lr": {
             "|".join(_key_text(p) for p in key): val
             for key, val in sorted(schur._LR_CACHE.items())

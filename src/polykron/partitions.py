@@ -15,6 +15,7 @@ and memoises the tuple.  The last row is the remainder itself, so only rows
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
+from itertools import chain
 from operator import sub
 
 from .errors import DegreeMismatchError, SizeBoundError
@@ -151,6 +152,14 @@ class Composition:
         self.entries = entries
         self.degree = sum(entries)
 
+    @classmethod
+    def _trusted(cls, entries: tuple, degree: int):
+        # Fast path for callers that guarantee non-negative int entries summing to degree.
+        self = object.__new__(cls)
+        self.entries = entries
+        self.degree = degree
+        return self
+
     def __len__(self):
         return len(self.entries)
 
@@ -244,7 +253,7 @@ class ContingencyMatrix:
 
     def flatten(self) -> Composition:
         """Row-major flattening: a weight of length n*m."""
-        return Composition(x for row in self.rows for x in row)
+        return Composition._trusted(tuple(chain.from_iterable(self.rows)), self.total)
 
     def transpose(self) -> "ContingencyMatrix":
         m = len(self.col_sums)

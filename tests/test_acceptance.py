@@ -44,7 +44,7 @@ def test_criterion_1_kronecker_oracle_equivalence():
 def test_criterion_2_fast_path_agreement():
     t0 = time.time()
     result = sweep_fastpath(max_d=8)
-    _finish("criterion 2 (two-row/hook/one-box vs general, d<=8)",
+    _finish("criterion 2 (two-row/hook/one-box vs character oracle, d<=8)",
             [result], time.time() - t0, limit=120)
 
 

@@ -14,6 +14,7 @@ from polykron import (
     internal_h_oracle,
     kostka,
     kronecker_oracle,
+    kronecker_oracle_expansion,
     lr_oracle,
     mn_character,
     perm_character,
@@ -126,6 +127,17 @@ class TestKroneckerOracle:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             kronecker_oracle(P(2), P(1), P(2))
+        with pytest.raises(DegreeMismatchError):
+            kronecker_oracle_expansion(P(2), P(1))
+
+    def test_expansion_matches_single_coefficients(self):
+        for d in range(0, 8):
+            parts = partitions_of(d)
+            for lam in parts:
+                for mu in parts:
+                    expansion = kronecker_oracle_expansion(lam, mu)
+                    for alpha in parts:
+                        assert expansion.coefficient(alpha) == kronecker_oracle(lam, mu, alpha)
 
 
 class TestPermCharacter:
@@ -163,6 +175,15 @@ class TestPermCharacter:
         with pytest.raises(ValueError):
             ClassFunction(3, {P(3): 1})
 
+    def test_caller_mutation_does_not_poison_the_memo(self):
+        nu = C(2, 1, 1)
+        before = dict(perm_character(nu).values)
+        pc = perm_character(nu)
+        for rho in pc.values:
+            pc.values[rho] = 99
+        assert perm_character(nu).values == before
+        assert perm_character(C(1, 2, 0, 1)).values == before
+
 
 class TestLROracle:
     def test_unit(self):
@@ -197,3 +218,26 @@ class TestInternalHOracle:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             internal_h_oracle(P(2), C(3))
+
+    def test_matches_the_class_sum_per_target(self):
+        # One class sum per (beta, rho), nothing shared between targets.
+        for d in range(0, 7):
+            parts = partitions_of(d)
+            weights = [Composition(p.parts) for p in parts] + [C(*([1] * d), 0)]
+            for lam in parts:
+                for nu in weights:
+                    pc = perm_character(nu)
+                    want = {}
+                    for beta in parts:
+                        total = sum(
+                            class_size(rho)
+                            * mn_character(lam, rho)
+                            * pc[rho]
+                            * mn_character(beta, rho)
+                            for rho in parts
+                        )
+                        q, r = divmod(total, factorial(d))
+                        assert r == 0
+                        if q:
+                            want[beta] = q
+                    assert internal_h_oracle(lam, nu).terms == want

@@ -219,7 +219,8 @@ class TestCache:
         )
         assert code == 0
         data = json.loads(path.read_text())
-        assert set(data) == {"lr", "characters"}
+        assert set(data) == {"version", "lr", "characters"}
+        assert data["version"] == 1
         assert all(isinstance(v, int) for v in data["lr"].values())
         # seeding from the file lands in the in-memory tables
         schur._LR_CACHE.pop(((2, 1), (1,), (1, 1)), None)
@@ -239,8 +240,28 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"lr": {"2,1|1|1,1": 1}, "charac', "[1, 2]", '{"lr": {"2,1|1": 1}}'],
-        ids=["truncated", "not-an-object", "malformed-key"],
+        [
+            '{"lr": {"2,1|1|1,1": 1}, "charac',
+            "[1, 2]",
+            '{"version": 1, "lr": {"2,1|1": 1}}',
+            '{"lr": {}, "characters": {"2,1|3": 5}}',
+            '{"version": 2, "lr": {}, "characters": {}}',
+            '{"version": true, "lr": {}, "characters": {}}',
+            '{"version": 1, "lr": {}, "characters": {"2,1|3": 5}}',
+            '{"version": 1, "lr": {}, "characters": {"2,1|1,1,1": 1}}',
+            '{"version": 1, "lr": {}, "characters": {"2,1|2": -1}}',
+            '{"version": 1, "lr": {}, "characters": {"2,1|2,1": 0.5}}',
+            '{"version": 1, "lr": {"2,1|1|1": 1}, "characters": {}}',
+            '{"version": 1, "lr": {"2,1|1|1,1": -1}, "characters": {}}',
+            '{"version": 1, "lr": {"2,1|3|0": 0}, "characters": {}}',
+            '{"version": 1, "lr": {"2,1|1|1,1": "1"}, "characters": {}}',
+        ],
+        ids=[
+            "truncated", "not-an-object", "malformed-key",
+            "no-version", "other-version", "boolean-version", "above-dimension",
+            "identity-not-dimension", "character-sizes", "character-not-int",
+            "lr-sizes", "lr-negative", "lr-not-contained", "lr-not-int",
+        ],
     )
     def test_bad_cache_file_is_an_input_error(self, tmp_path, capsys, text):
         path = tmp_path / "memo.json"
@@ -252,6 +273,30 @@ class TestCache:
         assert "--cache" in err
         assert out == ""
         assert path.read_text() == text
+
+    def test_plausible_cache_values_are_trusted(self, tmp_path):
+        # chi_(2,1) at a 3-cycle is -1; 1 passes every check on load.
+        path = tmp_path / "memo.json"
+        path.write_text('{"version": 1, "lr": {}, "characters": {"2,1|3": 1}}')
+        try:
+            load_cache(str(path))
+            assert characters._MN_CACHE[((2, 1), (3,))] == 1
+        finally:
+            characters._MN_CACHE[((2, 1), (3,))] = -1
+
+    def test_saved_tables_pass_validation(self, tmp_path, capsys):
+        path = tmp_path / "memo.json"
+        code, _, _ = invoke(
+            capsys, "oracle-check", "--suite", "lr", "--max-d", "5", "--cache", str(path)
+        )
+        assert code == 0
+        data = json.loads(path.read_text())
+        assert data["lr"] and data["characters"]
+        code, out, _ = invoke(
+            capsys, "oracle-check", "--suite", "chars", "--max-d", "5", "--cache", str(path)
+        )
+        assert code == 0
+        assert out == "chars: PASS (54 checks)\n"
 
     def test_unwritable_cache_path_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "missing-dir" / "memo.json"

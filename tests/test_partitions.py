@@ -190,6 +190,14 @@ class TestContingency:
     def test_count_fixture(self):
         assert len(enumerate_contingency(C(2, 1), C(2, 1))) == 2
 
+    def test_flatten_matches_the_public_constructor(self):
+        built = [ContingencyMatrix([[2, 0], [1, 3]]), ContingencyMatrix([], col_sums=[0])]
+        for m in built + enumerate_contingency(C(3, 0, 2), C(1, 2, 2)):
+            flat = m.flatten()
+            want = Composition(x for row in m.rows for x in row)
+            assert (flat.entries, flat.degree) == (want.entries, want.degree)
+            assert flat == want and hash(flat) == hash(want)
+
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             enumerate_contingency(C(2), C(3))

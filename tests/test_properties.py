@@ -1,6 +1,6 @@
-"""Property tests of the LR kernel and the Weyl chain against the character
-oracle, and of the contingency enumerator against independent counts, on
-random inputs beyond the sweep bounds."""
+"""Property tests of the LR kernel, the Weyl chain and the Kronecker product
+against the character oracle, and of the contingency enumerator against
+independent counts, on random inputs beyond the sweep bounds."""
 
 from collections import Counter
 from itertools import product
@@ -13,9 +13,11 @@ from polykron import (
     Composition,
     Partition,
     SchurExpansion,
+    dimension,
     internal_h_oracle,
     iter_contingency,
     kostka,
+    kronecker,
     kronecker_oracle_expansion,
     lr_oracle,
     schur,
@@ -68,6 +70,12 @@ def _compositions(draw, d, max_parts=5):
     n = draw(st.integers(1, max_parts))
     cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
     return Composition(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+
+@st.composite
+def same_degree_pairs(draw, min_d=7, max_d=12):
+    d = draw(st.integers(min_d, max_d))
+    return draw(_sized(d)), draw(_sized(d))
 
 
 @st.composite
@@ -147,6 +155,20 @@ def test_weyl_chain_ignores_step_order_and_zeros(case):
     assert SchurExpansion._from_parts(lam.size, unsorted) == got
     assert weyl_tensor_gamma(lam, Composition(shuffled)) == got
     assert got == internal_h_oracle(lam, Composition(nu))
+
+
+@settings(PROPERTY, max_examples=20)
+@given(same_degree_pairs())
+@example((Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])))
+def test_kronecker_matches_the_oracle_and_its_symmetries(pair):
+    lam, mu = pair
+    got, _ = kronecker(lam, mu)
+    assert got == kronecker_oracle_expansion(lam, mu)
+    assert kronecker(mu, lam)[0] == got
+    assert kronecker(lam.conjugate(), mu.conjugate())[0] == got
+    assert sum(c * dimension(alpha) for alpha, c in got.items()) == (
+        dimension(lam) * dimension(mu)
+    )
 
 
 @PROPERTY

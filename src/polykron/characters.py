@@ -26,6 +26,7 @@ from .errors import ConsistencyError, DegreeMismatchError
 from .partitions import Composition, Partition, partitions_of
 from .schur import SchurExpansion
 
+# A dict rather than an lru_cache because the CLI's --cache file saves it.
 _MN_CACHE: dict[tuple, int] = {}
 
 

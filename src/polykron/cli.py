@@ -215,43 +215,40 @@ def _cache_int(key: str, val) -> int:
     return val
 
 
-def _cache_lr(key: str, val):
-    """The LR table entry for key, or ValueError when it cannot be right."""
+def _check_lr(key: str, val) -> None:
+    """Recompute the LR entry for key; ValueError unless val equals it."""
     outer, left, right = (Partition(_key_parts(t)) for t in key.split("|"))
     val = _cache_int(key, val)
     if outer.size != left.size + right.size:
         raise ValueError(f"entry {key!r}: the sizes of its partitions disagree")
+    # The true value is then 0, but save_cache never writes such a key.
     if not outer.contains(left):
         raise ValueError(f"entry {key!r}: the inner partition does not fit in the outer one")
-    if val < 0:
-        raise ValueError(f"entry {key!r}: negative coefficient {val}")
-    return (outer.parts, left.parts, right.parts), val
+    want = schur.lr_coeff(outer, left, right)
+    if val != want:
+        raise ValueError(f"entry {key!r} holds {val}, not the coefficient {want}")
 
 
-def _cache_character(key: str, val):
-    """The character table entry for key, or ValueError when it cannot be right."""
+def _check_character(key: str, val) -> None:
+    """Recompute the character entry for key; ValueError unless val equals it."""
     lam, rho = (Partition(_key_parts(t)) for t in key.split("|"))
     val = _cache_int(key, val)
     if lam.size != rho.size:
         raise ValueError(f"entry {key!r}: the sizes of its partitions disagree")
-    dim = characters.dimension(lam)
-    if abs(val) > dim:
-        raise ValueError(f"entry {key!r}: |{val}| exceeds the dimension {dim}")
-    if rho.parts == (1,) * rho.size and val != dim:
-        raise ValueError(f"entry {key!r}: the value at the identity must be the dimension {dim}")
-    return (lam.parts, rho.parts), val
+    want = characters.mn_character(lam, rho)
+    if val != want:
+        raise ValueError(f"entry {key!r} holds {val}, not the character value {want}")
 
 
 def load_cache(path: str) -> None:
-    """Seed the in-memory memo tables from a cache file, if it exists.
+    """Recompute every entry of a cache file, if it exists, which warms the
+    memo tables of `lr_coeff` and `mn_character`.
 
-    Raises ValueError, and seeds nothing, when the file is not a JSON object
-    in the format save_cache writes, has another format version, or holds an
-    entry that cannot be right: partitions whose sizes disagree, an LR value
-    that is negative or whose inner partition does not fit in the outer one,
-    or a character value larger than the dimension in absolute value or other
-    than the dimension at the identity.  Values that pass these checks are
-    trusted.
+    Raises ValueError when the file is not a JSON object in the format
+    save_cache writes, has another format version, or holds a malformed or
+    non-integer entry, partitions whose sizes disagree, an LR key whose inner
+    partition does not fit in the outer one, or a value other than the one
+    recomputed.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -264,14 +261,12 @@ def load_cache(path: str) -> None:
     if type(version) is not int or version != CACHE_VERSION:
         raise ValueError(f"cache format version {version!r} is not {CACHE_VERSION}")
     try:
-        lr = dict(_cache_lr(key, val) for key, val in data.get("lr", {}).items())
-        mn = dict(
-            _cache_character(key, val) for key, val in data.get("characters", {}).items()
-        )
+        for key, val in data.get("lr", {}).items():
+            _check_lr(key, val)
+        for key, val in data.get("characters", {}).items():
+            _check_character(key, val)
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed cache entry: {exc}") from None
-    schur._LR_CACHE.update(lr)
-    characters._MN_CACHE.update(mn)
+        raise ValueError(f"bad cache entry: {exc}") from None
 
 
 def save_cache(path: str) -> None:

@@ -13,6 +13,7 @@ or a hook.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
 from .partitions import Composition, Partition, _conjugate_parts, iter_contingency
@@ -25,8 +26,6 @@ _FAMILIES = (GAMMA, SYM, WEDGE)
 
 #: Default cap on the number of rows a Jacobi-Trudi determinant may have.
 JACOBI_TRUDI_BOUND = 12
-
-_CHAIN_CACHE: dict[tuple, dict] = {}
 
 
 class CharTwoMode(Enum):
@@ -180,6 +179,7 @@ def _steps(*pairs) -> tuple:
     return tuple(sorted((pair for pair in pairs if pair[0])))
 
 
+@lru_cache(maxsize=None)
 def _chain(lam: tuple, steps: tuple) -> dict:
     """The chain sum of lam over `steps`, keyed by parts tuples.
 
@@ -191,37 +191,32 @@ def _chain(lam: tuple, steps: tuple) -> dict:
     pass the canonical order of _steps.  The returned dict is the memo's own
     and must not be changed.
     """
-    key = (lam, steps)
-    hit = _CHAIN_CACHE.get(key)
-    if hit is None:
-        dp = {(): {(): 1}}
-        for size, family in steps:
-            # by_piece[beta][gamma] sums c^{beta/alpha}_gamma * dp[alpha] over
-            # alpha, so each (mu, gamma) product is expanded once per beta.
-            by_piece = {}
-            for alpha, expn in dp.items():
-                for beta in _partitions_between(alpha, lam, sum(alpha) + size):
-                    if family == WEDGE:
-                        piece = _skew_terms(_conjugate_parts(beta), _conjugate_parts(alpha))
-                    else:
-                        piece = _skew_terms(beta, alpha)
-                    groups = by_piece.get(beta)
-                    if groups is None:
-                        groups = by_piece[beta] = {}
-                    for gamma, c in piece.items():
-                        acc = groups.get(gamma)
-                        if acc is None:
-                            acc = groups[gamma] = {}
-                        for mu, x in expn.items():
-                            acc[mu] = acc.get(mu, 0) + c * x
-            dp = {}
-            for beta, groups in by_piece.items():
-                target = dp[beta] = {}
-                for gamma, acc in groups.items():
-                    _add_product(target, acc, gamma)
-        hit = dp[lam]
-        _CHAIN_CACHE[key] = hit
-    return hit
+    dp = {(): {(): 1}}
+    for size, family in steps:
+        # by_piece[beta][gamma] sums c^{beta/alpha}_gamma * dp[alpha] over
+        # alpha, so each (mu, gamma) product is expanded once per beta.
+        by_piece = {}
+        for alpha, expn in dp.items():
+            for beta in _partitions_between(alpha, lam, sum(alpha) + size):
+                if family == WEDGE:
+                    piece = _skew_terms(_conjugate_parts(beta), _conjugate_parts(alpha))
+                else:
+                    piece = _skew_terms(beta, alpha)
+                groups = by_piece.get(beta)
+                if groups is None:
+                    groups = by_piece[beta] = {}
+                for gamma, c in piece.items():
+                    acc = groups.get(gamma)
+                    if acc is None:
+                        acc = groups[gamma] = {}
+                    for mu, x in expn.items():
+                        acc[mu] = acc.get(mu, 0) + c * x
+        dp = {}
+        for beta, groups in by_piece.items():
+            target = dp[beta] = {}
+            for gamma, acc in groups.items():
+                _add_product(target, acc, gamma)
+    return dp[lam]
 
 
 def _gamma_steps(nu: Composition) -> tuple:

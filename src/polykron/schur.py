@@ -11,11 +11,11 @@ for one coefficient at a time (the technique of Buch's lrcalc):
   free content, and tallies them by content.
 
 Both work on `parts` tuples and return dicts keyed by the tuples of
-`partitions_of(d)`; the memo tables keep those dicts, which are never handed
-to callers.  `lr_coeff`, `skew_schur_expansion` and `schur_outer_product` are
-answered from them.  Kostka numbers come from a separate filling counter
-without the lattice condition.  Every memo fill is idempotent, so concurrent
-readers are safe.
+`partitions_of(d)`, which callers never receive: `lr_coeff`,
+`skew_schur_expansion` and `schur_outer_product` answer from them.  Kostka
+numbers come from a separate filling counter without the lattice condition.
+Each kernel is an `lru_cache(maxsize=None)` function, so `cache_info()` and
+`cache_clear()` report and reset its memo.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from functools import lru_cache
 from .errors import DegreeMismatchError
 from .partitions import Composition, Partition, SkewShape, partitions_of
 
+# A dict rather than an lru_cache because the CLI's --cache file saves it.
 _LR_CACHE: dict[tuple, int] = {}
-_KOSTKA_CACHE: dict[tuple, int] = {}
-_SKEW_CACHE: dict[tuple, dict] = {}
-_PRODUCT_CACHE: dict[tuple, dict] = {}
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +129,8 @@ class SchurExpansion:
         return f"SchurExpansion({self.degree}, {body})"
 
 
-def _count_fillings(shape, content):
+@lru_cache(maxsize=None)
+def _count_fillings(shape: tuple, content: tuple) -> int:
     """Count semistandard fillings of the shape with the given content.
 
     Cells are scanned row by row, right to left.
@@ -174,12 +173,7 @@ def kostka(shape: Partition, content: Composition, *, strict: bool = False) -> i
                 f"shape has size {shape.size} but content has degree {content.degree}"
             )
         return 0
-    key = (shape.parts, content.entries)
-    hit = _KOSTKA_CACHE.get(key)
-    if hit is None:
-        hit = _count_fillings(shape.parts, content.entries)
-        _KOSTKA_CACHE[key] = hit
-    return hit
+    return _count_fillings(shape.parts, content.entries)
 
 
 def _grow(base, content):
@@ -229,20 +223,19 @@ def _grow(base, content):
     return tally
 
 
+@lru_cache(maxsize=None)
 def _product_terms(mu: tuple, nu: tuple) -> dict:
     """{lam: c^lam_{mu,nu}} over the lam with a nonzero coefficient.
 
     The factor with more rows is grown by the content of the other, which
-    needs fewer letters; s_mu*s_nu and s_nu*s_mu share one memo entry.  The
-    returned dict is the memo's own and must not be changed.
+    needs fewer letters; s_nu*s_mu returns the dict of s_mu*s_nu, so both
+    orders share one object.  The returned dict is the memo's own and must
+    not be changed.
     """
-    hit = _PRODUCT_CACHE.get((mu, nu))
-    if hit is None:
-        base, content = (mu, nu) if (len(nu), nu) <= (len(mu), mu) else (nu, mu)
-        canon = _canonical(sum(mu) + sum(nu))
-        hit = {canon[lam].parts: c for lam, c in _grow(base, content).items()}
-        _PRODUCT_CACHE[(mu, nu)] = _PRODUCT_CACHE[(nu, mu)] = hit
-    return hit
+    if (len(mu), mu) < (len(nu), nu):
+        return _product_terms(nu, mu)
+    canon = _canonical(sum(mu) + sum(nu))
+    return {canon[lam].parts: c for lam, c in _grow(mu, nu).items()}
 
 
 def _tally_skew(outer, inner):
@@ -283,19 +276,15 @@ def _tally_skew(outer, inner):
     return tally
 
 
+@lru_cache(maxsize=None)
 def _skew_terms(outer: tuple, inner: tuple) -> dict:
     """{beta: c^outer_{inner,beta}} over the beta with a nonzero coefficient.
 
     inner must be contained in outer.  The returned dict is the memo's own
     and must not be changed.
     """
-    key = (outer, inner)
-    hit = _SKEW_CACHE.get(key)
-    if hit is None:
-        canon = _canonical(sum(outer) - sum(inner))
-        hit = {canon[beta].parts: c for beta, c in _tally_skew(outer, inner).items()}
-        _SKEW_CACHE[key] = hit
-    return hit
+    canon = _canonical(sum(outer) - sum(inner))
+    return {canon[beta].parts: c for beta, c in _tally_skew(outer, inner).items()}
 
 
 def _add_product(acc: dict, left: dict, nu: tuple, weight: int = 1) -> None:

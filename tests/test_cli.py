@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from polykron import Partition, characters, lr_coeff, schur
+from polykron import Partition, characters, lr_coeff, schur, sweeps
 from polykron.cli import load_cache, run, save_cache
 
 
@@ -204,6 +204,16 @@ class TestOracleCheckCommand:
         assert code == 0
         assert "fixture: PASS" in out
 
+    def test_suite_runs_the_sweep_bound_on_the_module(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "sweep_fixture", lambda: sweeps.SweepResult("fixture", 7))
+        monkeypatch.setattr(sweeps, "sweep_jt", lambda max_d=8: sweeps.SweepResult("jt", max_d))
+        code, out, _ = invoke(capsys, "oracle-check", "--suite", "fixture", "--max-d", "2")
+        assert (code, out) == (0, "fixture: PASS (7 checks)\n")
+        code, out, _ = invoke(capsys, "oracle-check", "--suite", "jt")
+        assert (code, out) == (0, "jt: PASS (8 checks)\n")
+        code, out, _ = invoke(capsys, "oracle-check", "--suite", "jt", "--max-d", "3")
+        assert (code, out) == (0, "jt: PASS (3 checks)\n")
+
     def test_negative_max_d_is_rejected(self, capsys):
         code, out, err = invoke(capsys, "oracle-check", "--suite", "kron", "--max-d", "-1")
         assert code == 2
@@ -215,17 +225,19 @@ class TestCache:
     def test_cache_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "memo.json"
         code, _, _ = invoke(
-            capsys, "kron", "--lambda", "2,1", "--mu", "2,1", "--cache", str(path)
+            capsys, "oracle-check", "--suite", "lr", "--max-d", "3", "--cache", str(path)
         )
         assert code == 0
         data = json.loads(path.read_text())
         assert set(data) == {"version", "lr", "characters"}
         assert data["version"] == 1
         assert all(isinstance(v, int) for v in data["lr"].values())
-        # seeding from the file lands in the in-memory tables
+        assert data["lr"]["2,1|1|1,1"] == 1
+        # loading recomputes each entry, which puts it back in the memo table
         schur._LR_CACHE.pop(((2, 1), (1,), (1, 1)), None)
         load_cache(str(path))
-        assert ((2, 1), (1,), (1, 1)) in schur._LR_CACHE
+        assert schur._LR_CACHE[((2, 1), (1,), (1, 1))] == 1
+        assert json.loads(path.read_text()) == data
 
     def test_save_and_load_known_value(self, tmp_path):
         path = tmp_path / "memo.json"
@@ -274,15 +286,19 @@ class TestCache:
         assert out == ""
         assert path.read_text() == text
 
-    def test_plausible_cache_values_are_trusted(self, tmp_path):
-        # chi_(2,1) at a 3-cycle is -1; 1 passes every check on load.
+    def test_plausible_wrong_cache_value_is_an_input_error(self, tmp_path, capsys):
+        # chi_(2,1) at a 3-cycle is -1; 1 is within the dimension bound.
+        text = '{"version": 1, "lr": {}, "characters": {"2,1|3": 1}}'
         path = tmp_path / "memo.json"
-        path.write_text('{"version": 1, "lr": {}, "characters": {"2,1|3": 1}}')
-        try:
-            load_cache(str(path))
-            assert characters._MN_CACHE[((2, 1), (3,))] == 1
-        finally:
-            characters._MN_CACHE[((2, 1), (3,))] = -1
+        path.write_text(text)
+        code, out, err = invoke(
+            capsys, "oracle-check", "--suite", "chars", "--max-d", "3", "--cache", str(path)
+        )
+        assert code == 2
+        assert "--cache" in err and "2,1|3" in err
+        assert out == ""
+        assert path.read_text() == text
+        assert characters.mn_character(Partition([2, 1]), Partition([3])) == -1
 
     def test_saved_tables_pass_validation(self, tmp_path, capsys):
         path = tmp_path / "memo.json"

@@ -1,9 +1,10 @@
 """Property tests of the LR kernel, the Weyl chain and the Kronecker product
-against the character oracle, and of the contingency enumerator against
-independent counts, on random inputs beyond the sweep bounds."""
+against the character oracle and their symmetries, of the contingency
+enumerator against independent counts, on random inputs beyond the sweep
+bounds, and of the kernel memos."""
 
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,13 +14,17 @@ from polykron import (
     Composition,
     Partition,
     SchurExpansion,
+    characters,
     dimension,
     internal_h_oracle,
+    internal_product,
     iter_contingency,
     kostka,
     kronecker,
     kronecker_oracle_expansion,
+    lr_coeff,
     lr_oracle,
+    partitions,
     schur,
     weyl_tensor_gamma,
 )
@@ -40,6 +45,15 @@ def factor_pairs(draw, max_total=10):
     total = draw(st.integers(0, max_total))
     a = draw(st.integers(0, total))
     return draw(_sized(a)), draw(_sized(total - a))
+
+
+@st.composite
+def lr_triples(draw, max_total=10):
+    mu, nu = draw(factor_pairs(max_total))
+    outers = [
+        p for p in partitions_of(mu.size + nu.size) if p.contains(mu) and p.contains(nu)
+    ]
+    return draw(st.sampled_from(outers)), mu, nu
 
 
 @st.composite
@@ -76,6 +90,12 @@ def _compositions(draw, d, max_parts=5):
 def same_degree_pairs(draw, min_d=7, max_d=12):
     d = draw(st.integers(min_d, max_d))
     return draw(_sized(d)), draw(_sized(d))
+
+
+@st.composite
+def same_degree_triples(draw, min_d=7, max_d=12):
+    d = draw(st.integers(min_d, max_d))
+    return draw(_sized(d)), draw(_sized(d)), draw(_sized(d))
 
 
 @st.composite
@@ -133,6 +153,14 @@ def test_product_terms_match_the_oracle(pair):
 
 
 @PROPERTY
+@given(lr_triples())
+def test_lr_is_symmetric_and_both_orders_share_one_memo_entry(triple):
+    lam, mu, nu = triple
+    assert _product_terms(mu.parts, nu.parts) is _product_terms(nu.parts, mu.parts)
+    assert lr_coeff(lam, mu, nu) == lr_coeff(lam, nu, mu)
+
+
+@PROPERTY
 @given(skew_shapes())
 def test_skew_terms_match_the_oracle(shape):
     outer, inner = shape
@@ -169,6 +197,37 @@ def test_kronecker_matches_the_oracle_and_its_symmetries(pair):
     assert sum(c * dimension(alpha) for alpha, c in got.items()) == (
         dimension(lam) * dimension(mu)
     )
+
+
+@settings(PROPERTY, max_examples=20)
+@given(same_degree_triples())
+@example((Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1]), Partition([4, 4, 2, 1, 1])))
+def test_kronecker_coefficient_is_symmetric_in_all_three_arguments(triple):
+    lam, mu, alpha = triple
+    want = kronecker(lam, mu)[0].coefficient(alpha)
+    for a, b, c in permutations(triple):
+        assert kronecker(a, b)[0].coefficient(c) == want
+
+
+def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
+    memos = {
+        id(fn): fn
+        for module in (partitions, schur, characters, internal_product)
+        for fn in vars(module).values()
+        if hasattr(fn, "cache_clear")
+    }.values()
+    names = {fn.__name__ for fn in memos}
+    assert {"_count_fillings", "_product_terms", "_skew_terms", "_chain"} <= names
+    lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
+    before, _ = kronecker(lam, mu)
+    for fn in memos:
+        fn.cache_clear()
+    assert all(fn.cache_info().currsize == 0 for fn in memos)
+    assert kronecker(lam, mu)[0] == before
+    # A repeated call is answered from the chain memo.
+    hits = internal_product._chain.cache_info().hits
+    assert kronecker(lam, mu)[0] == before
+    assert internal_product._chain.cache_info().hits > hits
 
 
 @PROPERTY

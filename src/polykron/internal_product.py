@@ -143,7 +143,8 @@ def exponential_tensor(
     return ExpDecomposition(family, _contingency_weights(left.weight, right.weight))
 
 
-def _partitions_between(lower: tuple, upper: tuple, size: int):
+@lru_cache(maxsize=None)
+def _partitions_between(lower: tuple, upper: tuple, size: int) -> tuple:
     """Partitions beta with lower <= beta <= upper cell-wise and |beta| = size."""
     n = len(upper)
     below = [0] * (n + 1)  # below[r]: cells of upper in rows >= r
@@ -164,7 +165,7 @@ def _partitions_between(lower: tuple, upper: tuple, size: int):
             acc.pop()
 
     rec(0, size, size, [])
-    return out
+    return tuple(out)
 
 
 def _steps(*pairs) -> tuple:
@@ -179,44 +180,112 @@ def _steps(*pairs) -> tuple:
     return tuple(sorted((pair for pair in pairs if pair[0])))
 
 
+def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
+    """One chain step: the table {alpha: expansion} grown by `size` cells.
+
+    Each alpha passes to every beta between alpha and lam with `size` more
+    cells, times the step piece: s_{beta/alpha} for a GAMMA step and its
+    conjugate s_{beta'/alpha'} for a WEDGE step.  The step is linear in the
+    expansions, so a signed sum of tables may be stepped once.
+    """
+    # by_piece[beta][gamma] sums c^{beta/alpha}_gamma * dp[alpha] over alpha,
+    # so each (mu, gamma) product is expanded once per beta.
+    by_piece = {}
+    for alpha, expn in dp.items():
+        for beta in _partitions_between(alpha, lam, sum(alpha) + size):
+            if family == WEDGE:
+                piece = _skew_terms(_conjugate_parts(beta), _conjugate_parts(alpha))
+            else:
+                piece = _skew_terms(beta, alpha)
+            groups = by_piece.get(beta)
+            if groups is None:
+                groups = by_piece[beta] = {}
+            for gamma, c in piece.items():
+                acc = groups.get(gamma)
+                if acc is None:
+                    acc = groups[gamma] = {}
+                for mu, x in expn.items():
+                    acc[mu] = acc.get(mu, 0) + c * x
+    out = {}
+    for beta, groups in by_piece.items():
+        target = out[beta] = {}
+        for gamma, acc in groups.items():
+            _add_product(target, acc, gamma)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _chain(lam: tuple, steps: tuple) -> dict:
     """The chain sum of lam over `steps`, keyed by parts tuples.
 
     It sums, over chains of nested partitions growing from the empty shape
-    to lam by the step sizes, the product of the step pieces: s_{beta/alpha}
-    for a GAMMA step and its conjugate s_{beta'/alpha'} for a WEDGE step.
-    That is the Kronecker product of s_lam with the product of the h_size
-    and e_size, so it does not depend on the order of the steps; callers
-    pass the canonical order of _steps.  The returned dict is the memo's own
-    and must not be changed.
+    to lam by the step sizes, the product of the step pieces (see _step),
+    folding _step over `steps` from the table {(): s_()}.  That is the
+    Kronecker product of s_lam with the product of the h_size and e_size,
+    so it does not depend on the order of the steps; callers pass the
+    canonical order of _steps.  The returned dict is the memo's own and must
+    not be changed.
     """
     dp = {(): {(): 1}}
     for size, family in steps:
-        # by_piece[beta][gamma] sums c^{beta/alpha}_gamma * dp[alpha] over
-        # alpha, so each (mu, gamma) product is expanded once per beta.
-        by_piece = {}
-        for alpha, expn in dp.items():
-            for beta in _partitions_between(alpha, lam, sum(alpha) + size):
-                if family == WEDGE:
-                    piece = _skew_terms(_conjugate_parts(beta), _conjugate_parts(alpha))
-                else:
-                    piece = _skew_terms(beta, alpha)
-                groups = by_piece.get(beta)
-                if groups is None:
-                    groups = by_piece[beta] = {}
-                for gamma, c in piece.items():
-                    acc = groups.get(gamma)
-                    if acc is None:
-                        acc = groups[gamma] = {}
-                    for mu, x in expn.items():
-                        acc[mu] = acc.get(mu, 0) + c * x
-        dp = {}
-        for beta, groups in by_piece.items():
-            target = dp[beta] = {}
-            for gamma, acc in groups.items():
-                _add_product(target, acc, gamma)
+        dp = _step(lam, dp, size, family)
     return dp[lam]
+
+
+def _by_last_step(terms) -> dict:
+    """{steps[-1:]: [(sign, steps), ...]}: the terms grouped by their last step."""
+    groups = {}
+    for sign, steps in terms:
+        groups.setdefault(steps[-1:], []).append((sign, steps))
+    return groups
+
+
+def _signed_table(lam: tuple, terms) -> dict:
+    """The sum of sign * (the table after folding _step over steps) over
+    (sign, steps) terms whose steps add up to one size, zeros dropped.
+
+    Terms that end in the same step sum their prefix tables first, by the
+    same grouping one step further back, and take that step once.
+    """
+    out = {}
+    for last, group in _by_last_step(terms).items():
+        if last:
+            prefixes = [(sign, steps[:-1]) for sign, steps in group]
+            table = _step(lam, _signed_table(lam, prefixes), *last[0])
+        else:
+            table = {(): {(): sum(sign for sign, _ in group)}}
+        for beta, expn in table.items():
+            acc = out.setdefault(beta, {})
+            for mu, x in expn.items():
+                acc[mu] = acc.get(mu, 0) + x
+    return {
+        beta: nonzero
+        for beta, expn in out.items()
+        if (nonzero := {mu: x for mu, x in expn.items() if x})
+    }
+
+
+@lru_cache(maxsize=None)
+def _chain_sum(lam: tuple, terms: tuple) -> dict:
+    """The sum of sign * _chain(lam, steps) over the (sign, steps) terms.
+
+    The steps of every term add up to |lam|.  Terms are grouped by their
+    last step, which does most of the multiplying: a group of two or more
+    is summed by _signed_table, so each shared step is applied once to the
+    signed sum of the tables before it, after their cancellations; a lone
+    term is answered by the _chain memo.  The returned dict is the memo's
+    own and must not be changed.
+    """
+    acc = {}
+    for group in _by_last_step(terms).values():
+        if len(group) == 1:
+            sign, steps = group[0]
+            part = _chain(lam, steps)
+        else:
+            sign, part = 1, _signed_table(lam, group).get(lam, {})
+        for beta, c in part.items():
+            acc[beta] = acc.get(beta, 0) + sign * c
+    return {beta: c for beta, c in acc.items() if c}
 
 
 def _gamma_steps(nu: Composition) -> tuple:
@@ -241,12 +310,13 @@ def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
 
 def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
     """The Kronecker product of lam and `other` as a signed sum of chain sums;
-    the cancellations must leave every coefficient >= 0."""
-    acc = {}
-    for sign, steps in signed_steps:
-        for beta, c in _chain(lam.parts, steps).items():
-            acc[beta] = acc.get(beta, 0) + sign * c
-    result = SchurExpansion._from_parts(lam.size, acc)
+    the cancellations must leave every coefficient >= 0.
+
+    The sum is taken by _chain_sum, keyed by lam and the sorted terms, so
+    terms that share their last steps apply each shared step once.
+    """
+    terms = tuple(sorted(signed_steps))
+    result = SchurExpansion._from_parts(lam.size, _chain_sum(lam.parts, terms))
     if not result.is_nonnegative():
         raise ConsistencyError(
             f"negative coefficient in kronecker product of {lam.text()} and {other}: {result!r}"
@@ -305,11 +375,15 @@ def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
 
     Expands mu through the Jacobi-Trudi determinant and accumulates the signed
     Weyl filtrations; the cancellations must leave every coefficient >= 0.
+    The product is symmetric, so when mu has more rows than the determinant's
+    bound and lam does not, lam is expanded instead.
     """
     if lam.size != mu.size:
         raise DegreeMismatchError(
             f"partitions have sizes {lam.size} and {mu.size}"
         )
+    if len(mu) > JACOBI_TRUDI_BOUND >= len(lam):
+        lam, mu = mu, lam
     signed = [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(mu)]
     return _signed_chains(lam, signed, mu.text())
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from polykron import Partition, characters, lr_coeff, schur, sweeps
+from polykron import Partition, characters, kronecker_oracle_expansion, lr_coeff, schur, sweeps
 from polykron.cli import load_cache, run, save_cache
 
 
@@ -59,6 +59,20 @@ class TestKronCommand:
         assert code == 0
         assert json.loads(out)["expansion"] == [{"partition": [], "mult": 1}]
 
+    def test_general_expands_lambda_when_mu_has_too_many_rows(self, capsys):
+        lam, mu = Partition([12, 2]), Partition([1] * 14)
+        code, out, _ = invoke(
+            capsys, "kron", "--lambda", "12,2", "--mu", ",".join(["1"] * 14),
+            "--method", "general", "--json",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["method"] == "general"
+        want = kronecker_oracle_expansion(lam, mu)
+        assert report["expansion"] == [
+            {"partition": list(p.parts), "mult": c} for p, c in want.items()
+        ]
+
     def test_json_round_trip_is_byte_identical(self, capsys):
         code, out, _ = invoke(capsys, "kron", "--lambda", "3,1", "--mu", "2,2", "--json")
         assert code == 0
@@ -85,6 +99,14 @@ class TestInputErrors:
     def test_bound_exceeded(self, capsys):
         mu = ",".join(["1"] * 13)
         code, _, err = invoke(capsys, "jacobi-trudi", "--mu", mu)
+        assert code == 2
+        assert "bound" in err
+
+    def test_general_bound_exceeded_by_both_factors(self, capsys):
+        code, _, err = invoke(
+            capsys, "kron", "--lambda", "2," + ",".join(["1"] * 12),
+            "--mu", ",".join(["1"] * 14), "--method", "general",
+        )
         assert code == 2
         assert "bound" in err
 

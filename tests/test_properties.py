@@ -1,5 +1,6 @@
 """Property tests of the LR kernel, the Weyl chain and the Kronecker product
-against the character oracle and their symmetries, of the contingency
+against the character oracle and their symmetries, of the grouped chain sums
+against the chains one by one, of the contingency
 enumerator against independent counts, on random inputs beyond the sweep
 bounds, and of the kernel memos."""
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from polykron import (
     GAMMA,
+    WEDGE,
     Composition,
     Partition,
     SchurExpansion,
@@ -19,6 +21,7 @@ from polykron import (
     internal_h_oracle,
     internal_product,
     iter_contingency,
+    jacobi_trudi,
     kostka,
     kronecker,
     kronecker_oracle_expansion,
@@ -28,7 +31,7 @@ from polykron import (
     schur,
     weyl_tensor_gamma,
 )
-from polykron.internal_product import _chain
+from polykron.internal_product import _chain, _chain_sum, _gamma_steps
 from polykron.partitions import partitions_of
 from polykron.schur import _product_terms, _skew_terms
 
@@ -96,6 +99,26 @@ def same_degree_pairs(draw, min_d=7, max_d=12):
 def same_degree_triples(draw, min_d=7, max_d=12):
     d = draw(st.integers(min_d, max_d))
     return draw(_sized(d)), draw(_sized(d)), draw(_sized(d))
+
+
+@st.composite
+def signed_chain_terms(draw, max_d=10):
+    """lam of size d and signed terms whose steps add up to d: GAMMA and WEDGE
+    steps, zeros among them, in any order, with the terms in groups that end
+    in the same steps (the first group has two or more terms)."""
+    d = draw(st.integers(0, max_d))
+    family = st.sampled_from((GAMMA, WEDGE))
+
+    def steps_of(total):
+        return tuple((x, draw(family)) for x in draw(_compositions(total, max_parts=4)))
+
+    terms = []
+    for k in range(draw(st.integers(1, 3))):
+        tail = steps_of(draw(st.integers(0, d)))
+        rest = d - sum(x for x, _ in tail)
+        for _ in range(draw(st.integers(2 if k == 0 else 1, 3))):
+            terms.append((draw(st.sampled_from((1, -1))), steps_of(rest) + tail))
+    return draw(_sized(d)), tuple(terms)
 
 
 @st.composite
@@ -185,6 +208,23 @@ def test_weyl_chain_ignores_step_order_and_zeros(case):
     assert got == internal_h_oracle(lam, Composition(nu))
 
 
+@PROPERTY
+@given(signed_chain_terms())
+@example(
+    (
+        Partition([4, 3, 2, 1]),
+        tuple((sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(Partition([3, 3, 2, 1, 1]))),
+    )
+)
+def test_grouped_chain_sum_equals_the_chains_one_by_one(case):
+    lam, terms = case
+    want = Counter()
+    for sign, steps in terms:
+        for beta, c in _chain(lam.parts, steps).items():
+            want[beta] += sign * c
+    assert _chain_sum(lam.parts, terms) == {beta: c for beta, c in want.items() if c}
+
+
 @settings(PROPERTY, max_examples=20)
 @given(same_degree_pairs())
 @example((Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])))
@@ -217,17 +257,17 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
         if hasattr(fn, "cache_clear")
     }.values()
     names = {fn.__name__ for fn in memos}
-    assert {"_count_fillings", "_product_terms", "_skew_terms", "_chain"} <= names
+    assert {"_count_fillings", "_product_terms", "_skew_terms", "_chain", "_chain_sum"} <= names
     lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
     before, _ = kronecker(lam, mu)
     for fn in memos:
         fn.cache_clear()
     assert all(fn.cache_info().currsize == 0 for fn in memos)
     assert kronecker(lam, mu)[0] == before
-    # A repeated call is answered from the chain memo.
-    hits = internal_product._chain.cache_info().hits
+    # A repeated call is answered from the memo of grouped chain sums.
+    hits = internal_product._chain_sum.cache_info().hits
     assert kronecker(lam, mu)[0] == before
-    assert internal_product._chain.cache_info().hits > hits
+    assert internal_product._chain_sum.cache_info().hits > hits
 
 
 @PROPERTY

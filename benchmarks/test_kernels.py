@@ -1,15 +1,24 @@
-"""Microbenchmarks of the Weyl chain, the general Kronecker product and the
-LR product kernel, cold and warm.
+"""Microbenchmarks of the Weyl chain, the general Kronecker product, the
+LR product kernel and the character oracle, cold and warm.
 
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``
 run collects only ``tests/``.  A cold round clears every kernel memo first,
 so it pays for all the LR products the call needs; a warm round is answered
-by memos that an untimed call filled.
+by memos that an untimed call filled.  The d = 18 cases compare the
+general algorithm with the oracle it is checked against.
 """
 
 import pytest
 
-from polykron import Partition, characters, internal_product, kronecker_general, partitions, schur
+from polykron import (
+    Partition,
+    characters,
+    internal_product,
+    kronecker_general,
+    kronecker_oracle_expansion,
+    partitions,
+    schur,
+)
 from polykron.internal_product import _chain, _gamma_steps
 from polykron.schur import _product_terms
 
@@ -24,6 +33,10 @@ MEMOS = {
 def clear_memos():
     for fn in MEMOS:
         fn.cache_clear()
+    # The two memo dicts that the CLI's --cache file saves; the oracle's
+    # character table is most of its cold cost.
+    characters._MN_CACHE.clear()
+    schur._LR_CACHE.clear()
 
 
 def measure(benchmark, mode, fn, *args):
@@ -45,13 +58,24 @@ def test_chain(benchmark, mode, parts):
 
 
 @MODES
-@pytest.mark.parametrize("parts", [(5, 4, 3, 2), (6, 4, 3, 2, 1)], ids=["d14", "d16"])
+@pytest.mark.parametrize(
+    "parts", [(5, 4, 3, 2), (6, 4, 3, 2, 1), (6, 5, 4, 2, 1)], ids=["d14", "d16", "d18"]
+)
 def test_kronecker_general(benchmark, mode, parts):
     lam = Partition(parts)
     measure(benchmark, mode, kronecker_general, lam, lam)
 
 
 @MODES
-@pytest.mark.parametrize("mu, nu", [((4, 3, 2, 1), (3, 2, 1))], ids=["d16"])
+@pytest.mark.parametrize(
+    "mu, nu", [((4, 3, 2, 1), (3, 2, 1)), ((5, 4, 2, 1), (3, 2, 1))], ids=["d16", "d18"]
+)
 def test_product_terms(benchmark, mode, mu, nu):
     measure(benchmark, mode, _product_terms, mu, nu)
+
+
+@MODES
+@pytest.mark.parametrize("parts", [(6, 5, 4, 2, 1)], ids=["d18"])
+def test_kronecker_oracle_expansion(benchmark, mode, parts):
+    lam = Partition(parts)
+    measure(benchmark, mode, kronecker_oracle_expansion, lam, lam)

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
-from .partitions import Composition, Partition, _conjugate_parts, iter_contingency
+from .partitions import Composition, Partition, _conjugate_parts, iter_contingency, partitions_of
 from .schur import SchurExpansion, _add_product, _skew_terms, conjugate_expansion
 
 GAMMA = "Gamma"
@@ -168,6 +168,7 @@ def _partitions_between(lower: tuple, upper: tuple, size: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _steps(*pairs) -> tuple:
     """Canonical chain steps: the nonzero (size, family) pairs, smallest first.
 
@@ -175,7 +176,8 @@ def _steps(*pairs) -> tuple:
     only pauses the chain, so every order gives the same chain sum; this one
     is the memo key.  Smallest first is also the cheapest order: the last
     step does most of the multiplying, and it then multiplies expansions of
-    the lowest degree.
+    the lowest degree.  Equal calls return one tuple, so the chain memos'
+    keys share their steps.
     """
     return tuple(sorted((pair for pair in pairs if pair[0])))
 
@@ -186,8 +188,14 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
     Each alpha passes to every beta between alpha and lam with `size` more
     cells, times the step piece: s_{beta/alpha} for a GAMMA step and its
     conjugate s_{beta'/alpha'} for a WEDGE step.  The step is linear in the
-    expansions, so a signed sum of tables may be stepped once.
+    expansions, so a signed sum of tables may be stepped once.  Every alpha
+    has the same size, and an expansion is keyed by the positions of its
+    partitions in partitions_of of that size.
     """
+    if not dp:
+        return {}
+    degree = sum(next(iter(dp)))
+    pieces = partitions_of(size)
     # by_piece[beta][gamma] sums c^{beta/alpha}_gamma * dp[alpha] over alpha,
     # so each (mu, gamma) product is expanded once per beta.
     by_piece = {}
@@ -207,16 +215,19 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
                 for mu, x in expn.items():
                     acc[mu] = acc.get(mu, 0) + c * x
     out = {}
+    width = len(partitions_of(degree + size))
     for beta, groups in by_piece.items():
-        target = out[beta] = {}
+        target = [0] * width
         for gamma, acc in groups.items():
-            _add_product(target, acc, gamma)
+            _add_product(target, acc, degree, pieces[gamma].parts)
+        out[beta] = {i: c for i, c in enumerate(target) if c}
     return out
 
 
 @lru_cache(maxsize=None)
 def _chain(lam: tuple, steps: tuple) -> dict:
-    """The chain sum of lam over `steps`, keyed by parts tuples.
+    """The chain sum of lam over `steps`, keyed by positions in
+    partitions_of(|lam|).
 
     It sums, over chains of nested partitions growing from the empty shape
     to lam by the step sizes, the product of the step pieces (see _step),
@@ -226,7 +237,7 @@ def _chain(lam: tuple, steps: tuple) -> dict:
     canonical order of _steps.  The returned dict is the memo's own and must
     not be changed.
     """
-    dp = {(): {(): 1}}
+    dp = {(): {0: 1}}
     for size, family in steps:
         dp = _step(lam, dp, size, family)
     return dp[lam]
@@ -253,7 +264,7 @@ def _signed_table(lam: tuple, terms) -> dict:
             prefixes = [(sign, steps[:-1]) for sign, steps in group]
             table = _step(lam, _signed_table(lam, prefixes), *last[0])
         else:
-            table = {(): {(): sum(sign for sign, _ in group)}}
+            table = {(): {0: sum(sign for sign, _ in group)}}
         for beta, expn in table.items():
             acc = out.setdefault(beta, {})
             for mu, x in expn.items():
@@ -305,7 +316,7 @@ def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
         raise DegreeMismatchError(
             f"partition has size {lam.size} but weight has degree {nu.degree}"
         )
-    return SchurExpansion._from_parts(lam.size, _chain(lam.parts, _gamma_steps(nu)))
+    return SchurExpansion._from_index(lam.size, _chain(lam.parts, _gamma_steps(nu)).items())
 
 
 def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
@@ -316,7 +327,7 @@ def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
     terms that share their last steps apply each shared step once.
     """
     terms = tuple(sorted(signed_steps))
-    result = SchurExpansion._from_parts(lam.size, _chain_sum(lam.parts, terms))
+    result = SchurExpansion._from_index(lam.size, _chain_sum(lam.parts, terms).items())
     if not result.is_nonnegative():
         raise ConsistencyError(
             f"negative coefficient in kronecker product of {lam.text()} and {other}: {result!r}"
@@ -431,7 +442,7 @@ def hook_mixed(lam: Partition, p: int, q: int) -> SchurExpansion:
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
     steps = _steps((p, GAMMA), (q, WEDGE))
-    return SchurExpansion._from_parts(lam.size, _chain(lam.parts, steps))
+    return SchurExpansion._from_index(lam.size, _chain(lam.parts, steps).items())
 
 
 def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:

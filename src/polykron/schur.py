@@ -5,17 +5,22 @@ for one coefficient at a time (the technique of Buch's lrcalc):
 
 - `_product_terms(mu, nu)` grows mu by horizontal strips of nu_1 1s, nu_2 2s,
   and so on, keeping the reverse reading word (right to left, top to bottom)
-  a lattice word row by row.  It reaches exactly the lam with a nonzero
-  c^lam_{mu,nu}, once per LR tableau.
+  a lattice word row by row (`_lr_tally`).  Every letter but the last is
+  placed strip by strip.  The last letter's strips depend only on the shape
+  and on the strip of the letter before, and products of different factors
+  often reach the same such state, so they come from one memo shared by all
+  products (`_last_strips`).  The tally counts each LR tableau once.
 - `_skew_terms(outer, inner)` walks the LR fillings of outer/inner once, with
   free content, and tallies them by content.
 
-Both work on `parts` tuples and return dicts keyed by the tuples of
-`partitions_of(d)`, which callers never receive: `lr_coeff`,
-`skew_schur_expansion` and `schur_outer_product` answer from them.  Kostka
-numbers come from a separate filling counter without the lattice condition.
-Each kernel is an `lru_cache(maxsize=None)` function, so `cache_info()` and
-`cache_clear()` report and reset its memo.
+Both take `parts` tuples and answer in index form: a result partition is
+named by its position in `partitions_of(d)`.  Callers outside this module
+and the Weyl chain never receive that form: `lr_coeff`,
+`skew_schur_expansion` and `schur_outer_product` answer from it, and
+`SchurExpansion._from_index` turns positions into the `Partition` objects of
+`partitions_of(d)`.  Kostka numbers come from a separate filling counter
+without the lattice condition.  Each kernel is an `lru_cache(maxsize=None)`
+function, so `cache_info()` and `cache_clear()` report and reset its memo.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ _LR_CACHE: dict[tuple, int] = {}
 
 
 @lru_cache(maxsize=None)
-def _canonical(d: int) -> dict:
-    """parts tuple -> the Partition object of partitions_of(d), built on first use."""
-    return {p.parts: p for p in partitions_of(d)}
+def _positions(d: int) -> dict:
+    """parts tuple -> its position in partitions_of(d)."""
+    return {p.parts: i for i, p in enumerate(partitions_of(d))}
 
 
 class SchurExpansion:
@@ -60,13 +65,13 @@ class SchurExpansion:
         self.terms = clean
 
     @classmethod
-    def _from_parts(cls, degree: int, terms: dict) -> "SchurExpansion":
-        """A fresh expansion from {parts tuple: int} with keys known to be
-        partitions of `degree`; keys become the objects of partitions_of."""
-        canon = _canonical(degree)
+    def _from_index(cls, degree: int, pairs) -> "SchurExpansion":
+        """A fresh expansion from (i, int) pairs, i a position in
+        partitions_of(degree); keys become the objects of partitions_of."""
+        shapes = partitions_of(degree)
         self = object.__new__(cls)
         self.degree = degree
-        self.terms = {canon[p]: c for p, c in terms.items() if c}
+        self.terms = {shapes[i]: c for i, c in pairs if c}
         return self
 
     @classmethod
@@ -176,66 +181,112 @@ def kostka(shape: Partition, content: Composition, *, strict: bool = False) -> i
     return _count_fillings(shape.parts, content.entries)
 
 
-def _grow(base, content):
-    """LR tableaux of shape lam/base and content `content`, counted by lam.
+def _strips(shape: list, prev, size: int, first: bool, visit) -> None:
+    """Call visit(cur) once per horizontal strip of `size` cells that the next
+    letter can add to `shape` with the reverse reading word (right to left,
+    top to bottom) still a lattice word.
 
-    Letter k+1 goes in as a horizontal strip of content[k] cells, placed row
-    by row from the top.  With x cells of it in row r the reverse reading
-    word stays a lattice word iff, summed over rows <= r, the letter k+1
-    occurs no more often than the letter k does in rows < r; the `slack` of
-    a row is that bound less what the rows above already used.
+    shape ends in at least one zero row, prev[r] is the number of cells the
+    letter before filled in row r, with an entry for every row up to shape's
+    first zero row, and `first` says whether this is the letter 1.  Cells go in row by row from the top.  With x cells in row r
+    the word stays a lattice word iff, summed over rows <= r, the new letter
+    occurs no more often than the one before does in rows < r; the `slack` of
+    a row is that bound less what the rows above already used.  While visit
+    runs, shape holds the grown shape and cur[r] the strip's cells in row r;
+    both are restored before the next strip.
     """
-    shape = list(base) + [0] * len(content)
-    tally = {}
+    old = shape[:]
+    cur = [0] * len(shape)
+    top = old.index(0)  # the one row this strip may open
+    # room[r]: how many more cells rows >= r may take than row r's slack
+    room = [0] * (top + 2)
+    for r in range(top - 1, -1, -1):
+        room[r] = room[r + 1] + prev[r]
+    # gap[r]: the most cells row r may take and stay below row r - 1
+    gap = [size] + [old[r - 1] - old[r] for r in range(1, top + 1)]
+
+    def row(r, left, slack):
+        if left == 0:
+            visit(cur)
+            return
+        if left > slack + room[r]:
+            return
+        cap = left if left < slack else slack
+        if gap[r] < cap:
+            cap = gap[r]
+        # A horizontal strip puts at most old[r] cells below row r.
+        low = left - old[r]
+        for x in range(cap, (low if low > 0 else 0) - 1, -1):
+            shape[r] = old[r] + x
+            cur[r] = x
+            row(r + 1, left - x, slack - x + prev[r])
+        shape[r] = old[r]
+        cur[r] = 0
+
+    # The 1s have no lattice bound; every later letter starts at slack 0.
+    row(0, size, size if first else 0)
+
+
+@lru_cache(maxsize=None)
+def _last_strips(shape: tuple, prev: tuple, size: int, first: bool) -> tuple:
+    """The positions in partitions_of(|shape| + size) of the shapes that the
+    last letter's strip of `size` cells reaches from `shape` (see _strips).
+
+    prev has one entry per row of shape.  Distinct strips reach distinct
+    shapes, so each position occurs once.  Products of different factors
+    often end in the same state, and this memo serves them all.
+    """
+    grown = [*shape, 0]
+    pos = _positions(sum(shape) + size)
+    out = []
+
+    def reached(cur):
+        out.append(pos[tuple(grown) if grown[-1] else tuple(grown[:-1])])
+
+    _strips(grown, [*prev, 0], size, first, reached)
+    return tuple(out)
+
+
+def _lr_tally(base: tuple, content: tuple) -> list:
+    """c^lam_{base,content} for every lam, as a list aligned with
+    partitions_of(|lam|).
+
+    Letter k+1 goes in as a horizontal strip of content[k] cells (_strips);
+    each LR tableau of shape lam/base and content `content` is one way to
+    place them all.  The last letter's strips come from the _last_strips
+    memo, keyed by the state the letters before it leave.
+    """
+    tally = [0] * len(partitions_of(sum(base) + sum(content)))
+    if not content:
+        tally[_positions(sum(base))[base]] = 1
+        return tally
+    shape = [*base] + [0] * len(content)
+    last = len(content) - 1
 
     def strip(k, prev):
-        if k == len(content):
-            lam = tuple(shape[: shape.index(0)] if 0 in shape else shape)
-            tally[lam] = tally.get(lam, 0) + 1
-            return
-        old = shape[:]
-        cur = [0] * len(shape)
-        top = old.index(0)  # the one row this strip may open
-        # room[r]: how many more cells rows >= r may take than row r's slack
-        room = [0] * (top + 2)
-        for r in range(top - 1, -1, -1):
-            room[r] = room[r + 1] + prev[r]
-
-        def row(r, left, slack):
-            if left == 0:
-                strip(k + 1, cur)
-                return
-            if left > slack + room[r]:
-                return
-            cap = min(left, slack, old[r - 1] - old[r]) if r else min(left, slack)
-            # A horizontal strip puts at most old[r] cells below row r.
-            for x in range(cap, max(left - old[r], 0) - 1, -1):
-                shape[r] = old[r] + x
-                cur[r] = x
-                row(r + 1, left - x, slack - x + prev[r])
-            shape[r] = old[r]
-            cur[r] = 0
-
-        # The 1s have no lattice bound; every later letter starts at slack 0.
-        row(0, content[k], content[k] if k == 0 else 0)
+        if k == last:
+            top = shape.index(0)
+            for i in _last_strips(tuple(shape[:top]), tuple(prev[:top]), content[k], k == 0):
+                tally[i] += 1
+        else:
+            _strips(shape, prev, content[k], k == 0, lambda cur: strip(k + 1, cur))
 
     strip(0, [0] * len(shape))
     return tally
 
 
 @lru_cache(maxsize=None)
-def _product_terms(mu: tuple, nu: tuple) -> dict:
-    """{lam: c^lam_{mu,nu}} over the lam with a nonzero coefficient.
+def _product_terms(mu: tuple, nu: tuple) -> tuple:
+    """(i, c^lam_{mu,nu}) pairs, i ascending, over the positions i in
+    partitions_of(|mu| + |nu|) of the lam with a nonzero coefficient.
 
     The factor with more rows is grown by the content of the other, which
-    needs fewer letters; s_nu*s_mu returns the dict of s_mu*s_nu, so both
-    orders share one object.  The returned dict is the memo's own and must
-    not be changed.
+    needs fewer letters; s_nu*s_mu returns the tuple of s_mu*s_nu, so both
+    orders share one object.
     """
     if (len(mu), mu) < (len(nu), nu):
         return _product_terms(nu, mu)
-    canon = _canonical(sum(mu) + sum(nu))
-    return {canon[lam].parts: c for lam, c in _grow(mu, nu).items()}
+    return tuple([(i, c) for i, c in enumerate(_lr_tally(mu, nu)) if c])
 
 
 def _tally_skew(outer, inner):
@@ -278,21 +329,24 @@ def _tally_skew(outer, inner):
 
 @lru_cache(maxsize=None)
 def _skew_terms(outer: tuple, inner: tuple) -> dict:
-    """{beta: c^outer_{inner,beta}} over the beta with a nonzero coefficient.
+    """{i: c^outer_{inner,beta}} over the positions i in
+    partitions_of(|outer| - |inner|) of the beta with a nonzero coefficient.
 
     inner must be contained in outer.  The returned dict is the memo's own
     and must not be changed.
     """
-    canon = _canonical(sum(outer) - sum(inner))
-    return {canon[beta].parts: c for beta, c in _tally_skew(outer, inner).items()}
+    pos = _positions(sum(outer) - sum(inner))
+    return {pos[beta]: c for beta, c in _tally_skew(outer, inner).items()}
 
 
-def _add_product(acc: dict, left: dict, nu: tuple, weight: int = 1) -> None:
-    """acc += weight * left * s_nu, with acc and left keyed by parts tuples."""
+def _add_product(acc: list, left: dict, degree: int, nu: tuple, weight: int = 1) -> None:
+    """acc += weight * left * s_nu.  left is keyed by positions in
+    partitions_of(degree), and acc is aligned with partitions_of(degree + |nu|)."""
+    shapes = partitions_of(degree)
     for mu, x in left.items():
         w = weight * x
-        for lam, c in _product_terms(mu, nu).items():
-            acc[lam] = acc.get(lam, 0) + w * c
+        for i, c in _product_terms(shapes[mu].parts, nu):
+            acc[i] += w * c
 
 
 def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:
@@ -305,7 +359,8 @@ def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:
     key = (outer.parts, left.parts, right.parts)
     hit = _LR_CACHE.get(key)
     if hit is None:
-        hit = _product_terms(left.parts, right.parts).get(outer.parts, 0)
+        at = _positions(outer.size)[outer.parts]
+        hit = next((c for i, c in _product_terms(left.parts, right.parts) if i == at), 0)
         _LR_CACHE[key] = hit
     return hit
 
@@ -313,16 +368,18 @@ def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:
 def skew_schur_expansion(shape: SkewShape) -> SchurExpansion:
     """Schur expansion of the skew Schur function of the shape."""
     terms = _skew_terms(shape.outer.parts, shape.inner.parts)
-    return SchurExpansion._from_parts(shape.size, terms)
+    return SchurExpansion._from_index(shape.size, terms.items())
 
 
 def schur_outer_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
     """Bilinear extension of s_mu * s_nu = sum of c^lam_{mu,nu} s_lam."""
-    acc = {}
-    left = {p.parts: c for p, c in a.terms.items()}
+    degree = a.degree + b.degree
+    pos = _positions(a.degree)
+    left = {pos[p.parts]: c for p, c in a.terms.items()}
+    acc = [0] * len(partitions_of(degree))
     for nu, y in b.terms.items():
-        _add_product(acc, left, nu.parts, y)
-    return SchurExpansion._from_parts(a.degree + b.degree, acc)
+        _add_product(acc, left, a.degree, nu.parts, y)
+    return SchurExpansion._from_index(degree, enumerate(acc))
 
 
 def conjugate_expansion(a: SchurExpansion) -> SchurExpansion:

@@ -1,5 +1,6 @@
 """Property tests of the LR kernel, the Weyl chain and the Kronecker product
-against the character oracle and their symmetries, of the grouped chain sums
+against the character oracle and their symmetries, of the LR kernel against
+the depth-first tableau walk it replaced, of the grouped chain sums
 against the chains one by one, of the contingency
 enumerator against independent counts, on random inputs beyond the sweep
 bounds, and of the kernel memos."""
@@ -33,7 +34,7 @@ from polykron import (
 )
 from polykron.internal_product import _chain, _chain_sum, _gamma_steps
 from polykron.partitions import partitions_of
-from polykron.schur import _product_terms, _skew_terms
+from polykron.schur import _last_strips, _lr_tally, _product_terms, _skew_terms
 
 # Reproducible draws, and no example database written next to the tests.
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -163,16 +164,97 @@ def _brute_force_matrices(mu, lam):
     return sorted(found, key=lambda m: [x for row in m for x in row], reverse=True)
 
 
+def _grow(base, content):
+    """LR tableaux of shape lam/base and content `content`, counted by lam:
+    the reference for _lr_tally, which replaced it in polykron.schur.
+
+    Letter k+1 goes in as a horizontal strip of content[k] cells, placed row
+    by row from the top.  With x cells of it in row r the reverse reading
+    word stays a lattice word iff, summed over rows <= r, the letter k+1
+    occurs no more often than the letter k does in rows < r; the `slack` of
+    a row is that bound less what the rows above already used.
+    """
+    shape = list(base) + [0] * len(content)
+    tally = {}
+
+    def strip(k, prev):
+        if k == len(content):
+            lam = tuple(shape[: shape.index(0)] if 0 in shape else shape)
+            tally[lam] = tally.get(lam, 0) + 1
+            return
+        old = shape[:]
+        cur = [0] * len(shape)
+        top = old.index(0)  # the one row this strip may open
+        # room[r]: how many more cells rows >= r may take than row r's slack
+        room = [0] * (top + 2)
+        for r in range(top - 1, -1, -1):
+            room[r] = room[r + 1] + prev[r]
+
+        def row(r, left, slack):
+            if left == 0:
+                strip(k + 1, cur)
+                return
+            if left > slack + room[r]:
+                return
+            cap = min(left, slack, old[r - 1] - old[r]) if r else min(left, slack)
+            # A horizontal strip puts at most old[r] cells below row r.
+            for x in range(cap, max(left - old[r], 0) - 1, -1):
+                shape[r] = old[r] + x
+                cur[r] = x
+                row(r + 1, left - x, slack - x + prev[r])
+            shape[r] = old[r]
+            cur[r] = 0
+
+        # The 1s have no lattice bound; every later letter starts at slack 0.
+        row(0, content[k], content[k] if k == 0 else 0)
+
+    strip(0, [0] * len(shape))
+    return tally
+
+
+def _assert_kernel_matches_the_reference(mu, nu):
+    """_lr_tally(mu, nu) equals the reference walk, with the last-strip memo
+    cleared first, and again with the memo filled by every product of a
+    factor of mu's size with nu, whose last letters reach many of the same
+    shapes from other states."""
+    shapes = partitions_of(sum(mu) + sum(nu))
+    want = _grow(mu, nu)
+    _last_strips.cache_clear()
+    cold = _lr_tally(mu, nu)
+    assert len(cold) == len(shapes)
+    assert {shapes[i].parts: c for i, c in enumerate(cold) if c} == want
+    _last_strips.cache_clear()
+    for other in partitions_of(sum(mu)):
+        _lr_tally(other.parts, nu)
+    assert _lr_tally(mu, nu) == cold
+
+
 @PROPERTY
 @given(factor_pairs())
 def test_product_terms_match_the_oracle(pair):
     mu, nu = pair
-    want = {}
-    for lam in partitions_of(mu.size + nu.size):
+    want = []
+    for i, lam in enumerate(partitions_of(mu.size + nu.size)):
         c = lr_oracle(lam, mu, nu)
         if c:
-            want[lam.parts] = c
-    assert _product_terms(mu.parts, nu.parts) == want
+            want.append((i, c))
+    assert _product_terms(mu.parts, nu.parts) == tuple(want)
+
+
+@PROPERTY
+@given(factor_pairs(max_total=12))
+def test_lr_kernel_matches_the_reference_walk(pair):
+    mu, nu = pair
+    _assert_kernel_matches_the_reference(mu.parts, nu.parts)
+
+
+def test_lr_kernel_matches_the_reference_walk_at_degree_18():
+    for mu, nu in (
+        ((5, 4, 2, 1), (3, 2, 1)),
+        ((4, 3, 2), (4, 3, 2)),
+        ((3, 2, 2, 1, 1), (4, 3, 1, 1)),
+    ):
+        _assert_kernel_matches_the_reference(mu, nu)
 
 
 @PROPERTY
@@ -188,10 +270,10 @@ def test_lr_is_symmetric_and_both_orders_share_one_memo_entry(triple):
 def test_skew_terms_match_the_oracle(shape):
     outer, inner = shape
     want = {}
-    for beta in partitions_of(outer.size - inner.size):
+    for i, beta in enumerate(partitions_of(outer.size - inner.size)):
         c = lr_oracle(outer, inner, beta)
         if c:
-            want[beta.parts] = c
+            want[i] = c
     assert _skew_terms(outer.parts, inner.parts) == want
 
 
@@ -203,7 +285,7 @@ def test_weyl_chain_ignores_step_order_and_zeros(case):
     # The chain run in the drawn order, zero steps included, without the
     # canonical memo key that weyl_tensor_gamma uses.
     unsorted = _chain(lam.parts, tuple((x, GAMMA) for x in shuffled))
-    assert SchurExpansion._from_parts(lam.size, unsorted) == got
+    assert SchurExpansion._from_index(lam.size, unsorted.items()) == got
     assert weyl_tensor_gamma(lam, Composition(shuffled)) == got
     assert got == internal_h_oracle(lam, Composition(nu))
 
@@ -257,7 +339,9 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
         if hasattr(fn, "cache_clear")
     }.values()
     names = {fn.__name__ for fn in memos}
-    assert {"_count_fillings", "_product_terms", "_skew_terms", "_chain", "_chain_sum"} <= names
+    assert {
+        "_count_fillings", "_last_strips", "_product_terms", "_skew_terms", "_chain", "_chain_sum"
+    } <= names
     lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
     before, _ = kronecker(lam, mu)
     for fn in memos:
@@ -296,7 +380,10 @@ def test_the_oracle_never_runs_the_tableau_engine(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called the tableau engine")
 
-    for name in ("_grow", "_tally_skew", "_count_fillings", "_product_terms", "_skew_terms"):
+    for name in (
+        "_strips", "_last_strips", "_lr_tally", "_tally_skew", "_count_fillings",
+        "_product_terms", "_skew_terms",
+    ):
         monkeypatch.setattr(schur, name, forbidden)
     lam, mu = Partition([3, 2, 1]), Partition([4, 2])
     assert lr_oracle(lam, Partition([2, 1]), Partition([2, 1])) == 2

@@ -1,5 +1,6 @@
 """Microbenchmarks of the Weyl chain, the general Kronecker product, the
-LR product kernel and the character oracle, cold and warm.
+LR product kernel, the character oracle, the Kostka counter and the
+contingency enumerator, cold and warm.
 
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``
 run collects only ``tests/``.  A cold round clears every kernel memo first,
@@ -11,15 +12,20 @@ general algorithm with the oracle it is checked against.
 import pytest
 
 from polykron import (
+    Composition,
     Partition,
     characters,
     internal_product,
+    iter_contingency,
+    jacobi_trudi,
+    kostka,
     kronecker_general,
     kronecker_oracle_expansion,
     partitions,
     schur,
 )
 from polykron.internal_product import _chain, _gamma_steps
+from polykron.partitions import partitions_of
 from polykron.schur import _product_terms
 
 MEMOS = {
@@ -79,3 +85,26 @@ def test_product_terms(benchmark, mode, mu, nu):
 def test_kronecker_oracle_expansion(benchmark, mode, parts):
     lam = Partition(parts)
     measure(benchmark, mode, kronecker_oracle_expansion, lam, lam)
+
+
+def kostka_table(shapes, contents):
+    return [kostka(lam, nu) for nu in contents for lam in shapes]
+
+
+@MODES
+def test_kostka_jacobi_trudi_contents(benchmark, mode):
+    # Every content of a Jacobi-Trudi term at d = 10 against every shape,
+    # as the JT sweep asks them.
+    shapes = partitions_of(10)
+    contents = [nu for mu in shapes for _, nu in jacobi_trudi(mu)]
+    measure(benchmark, mode, kostka_table, shapes, contents)
+
+
+def count_matrices(mu, lam):
+    return sum(1 for _ in iter_contingency(mu, lam))
+
+
+@MODES
+def test_contingency_count(benchmark, mode):
+    mu, lam = Composition([2, 2, 2, 2]), Composition([3, 2, 2, 1])
+    measure(benchmark, mode, count_matrices, mu, lam)

@@ -10,10 +10,11 @@ A decomposition needs one class sum per target partition, and all of them
 share the same factors.  So `kronecker_oracle_expansion` and
 `internal_h_oracle` first compute the per-class weights w[rho] (class size
 times the fixed characters) once per call, and then take one dot product with
-each target character.  Class sizes are memoised per cycle type, and the
-values of a permutation character are memoised per sorted block sizes, as a
-row aligned with `partitions_of(d)`; every call still returns a fresh
-`ClassFunction`.
+each target character.  Class sizes are memoised per cycle type.  The values
+of a permutation character are memoised per descending nonzero block sizes,
+as the tuple `perm_row(blocks)` aligned with `partitions_of(d)`; callers that
+work on rows (the contingency sweep) read it directly, and `perm_character`
+wraps it in a fresh `ClassFunction` on every call.
 """
 
 from __future__ import annotations
@@ -192,13 +193,18 @@ def perm_character(nu: Composition) -> ClassFunction:
     blocks of sizes nu_i; it depends only on the nonzero entries of nu.
     """
     d = nu.degree
-    row = _perm_row(nu.sorted_partition().parts)
+    row = perm_row(nu.sorted_parts())
     return ClassFunction._trusted(d, dict(zip(partitions_of(d), row)))
 
 
 @lru_cache(maxsize=None)
-def _perm_row(blocks: tuple) -> tuple:
-    """The permutation character of the block sizes, aligned with partitions_of."""
+def perm_row(blocks: tuple) -> tuple:
+    """The permutation character of the block sizes, as a tuple aligned with
+    partitions_of(sum(blocks)).
+
+    blocks are the nonzero sizes in descending order, so every composition
+    with the same blocks shares one memo entry; the tuple is the memo's own.
+    """
     return tuple(_perm_value(blocks, rho.parts) for rho in partitions_of(sum(blocks)))
 
 
@@ -301,7 +307,7 @@ def internal_h_oracle(lam: Partition, nu: Composition) -> SchurExpansion:
         )
     d_fact = factorial(d)
     terms = {}
-    for beta, total in _class_sums(lam, _perm_row(nu.sorted_partition().parts)):
+    for beta, total in _class_sums(lam, perm_row(nu.sorted_parts())):
         q, r = divmod(total, d_fact)
         if r:
             raise ConsistencyError(

@@ -57,15 +57,17 @@ def _ints_from_text(text: str, flag: str):
 
 
 def parse_partition(text: str, flag: str) -> Partition:
+    entries = _ints_from_text(text, flag)
     try:
-        return Partition(_ints_from_text(text, flag))
+        return Partition(entries)
     except ValueError as exc:
         raise _InputError(f"{flag}: {exc}") from None
 
 
 def parse_composition(text: str, flag: str) -> Composition:
+    entries = _ints_from_text(text, flag)
     try:
-        return Composition(_ints_from_text(text, flag))
+        return Composition(entries)
     except ValueError as exc:
         raise _InputError(f"{flag}: {exc}") from None
 

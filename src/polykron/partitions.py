@@ -182,9 +182,14 @@ class Composition:
         """Canonical comma-separated encoding; the empty composition is "0"."""
         return ",".join(str(x) for x in self.entries) if self.entries else "0"
 
+    def sorted_parts(self) -> tuple:
+        """The nonzero entries, sorted decreasingly: the parts of
+        sorted_partition(), without building the Partition."""
+        return tuple(sorted(filter(None, self.entries), reverse=True))
+
     def sorted_partition(self) -> Partition:
         """The nonzero entries, sorted decreasingly."""
-        return Partition(sorted((x for x in self.entries if x), reverse=True))
+        return Partition(self.sorted_parts())
 
 
 class SkewShape:

@@ -18,8 +18,14 @@ named by its position in `partitions_of(d)`.  Callers outside this module
 and the Weyl chain never receive that form: `lr_coeff`,
 `skew_schur_expansion` and `schur_outer_product` answer from it, and
 `SchurExpansion._from_index` turns positions into the `Partition` objects of
-`partitions_of(d)`.  Kostka numbers come from a separate filling counter
-without the lattice condition.  Each kernel is an `lru_cache(maxsize=None)`
+`partitions_of(d)`.
+
+Kostka numbers (`_count_fillings`, no lattice condition) come from the same
+idea, horizontal strips: the largest letter fills a strip, so K(lam, nu) is
+the sum of K(mu, nu without its last entry) over the mu with lam/mu a strip
+of that size.  A Kostka number does not change when the content is permuted,
+so `kostka` passes the nonzero entries in descending order and contents with
+one multiset share a memo entry.  Each kernel is an `lru_cache(maxsize=None)`
 function, so `cache_info()` and `cache_clear()` report and reset its memo.
 """
 
@@ -138,39 +144,45 @@ class SchurExpansion:
 def _count_fillings(shape: tuple, content: tuple) -> int:
     """Count semistandard fillings of the shape with the given content.
 
-    Cells are scanned row by row, right to left.
+    content holds positive entries.  The largest letter fills a horizontal
+    strip of content[-1] cells, so the count is the sum, over the shapes mu
+    with shape/mu such a strip, of the fillings of mu by content[:-1].
+    Rows are visited from the top: row r gives up at most
+    shape[r] - shape[r + 1] cells, so no two strip cells share a column, and
+    the rows below it at most shape[r + 1] together.
     """
-    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r] - 1, -1, -1)]
-    if len(cells) != sum(content):
+    if len(shape) > len(content):
         return 0
-    nvals = len(content)
-    remaining = list(content)
-    grid = {}
+    if not content:
+        return 1
+    size, rest = content[-1], content[:-1]
+    n = len(shape)
+    mu = list(shape)
+    total = 0
 
-    def rec(k):
-        if k == len(cells):
-            return 1
-        r, c = cells[k]
-        lo = grid[(r - 1, c)] + 1 if r > 0 else 1
-        hi = grid[(r, c + 1)] if c + 1 < shape[r] else nvals
-        total = 0
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            grid[(r, c)] = v
-            total += rec(k + 1)
-            del grid[(r, c)]
-            remaining[v - 1] += 1
-        return total
+    def strip(r, left):
+        nonlocal total
+        if left == 0:
+            total += _count_fillings(tuple([x for x in mu if x]), rest)
+            return
+        below = shape[r + 1] if r + 1 < n else 0
+        top = min(left, shape[r] - below)
+        for x in range(top, max(left - below, 0) - 1, -1):
+            mu[r] = shape[r] - x
+            strip(r + 1, left - x)
+        mu[r] = shape[r]
 
-    return rec(0)
+    strip(0, size)
+    return total
 
 
 def kostka(shape: Partition, content: Composition, *, strict: bool = False) -> int:
     """Number of semistandard Young tableaux of the given shape and content.
 
-    A degree mismatch yields 0 by convention, or raises when `strict`.
+    Kostka numbers do not change when the content is permuted, so the
+    counter sees the nonzero entries in descending order, and contents with
+    the same multiset share one memo entry.  A degree mismatch yields 0 by
+    convention, or raises when `strict`.
     """
     if shape.size != content.degree:
         if strict:
@@ -178,7 +190,7 @@ def kostka(shape: Partition, content: Composition, *, strict: bool = False) -> i
                 f"shape has size {shape.size} but content has degree {content.degree}"
             )
         return 0
-    return _count_fillings(shape.parts, content.entries)
+    return _count_fillings(shape.parts, content.sorted_parts())
 
 
 def _strips(shape: list, prev, size: int, first: bool, visit) -> None:

@@ -13,14 +13,13 @@ from math import factorial
 from operator import mul
 
 from .characters import (
-    ClassFunction,
     class_size,
     dimension,
     internal_h_oracle,
     kronecker_oracle_expansion,
     lr_oracle,
     mn_character,
-    perm_character,
+    perm_row,
 )
 from .errors import UndefinedProductError
 from .internal_product import (
@@ -41,7 +40,6 @@ from .internal_product import (
     weyl_tensor_wedge,
 )
 from .partitions import (
-    Composition,
     Partition,
     enumerate_compositions,
     iter_contingency,
@@ -180,20 +178,18 @@ def sweep_contingency(
                     )
     for d in range(0, min(char_max_d, count_max_d) + 1):
         weights = _weights_up_to(d, max_parts)
-        parts_d = partitions_of(d)
-        pcs = {w: perm_character(w) for w in weights}
+        rows = {w: perm_row(w.sorted_parts()) for w in weights}
         for mu in weights:
             for lam in weights:
-                product = pcs[mu] * pcs[lam]
-                acc = {rho: 0 for rho in parts_d}
-                # The character depends only on the sorted entries, so each
-                # distinct shape is added once, times its multiplicity.
+                product = list(map(mul, rows[mu], rows[lam]))
+                acc = [0] * len(product)
+                # The character depends only on the block sizes, so each
+                # distinct one is added once, times its multiplicity.
                 summands = gamma_tensor_gamma(mu, lam).summands
-                for shape, k in Counter(tuple(sorted(nu.entries)) for nu in summands).items():
-                    for rho, v in perm_character(Composition(shape)).values.items():
-                        acc[rho] += k * v
+                for blocks, k in Counter(nu.sorted_parts() for nu in summands).items():
+                    acc = [a + k * v for a, v in zip(acc, perm_row(blocks))]
                 checks += 1
-                if ClassFunction(d, acc) != product:
+                if acc != product:
                     return SweepResult(
                         "contingency", checks,
                         f"characters mu={mu.text()} lambda={lam.text()}",

@@ -19,7 +19,8 @@ from polykron import (
     mn_character,
     perm_character,
 )
-from polykron.partitions import partitions_of
+from polykron.characters import perm_row
+from polykron.partitions import enumerate_compositions, partitions_of
 
 
 def P(*parts):
@@ -174,6 +175,13 @@ class TestPermCharacter:
     def test_class_function_validation(self):
         with pytest.raises(ValueError):
             ClassFunction(3, {P(3): 1})
+
+    def test_row_is_the_character_on_partitions_of_d(self):
+        for d in range(0, 7):
+            for n in range(0, d + 2):
+                for nu in enumerate_compositions(d, n):
+                    row = perm_row(nu.sorted_parts())
+                    assert perm_character(nu).values == dict(zip(partitions_of(d), row))
 
     def test_caller_mutation_does_not_poison_the_memo(self):
         nu = C(2, 1, 1)

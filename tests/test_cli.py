@@ -86,6 +86,20 @@ class TestInputErrors:
         assert code == 2
         assert "--lambda" in err
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("kron", "--lambda", "2,,1", "--mu", "3"),
+             "error: --lambda: expected comma-separated integers, got '2,,1'"),
+            (("gamma-tensor", "--mu", "1,x", "--lambda", "2"),
+             "error: --mu: expected comma-separated integers, got '1,x'"),
+        ],
+        ids=["partition", "composition"],
+    )
+    def test_malformed_integers_name_the_flag_once(self, capsys, argv, line):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", line + "\n")
+
     def test_increasing_partition(self, capsys):
         code, _, err = invoke(capsys, "kron", "--lambda", "1,2", "--mu", "2,1")
         assert code == 2

@@ -151,6 +151,7 @@ class TestComposition:
 
     def test_sorted_partition(self):
         assert C(0, 3, 1, 3).sorted_partition() == P(3, 3, 1)
+        assert C(0, 3, 1, 3).sorted_parts() == (3, 3, 1)
 
     def test_text(self):
         assert C(2, 0, 1).text() == "2,0,1"

@@ -1,12 +1,13 @@
 """Property tests of the LR kernel, the Weyl chain and the Kronecker product
 against the character oracle and their symmetries, of the LR kernel against
-the depth-first tableau walk it replaced, of the grouped chain sums
+the depth-first tableau walk it replaced, of the Kostka counter against the
+cell-by-cell count it replaced, of the grouped chain sums
 against the chains one by one, of the contingency
 enumerator against independent counts, on random inputs beyond the sweep
 bounds, and of the kernel memos."""
 
 from collections import Counter
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,24 @@ def _compositions(draw, d, max_parts=5):
     n = draw(st.integers(1, max_parts))
     cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
     return Composition(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+
+@st.composite
+def kostka_cases(draw, max_d=11):
+    """A shape and an unsorted content with zeros, both of degree d; in three
+    draws of four the shape dominates the content's sorted entries, so the
+    count is not zero."""
+    d = draw(st.integers(0, max_d))
+    content = draw(_compositions(d, max_parts=8))
+    shapes = partitions_of(d)
+    if draw(st.integers(0, 3)):
+        shapes = [p for p in shapes if _dominates(p.parts, content.sorted_parts())]
+    return draw(st.sampled_from(shapes)), content
+
+
+def _dominates(lam, mu):
+    """Every partial sum of lam is at least the one of mu."""
+    return all(a >= b for a, b in zip(accumulate(lam + (0,) * len(mu)), accumulate(mu)))
 
 
 @st.composite
@@ -212,6 +231,39 @@ def _grow(base, content):
     return tally
 
 
+def _fill_cells(shape, content):
+    """Semistandard fillings of the shape with the given content, one cell at
+    a time: the reference for _count_fillings, which replaced it in
+    polykron.schur.  Cells are scanned row by row, right to left; a cell is
+    at most its right neighbour and more than the cell above it.
+    """
+    cells = [(r, c) for r in range(len(shape)) for c in range(shape[r] - 1, -1, -1)]
+    if len(cells) != sum(content):
+        return 0
+    nvals = len(content)
+    remaining = list(content)
+    grid = {}
+
+    def rec(k):
+        if k == len(cells):
+            return 1
+        r, c = cells[k]
+        lo = grid[(r - 1, c)] + 1 if r > 0 else 1
+        hi = grid[(r, c + 1)] if c + 1 < shape[r] else nvals
+        total = 0
+        for v in range(lo, hi + 1):
+            if remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
+            grid[(r, c)] = v
+            total += rec(k + 1)
+            del grid[(r, c)]
+            remaining[v - 1] += 1
+        return total
+
+    return rec(0)
+
+
 def _assert_kernel_matches_the_reference(mu, nu):
     """_lr_tally(mu, nu) equals the reference walk, with the last-strip memo
     cleared first, and again with the memo filled by every product of a
@@ -255,6 +307,15 @@ def test_lr_kernel_matches_the_reference_walk_at_degree_18():
         ((3, 2, 2, 1, 1), (4, 3, 1, 1)),
     ):
         _assert_kernel_matches_the_reference(mu, nu)
+
+
+@PROPERTY
+@given(kostka_cases())
+@example((Partition([4, 3, 2, 1, 1]), Composition([1, 0, 2, 1, 3, 0, 2, 1, 1])))
+@example((Partition([3, 3, 2, 2, 1]), Composition([1] * 11)))
+def test_kostka_matches_the_cell_by_cell_count(case):
+    shape, content = case
+    assert kostka(shape, content) == _fill_cells(shape.parts, content.entries)
 
 
 @PROPERTY

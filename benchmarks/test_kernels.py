@@ -1,6 +1,6 @@
 """Microbenchmarks of the Weyl chain, the general Kronecker product, the
-LR product kernel, the character oracle, the Kostka counter and the
-contingency enumerator, cold and warm.
+LR product kernel, skew Schur expansions, the character oracle, the Kostka
+counter and the contingency enumerator, cold and warm.
 
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``
 run collects only ``tests/``.  A cold round clears every kernel memo first,
@@ -14,6 +14,7 @@ import pytest
 from polykron import (
     Composition,
     Partition,
+    SkewShape,
     characters,
     internal_product,
     iter_contingency,
@@ -23,8 +24,9 @@ from polykron import (
     kronecker_oracle_expansion,
     partitions,
     schur,
+    skew_schur_expansion,
 )
-from polykron.internal_product import _chain, _gamma_steps
+from polykron.internal_product import _chain_sum, _gamma_steps
 from polykron.partitions import partitions_of
 from polykron.schur import _product_terms
 
@@ -58,9 +60,10 @@ MODES = pytest.mark.parametrize("mode", ["cold", "warm"])
 @MODES
 @pytest.mark.parametrize("parts", [(5, 4, 3, 2)], ids=["d14"])
 def test_chain(benchmark, mode, parts):
-    # The chain of the leading Jacobi-Trudi term h_mu of mu = lam.
-    steps = _gamma_steps(Partition(parts))
-    measure(benchmark, mode, _chain, parts, steps)
+    # The chain of the leading Jacobi-Trudi term h_mu of mu = lam, a single
+    # term of the one memoised chain sum.
+    terms = ((1, _gamma_steps(Partition(parts))),)
+    measure(benchmark, mode, _chain_sum, parts, terms)
 
 
 @MODES
@@ -78,6 +81,16 @@ def test_kronecker_general(benchmark, mode, parts):
 )
 def test_product_terms(benchmark, mode, mu, nu):
     measure(benchmark, mode, _product_terms, mu, nu)
+
+
+@MODES
+@pytest.mark.parametrize(
+    "outer, inner", [((5, 4, 3, 2), (3, 1)), ((6, 5, 4, 2, 1), (3, 2, 1))], ids=["d14", "d18"]
+)
+def test_skew_schur_expansion(benchmark, mode, outer, inner):
+    # Cold, every c^outer_{inner,beta} comes from a product s_inner * s_beta.
+    shape = SkewShape(Partition(outer), Partition(inner))
+    measure(benchmark, mode, skew_schur_expansion, shape)
 
 
 @MODES

@@ -176,7 +176,7 @@ def _steps(*pairs) -> tuple:
     only pauses the chain, so every order gives the same chain sum; this one
     is the memo key.  Smallest first is also the cheapest order: the last
     step does most of the multiplying, and it then multiplies expansions of
-    the lowest degree.  Equal calls return one tuple, so the chain memos'
+    the lowest degree.  Equal calls return one tuple, so the chain memo's
     keys share their steps.
     """
     return tuple(sorted((pair for pair in pairs if pair[0])))
@@ -225,46 +225,27 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _chain(lam: tuple, steps: tuple) -> dict:
-    """The chain sum of lam over `steps`, keyed by positions in
-    partitions_of(|lam|).
+def _chain_sum(lam: tuple, terms: tuple) -> dict:
+    """The sum of sign * (the table that _step folded over steps makes of
+    {(): s_()}) over the (sign, steps) terms, zeros dropped.
 
-    It sums, over chains of nested partitions growing from the empty shape
-    to lam by the step sizes, the product of the step pieces (see _step),
-    folding _step over `steps` from the table {(): s_()}.  That is the
-    Kronecker product of s_lam with the product of the h_size and e_size,
-    so it does not depend on the order of the steps; callers pass the
-    canonical order of _steps.  The returned dict is the memo's own and must
-    not be changed.
+    Each term's steps add up to one size.  At |lam| the table holds lam
+    alone, and its entry there is the Kronecker product of s_lam with the
+    product of the steps' h_size and e_size.  Terms that end in the same step
+    sum their prefix tables first, by this function on the sorted prefixes,
+    and take that step once, after their cancellations.  So every prefix
+    level is a memo entry, and a single chain is the term ((1, steps),).
+    The returned dict is the memo's own and must not be changed.
     """
-    dp = {(): {0: 1}}
-    for size, family in steps:
-        dp = _step(lam, dp, size, family)
-    return dp[lam]
-
-
-def _by_last_step(terms) -> dict:
-    """{steps[-1:]: [(sign, steps), ...]}: the terms grouped by their last step."""
     groups = {}
     for sign, steps in terms:
-        groups.setdefault(steps[-1:], []).append((sign, steps))
-    return groups
-
-
-def _signed_table(lam: tuple, terms) -> dict:
-    """The sum of sign * (the table after folding _step over steps) over
-    (sign, steps) terms whose steps add up to one size, zeros dropped.
-
-    Terms that end in the same step sum their prefix tables first, by the
-    same grouping one step further back, and take that step once.
-    """
+        groups.setdefault(steps[-1:], []).append((sign, steps[:-1]))
     out = {}
-    for last, group in _by_last_step(terms).items():
+    for last, prefixes in groups.items():
         if last:
-            prefixes = [(sign, steps[:-1]) for sign, steps in group]
-            table = _step(lam, _signed_table(lam, prefixes), *last[0])
+            table = _step(lam, _chain_sum(lam, tuple(sorted(prefixes))), *last[0])
         else:
-            table = {(): {0: sum(sign for sign, _ in group)}}
+            table = {(): {0: sum(sign for sign, _ in prefixes)}}
         for beta, expn in table.items():
             acc = out.setdefault(beta, {})
             for mu, x in expn.items():
@@ -274,29 +255,6 @@ def _signed_table(lam: tuple, terms) -> dict:
         for beta, expn in out.items()
         if (nonzero := {mu: x for mu, x in expn.items() if x})
     }
-
-
-@lru_cache(maxsize=None)
-def _chain_sum(lam: tuple, terms: tuple) -> dict:
-    """The sum of sign * _chain(lam, steps) over the (sign, steps) terms.
-
-    The steps of every term add up to |lam|.  Terms are grouped by their
-    last step, which does most of the multiplying: a group of two or more
-    is summed by _signed_table, so each shared step is applied once to the
-    signed sum of the tables before it, after their cancellations; a lone
-    term is answered by the _chain memo.  The returned dict is the memo's
-    own and must not be changed.
-    """
-    acc = {}
-    for group in _by_last_step(terms).values():
-        if len(group) == 1:
-            sign, steps = group[0]
-            part = _chain(lam, steps)
-        else:
-            sign, part = 1, _signed_table(lam, group).get(lam, {})
-        for beta, c in part.items():
-            acc[beta] = acc.get(beta, 0) + sign * c
-    return {beta: c for beta, c in acc.items() if c}
 
 
 def _gamma_steps(nu: Composition) -> tuple:
@@ -316,7 +274,8 @@ def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
         raise DegreeMismatchError(
             f"partition has size {lam.size} but weight has degree {nu.degree}"
         )
-    return SchurExpansion._from_index(lam.size, _chain(lam.parts, _gamma_steps(nu)).items())
+    table = _chain_sum(lam.parts, ((1, _gamma_steps(nu)),))
+    return SchurExpansion._from_index(lam.size, table.get(lam.parts, {}).items())
 
 
 def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
@@ -326,8 +285,8 @@ def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
     The sum is taken by _chain_sum, keyed by lam and the sorted terms, so
     terms that share their last steps apply each shared step once.
     """
-    terms = tuple(sorted(signed_steps))
-    result = SchurExpansion._from_index(lam.size, _chain_sum(lam.parts, terms).items())
+    table = _chain_sum(lam.parts, tuple(sorted(signed_steps)))
+    result = SchurExpansion._from_index(lam.size, table.get(lam.parts, {}).items())
     if not result.is_nonnegative():
         raise ConsistencyError(
             f"negative coefficient in kronecker product of {lam.text()} and {other}: {result!r}"
@@ -441,8 +400,8 @@ def hook_mixed(lam: Partition, p: int, q: int) -> SchurExpansion:
         raise ValueError(f"need p >= 1 and q >= 0, got ({p}, {q})")
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
-    steps = _steps((p, GAMMA), (q, WEDGE))
-    return SchurExpansion._from_index(lam.size, _chain(lam.parts, steps).items())
+    table = _chain_sum(lam.parts, ((1, _steps((p, GAMMA), (q, WEDGE))),))
+    return SchurExpansion._from_index(lam.size, table.get(lam.parts, {}).items())
 
 
 def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache, total_ordering
 from itertools import chain
-from operator import sub
+from operator import index, sub
 
 from .errors import DegreeMismatchError, SizeBoundError
 
@@ -33,6 +33,15 @@ def _conjugate_parts(parts: tuple) -> tuple:
     return tuple(cols)
 
 
+def _integers(values, what: str) -> tuple:
+    """The values as a tuple of ints.  A float or any other value that is not
+    an integer raises ValueError, where int() would truncate it."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
 @total_ordering
 class Partition:
     """A weakly decreasing sequence of positive integers.
@@ -44,7 +53,7 @@ class Partition:
     __slots__ = ("parts", "size", "_hash")
 
     def __init__(self, parts=()):
-        parts = tuple(int(x) for x in parts)
+        parts = _integers(parts, "partition parts")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for i, x in enumerate(parts):
@@ -145,7 +154,7 @@ class Composition:
     __slots__ = ("entries", "degree")
 
     def __init__(self, entries=()):
-        entries = tuple(int(x) for x in entries)
+        entries = _integers(entries, "composition entries")
         for x in entries:
             if x < 0:
                 raise ValueError(f"composition entries must be non-negative, got {entries}")
@@ -227,7 +236,7 @@ class ContingencyMatrix:
     __slots__ = ("rows", "row_sums", "col_sums")
 
     def __init__(self, rows, row_sums=None, col_sums=None):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(_integers(row, "matrix entries") for row in rows)
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("matrix rows must have equal length")
         if any(x < 0 for row in rows for x in row):

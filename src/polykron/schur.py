@@ -10,8 +10,9 @@ for one coefficient at a time (the technique of Buch's lrcalc):
   and on the strip of the letter before, and products of different factors
   often reach the same such state, so they come from one memo shared by all
   products (`_last_strips`).  The tally counts each LR tableau once.
-- `_skew_terms(outer, inner)` walks the LR fillings of outer/inner once, with
-  free content, and tallies them by content.
+- `_skew_terms(outer, inner)` reads each c^outer_{inner,beta} from the
+  memoised product s_inner * s_beta, so skew Schur functions and products
+  share one LR walker and one memo of products.
 
 Both take `parts` tuples and answer in index form: a result partition is
 named by its position in `partitions_of(d)`.  Callers outside this module
@@ -31,7 +32,9 @@ function, so `cache_info()` and `cache_clear()` report and reset its memo.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
+from operator import le
 
 from .errors import DegreeMismatchError
 from .partitions import Composition, Partition, SkewShape, partitions_of
@@ -301,54 +304,31 @@ def _product_terms(mu: tuple, nu: tuple) -> tuple:
     return tuple([(i, c) for i, c in enumerate(_lr_tally(mu, nu)) if c])
 
 
-def _tally_skew(outer, inner):
-    """LR fillings of outer/inner with free content, counted by content.
-
-    Cells are visited in reverse reading order.  A cell is at most its right
-    neighbour (rows weakly increase), more than the cell above it (columns
-    strictly increase), and a letter v > 1 needs more (v-1)s than vs so far.
-    """
-    right, above, index = [], [], {}
-    for r, hi in enumerate(outer):
-        lo = inner[r] if r < len(inner) else 0
-        for c in range(hi - 1, lo - 1, -1):
-            index[(r, c)] = len(right)
-            right.append(len(right) - 1 if c + 1 < hi else -1)
-            above.append(index.get((r - 1, c), -1))
-    n = len(right)
-    vals = [0] * n
-    counts = [0] * (n + 2)
-    tally = {}
-
-    def rec(k, top):
-        if k == n:
-            content = tuple(counts[1 : top + 1])
-            tally[content] = tally.get(content, 0) + 1
-            return
-        lo = vals[above[k]] + 1 if above[k] >= 0 else 1
-        hi = min(vals[right[k]], top + 1) if right[k] >= 0 else top + 1
-        for v in range(lo, hi + 1):
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
-            vals[k] = v
-            counts[v] += 1
-            rec(k + 1, top if v <= top else v)
-            counts[v] -= 1
-
-    rec(0, 0)
-    return tally
+def _coefficient(terms: tuple, at: int) -> int:
+    """The coefficient at position `at` in a _product_terms tuple, or 0."""
+    k = bisect_left(terms, (at,))
+    return terms[k][1] if k < len(terms) and terms[k][0] == at else 0
 
 
 @lru_cache(maxsize=None)
 def _skew_terms(outer: tuple, inner: tuple) -> dict:
     """{i: c^outer_{inner,beta}} over the positions i in
-    partitions_of(|outer| - |inner|) of the beta with a nonzero coefficient.
+    partitions_of(|outer| - |inner|) of the beta with a nonzero coefficient,
+    i ascending: the Schur terms of s_{outer/inner}.
 
-    inner must be contained in outer.  The returned dict is the memo's own
-    and must not be changed.
+    Each coefficient is read from the product s_inner * s_beta, for the beta
+    inside outer; no other beta has one.  inner must be contained in outer.
+    The returned dict is the memo's own and must not be changed.
     """
-    pos = _positions(sum(outer) - sum(inner))
-    return {pos[beta]: c for beta, c in _tally_skew(outer, inner).items()}
+    at = _positions(sum(outer))[outer]
+    terms = {}
+    for i, p in enumerate(partitions_of(sum(outer) - sum(inner))):
+        beta = p.parts
+        if len(beta) <= len(outer) and all(map(le, beta, outer)):
+            c = _coefficient(_product_terms(inner, beta), at)
+            if c:
+                terms[i] = c
+    return terms
 
 
 def _add_product(acc: list, left: dict, degree: int, nu: tuple, weight: int = 1) -> None:
@@ -372,7 +352,7 @@ def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:
     hit = _LR_CACHE.get(key)
     if hit is None:
         at = _positions(outer.size)[outer.parts]
-        hit = next((c for i, c in _product_terms(left.parts, right.parts) if i == at), 0)
+        hit = _coefficient(_product_terms(left.parts, right.parts), at)
         _LR_CACHE[key] = hit
     return hit
 

@@ -43,6 +43,11 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([2, 0, 1])
 
+    def test_non_integer_parts_are_rejected_not_truncated(self):
+        for parts in ([2.5, 1], [2.0, 1], ["2", 1]):
+            with pytest.raises(ValueError):
+                Partition(parts)
+
     def test_size_and_row(self):
         p = P(4, 2, 1)
         assert p.size == 7
@@ -148,6 +153,11 @@ class TestComposition:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Composition([1, -1])
+
+    def test_non_integer_entries_are_rejected_not_truncated(self):
+        for entries in ([1.9, 0.2], [1, 0.0], [1, "1"]):
+            with pytest.raises(ValueError):
+                Composition(entries)
 
     def test_sorted_partition(self):
         assert C(0, 3, 1, 3).sorted_partition() == P(3, 3, 1)
@@ -285,6 +295,8 @@ class TestContingency:
             ContingencyMatrix([[1, 0], [0, 1]], row_sums=[2, 0])
         with pytest.raises(ValueError):
             ContingencyMatrix([[1, -1]])
+        with pytest.raises(ValueError):
+            ContingencyMatrix([[1.5, 0], [0, 1]])
         ok = ContingencyMatrix([[1, 1], [0, 1]])
         assert ok.row_sums == C(2, 1)
         assert ok.col_sums == C(1, 2)

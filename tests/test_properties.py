@@ -1,8 +1,9 @@
 """Property tests of the LR kernel, the Weyl chain and the Kronecker product
 against the character oracle and their symmetries, of the LR kernel against
 the depth-first tableau walk it replaced, of the Kostka counter against the
-cell-by-cell count it replaced, of the grouped chain sums
-against the chains one by one, of the contingency
+cell-by-cell count it replaced, of the skew terms against the cell-by-cell
+LR walk they replaced, beyond the oracle's bound, of the grouped chain sums
+against the plain fold of each chain, of the contingency
 enumerator against independent counts, on random inputs beyond the sweep
 bounds, and of the kernel memos."""
 
@@ -33,7 +34,7 @@ from polykron import (
     schur,
     weyl_tensor_gamma,
 )
-from polykron.internal_product import _chain, _chain_sum, _gamma_steps
+from polykron.internal_product import _chain_sum, _gamma_steps, _step
 from polykron.partitions import partitions_of
 from polykron.schur import _last_strips, _lr_tally, _product_terms, _skew_terms
 
@@ -62,8 +63,8 @@ def lr_triples(draw, max_total=10):
 
 
 @st.composite
-def skew_shapes(draw, max_outer=12, max_skew=10):
-    outer = draw(st.integers(0, max_outer).flatmap(_sized))
+def skew_shapes(draw, max_outer=12, max_skew=10, min_outer=0):
+    outer = draw(st.integers(min_outer, max_outer).flatmap(_sized))
     inners = [
         p
         for k in range(max(0, outer.size - max_skew), outer.size + 1)
@@ -231,6 +232,57 @@ def _grow(base, content):
     return tally
 
 
+def _tally_skew(outer, inner):
+    """LR fillings of outer/inner with free content, counted by content: the
+    reference for _skew_terms, which now reads them from the product kernel
+    in polykron.schur.
+
+    Cells are visited in reverse reading order.  A cell is at most its right
+    neighbour (rows weakly increase), more than the cell above it (columns
+    strictly increase), and a letter v > 1 needs more (v-1)s than vs so far.
+    """
+    right, above, index = [], [], {}
+    for r, hi in enumerate(outer):
+        lo = inner[r] if r < len(inner) else 0
+        for c in range(hi - 1, lo - 1, -1):
+            index[(r, c)] = len(right)
+            right.append(len(right) - 1 if c + 1 < hi else -1)
+            above.append(index.get((r - 1, c), -1))
+    n = len(right)
+    vals = [0] * n
+    counts = [0] * (n + 2)
+    tally = {}
+
+    def rec(k, top):
+        if k == n:
+            content = tuple(counts[1 : top + 1])
+            tally[content] = tally.get(content, 0) + 1
+            return
+        lo = vals[above[k]] + 1 if above[k] >= 0 else 1
+        hi = min(vals[right[k]], top + 1) if right[k] >= 0 else top + 1
+        for v in range(lo, hi + 1):
+            if v > 1 and counts[v - 1] <= counts[v]:
+                continue
+            vals[k] = v
+            counts[v] += 1
+            rec(k + 1, top if v <= top else v)
+            counts[v] -= 1
+
+    rec(0, 0)
+    return tally
+
+
+def _fold(lam, steps):
+    """The chain table's entry at lam, folding _step over the steps one at a
+    time, in the given order, zero steps included: the reference for the
+    grouped and memoised _chain_sum, which replaced it in
+    polykron.internal_product."""
+    dp = {(): {0: 1}}
+    for size, family in steps:
+        dp = _step(lam, dp, size, family)
+    return dp[lam]
+
+
 def _fill_cells(shape, content):
     """Semistandard fillings of the shape with the given content, one cell at
     a time: the reference for _count_fillings, which replaced it in
@@ -339,13 +391,23 @@ def test_skew_terms_match_the_oracle(shape):
 
 
 @PROPERTY
+@given(skew_shapes(max_outer=16, min_outer=13))
+@example((Partition([6, 5, 3, 2]), Partition([4, 2, 1])))
+def test_skew_terms_match_the_reference_walk_beyond_the_oracle_bound(shape):
+    outer, inner = shape
+    pos = {p.parts: i for i, p in enumerate(partitions_of(outer.size - inner.size))}
+    want = {pos[beta]: c for beta, c in _tally_skew(outer.parts, inner.parts).items()}
+    assert _skew_terms(outer.parts, inner.parts) == want
+
+
+@PROPERTY
 @given(weyl_cases())
 def test_weyl_chain_ignores_step_order_and_zeros(case):
     lam, nu, shuffled = case
     got = weyl_tensor_gamma(lam, Composition(nu))
     # The chain run in the drawn order, zero steps included, without the
     # canonical memo key that weyl_tensor_gamma uses.
-    unsorted = _chain(lam.parts, tuple((x, GAMMA) for x in shuffled))
+    unsorted = _fold(lam.parts, tuple((x, GAMMA) for x in shuffled))
     assert SchurExpansion._from_index(lam.size, unsorted.items()) == got
     assert weyl_tensor_gamma(lam, Composition(shuffled)) == got
     assert got == internal_h_oracle(lam, Composition(nu))
@@ -363,9 +425,10 @@ def test_grouped_chain_sum_equals_the_chains_one_by_one(case):
     lam, terms = case
     want = Counter()
     for sign, steps in terms:
-        for beta, c in _chain(lam.parts, steps).items():
+        for beta, c in _fold(lam.parts, steps).items():
             want[beta] += sign * c
-    assert _chain_sum(lam.parts, terms) == {beta: c for beta, c in want.items() if c}
+    want = {beta: c for beta, c in want.items() if c}
+    assert _chain_sum(lam.parts, terms) == ({lam.parts: want} if want else {})
 
 
 @settings(PROPERTY, max_examples=20)
@@ -400,9 +463,11 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
         if hasattr(fn, "cache_clear")
     }.values()
     names = {fn.__name__ for fn in memos}
-    assert {
-        "_count_fillings", "_last_strips", "_product_terms", "_skew_terms", "_chain", "_chain_sum"
-    } <= names
+    assert names == {
+        "partitions_of", "_row_vectors", "_positions", "_count_fillings", "_last_strips",
+        "_product_terms", "_skew_terms", "class_size", "perm_row", "_partitions_between",
+        "_steps", "_chain_sum",
+    }
     lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
     before, _ = kronecker(lam, mu)
     for fn in memos:
@@ -442,8 +507,8 @@ def test_the_oracle_never_runs_the_tableau_engine(monkeypatch):
         raise AssertionError("the oracle called the tableau engine")
 
     for name in (
-        "_strips", "_last_strips", "_lr_tally", "_tally_skew", "_count_fillings",
-        "_product_terms", "_skew_terms",
+        "_strips", "_last_strips", "_lr_tally", "_count_fillings", "_product_terms",
+        "_skew_terms",
     ):
         monkeypatch.setattr(schur, name, forbidden)
     lam, mu = Partition([3, 2, 1]), Partition([4, 2])

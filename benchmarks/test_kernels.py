@@ -1,6 +1,7 @@
 """Microbenchmarks of the Weyl chain, the general Kronecker product, the
 LR product kernel, skew Schur expansions, the character oracle, the Kostka
-counter and the contingency enumerator, cold and warm.
+counter, the contingency enumerator and its divided-power product, cold and
+warm.
 
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``
 run collects only ``tests/``.  A cold round clears every kernel memo first,
@@ -16,6 +17,7 @@ from polykron import (
     Partition,
     SkewShape,
     characters,
+    gamma_tensor_gamma,
     internal_product,
     iter_contingency,
     jacobi_trudi,
@@ -118,6 +120,24 @@ def count_matrices(mu, lam):
 
 
 @MODES
-def test_contingency_count(benchmark, mode):
-    mu, lam = Composition([2, 2, 2, 2]), Composition([3, 2, 2, 1])
-    measure(benchmark, mode, count_matrices, mu, lam)
+@pytest.mark.parametrize(
+    "mu, lam",
+    [
+        ((2, 2, 2, 2), (3, 2, 2, 1)),
+        # Two rows: no prefix, the closing loop does all the work.
+        ((10, 10), (4, 4, 3, 3, 2, 2, 1, 1)),
+        # Five rows: the prefixes of rows 0..2 recurse three levels.
+        ((2, 2, 2, 2, 2), (2, 2, 2, 2, 2)),
+    ],
+    ids=["d8", "d20-2rows", "d10-5rows"],
+)
+def test_contingency_count(benchmark, mode, mu, lam):
+    measure(benchmark, mode, count_matrices, Composition(mu), Composition(lam))
+
+
+@MODES
+def test_gamma_tensor_gamma(benchmark, mode):
+    # A d = 6 pair with 4 x 4 margins, as the contingency sweep's character
+    # half asks it.
+    mu, lam = Composition([2, 2, 1, 1]), Composition([3, 1, 1, 1])
+    measure(benchmark, mode, gamma_tensor_gamma, mu, lam)

@@ -8,15 +8,17 @@ byte for byte.
 Contingency matrices are enumerated row by row.  The candidates for a row are
 the descending-lex vectors that sum to its row sum and fit under what remains
 of the column sums; `_row_vectors` builds them once per (row sum, remainder)
-and memoises the tuple.  The last row is the remainder itself, so only rows
-0..n-3 recurse and row n-2 closes each matrix in a flat loop.
+and memoises each with what remains after it, so no remainder is computed
+per matrix.  The last row is the remainder itself, so only rows 0..n-3
+recurse, yielding (prefix, remainder), and row n-2 closes each matrix in a
+flat loop.  The memo's vectors are `_shared`: equal vectors are one object.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, total_ordering
 from itertools import chain
-from operator import index, sub
+from operator import index
 
 from .errors import DegreeMismatchError, SizeBoundError
 
@@ -334,11 +336,19 @@ def enumerate_compositions(d: int, length: int):
 
 
 @lru_cache(maxsize=None)
+def _shared(vector: tuple) -> tuple:
+    """The one stored copy of a row or remainder vector: the pair memo holds
+    thousands of entries but only hundreds of distinct vectors."""
+    return vector
+
+
+@lru_cache(maxsize=None)
 def _row_vectors(need: int, rem: tuple) -> tuple:
-    """All vectors x with 0 <= x_j <= rem_j and sum(x) = need, descending lex."""
+    """All pairs (x, rem - x) with 0 <= x_j <= rem_j and sum(x) = need,
+    descending lex in x.  Both vectors of a pair are `_shared`."""
     m = len(rem)
     if m == 0:
-        return ((),) if need == 0 else ()
+        return (((), ()),) if need == 0 else ()
     cap = [0] * (m + 1)  # cap[j] = rem[j] + ... + rem[m-1]
     for j in range(m - 1, -1, -1):
         cap[j] = cap[j + 1] + rem[j]
@@ -346,14 +356,17 @@ def _row_vectors(need: int, rem: tuple) -> tuple:
         return ()
     out = []
     row = [0] * m
+    rest = list(rem)
 
     def fill(j, left):
         if j == m - 1:
             row[j] = left
-            out.append(tuple(row))
+            rest[j] = rem[j] - left
+            out.append((_shared(tuple(row)), _shared(tuple(rest))))
             return
         for x in range(min(left, rem[j]), max(0, left - cap[j + 1]) - 1, -1):
             row[j] = x
+            rest[j] = rem[j] - x
             fill(j + 1, left - x)
 
     fill(0, need)
@@ -364,8 +377,11 @@ def iter_contingency(mu: Composition, lam: Composition):
     """Yield every matrix with row sums mu and column sums lam exactly once.
 
     Matrices appear in descending row-major lexicographic order of their
-    flattened entries.  Row i runs over the memoised `_row_vectors` of what
-    remains of lam; the last row is forced to be the remainder.
+    flattened entries.  Rows 0..n-3 come depth first from the memoised
+    `_row_vectors` pairs as (prefix, remainder); each matrix is then closed
+    in one flat loop by a pair of that remainder, whose row is row n-2 and
+    whose remainder is row n-1.  Depth first keeps the generator lazy: a
+    list of all prefixes of (6^5) x (6^5) would hold millions.
     """
     if mu.degree != lam.degree:
         raise DegreeMismatchError(
@@ -381,16 +397,21 @@ def iter_contingency(mu: Composition, lam: Composition):
     sums = mu.entries
     close = n - 2
 
-    def fill(i, rem, prefix):
-        if i == close:
-            for row in _row_vectors(sums[i], rem):
-                last = tuple(map(sub, rem, row))
-                yield ContingencyMatrix._trusted(prefix + (row, last), mu, lam)
-            return
-        for row in _row_vectors(sums[i], rem):
-            yield from fill(i + 1, tuple(map(sub, rem, row)), prefix + (row,))
+    def prefixes(i, prefix, rem):
+        pairs = _row_vectors(sums[i], rem)
+        if i + 1 < close:
+            for row, rest in pairs:
+                yield from prefixes(i + 1, prefix + (row,), rest)
+        else:  # row close - 1 yields its prefixes without a frame each
+            for row, rest in pairs:
+                yield prefix + (row,), rest
 
-    yield from fill(0, lam.entries, ())
+    need = sums[close]
+    trusted = ContingencyMatrix._trusted
+    starts = prefixes(0, (), lam.entries) if close else [((), lam.entries)]
+    for prefix, rem in starts:
+        for pair in _row_vectors(need, rem):
+            yield trusted(prefix + pair, mu, lam)
 
 
 def enumerate_contingency(mu: Composition, lam: Composition):

@@ -4,11 +4,11 @@ the depth-first tableau walk it replaced, of the Kostka counter against the
 cell-by-cell count it replaced, of the skew terms against the cell-by-cell
 LR walk they replaced, beyond the oracle's bound, of the grouped chain sums
 against the plain fold of each chain, of the contingency
-enumerator against independent counts, on random inputs beyond the sweep
-bounds, and of the kernel memos."""
+enumerator and its row-vector pairs against independent counts, on random
+inputs beyond the sweep bounds, and of the kernel memos."""
 
 from collections import Counter
-from itertools import accumulate, permutations, product
+from itertools import accumulate, chain, permutations, product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,6 +32,7 @@ from polykron import (
     lr_oracle,
     partitions,
     schur,
+    sweeps,
     weyl_tensor_gamma,
 )
 from polykron.internal_product import _chain_sum, _gamma_steps, _step
@@ -466,7 +467,7 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
     assert names == {
         "partitions_of", "_row_vectors", "_positions", "_count_fillings", "_last_strips",
         "_product_terms", "_skew_terms", "class_size", "perm_row", "_partitions_between",
-        "_steps", "_chain_sum",
+        "_steps", "_chain_sum", "_shared",
     }
     lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
     before, _ = kronecker(lam, mu)
@@ -500,6 +501,53 @@ def test_contingency_order_matches_brute_force(pair):
     mu, lam = pair
     got = [m.rows for m in iter_contingency(mu, lam)]
     assert got == _brute_force_matrices(mu, lam)
+
+
+@PROPERTY
+@given(st.integers(0, 12), st.lists(st.integers(0, 5), max_size=5).map(tuple))
+@example(0, ())
+@example(4, (2, 0, 3, 1))
+def test_row_vector_pairs_split_the_remainder_in_descending_order(need, rem):
+    pairs = partitions._row_vectors(need, rem)
+    for row, rest in pairs:
+        assert sum(row) == need
+        assert all(x >= 0 and y >= 0 and x + y == c for x, y, c in zip(row, rest, rem))
+        assert len(row) == len(rest) == len(rem)
+    rows = [row for row, _ in pairs]
+    assert all(a > b for a, b in zip(rows, rows[1:]))
+    bounded = product(*(range(c + 1) for c in rem))
+    assert len(rows) == sum(1 for v in bounded if sum(v) == need)
+
+
+def test_row_vector_memo_stores_each_distinct_vector_once():
+    # The pair memo has many more entries than distinct vectors; equal
+    # vectors must be one object, or the memo grows with its entries.
+    partitions._row_vectors.cache_clear()
+    partitions._shared.cache_clear()
+    assert sweeps.sweep_contingency(count_max_d=6).ok
+    info = partitions._row_vectors.cache_info()
+    entries = {}
+
+    def walk(sums, rem):
+        # The keys the enumerator asks for: rows 0..n-2, each remainder.
+        if len(sums) < 2 or (sums[0], rem) in entries:
+            return
+        pairs = entries[sums[0], rem] = partitions._row_vectors(sums[0], rem)
+        for _, rest in pairs:
+            walk(sums[1:], rest)
+
+    for d in range(7):
+        weights = sweeps._weights_up_to(d, 4)
+        for mu in weights:
+            for lam in weights:
+                walk(mu.entries, lam.entries)
+    assert partitions._row_vectors.cache_info().misses == info.misses
+    assert len(entries) == info.currsize
+    stored = {}
+    for pairs in entries.values():
+        for vector in chain.from_iterable(pairs):
+            assert stored.setdefault(vector, vector) is vector
+    assert len(stored) < sum(map(len, entries.values()))
 
 
 def test_the_oracle_never_runs_the_tableau_engine(monkeypatch):

@@ -18,30 +18,25 @@ from .partitions import (
     ContingencyMatrix,
     Partition,
     SkewShape,
-    enumerate_contingency,
     enumerate_partitions,
     iter_contingency,
     partitions_of,
 )
 from .schur import (
     SchurExpansion,
-    conjugate_expansion,
     kostka,
     lr_coeff,
     schur_outer_product,
     skew_schur_expansion,
 )
 from .characters import (
-    ClassFunction,
     centralizer_order,
     class_size,
     dimension,
     internal_h_oracle,
-    kronecker_oracle,
     kronecker_oracle_expansion,
     lr_oracle,
     mn_character,
-    perm_character,
 )
 from .internal_product import (
     GAMMA,
@@ -72,26 +67,21 @@ __all__ = [
     "ContingencyMatrix",
     "Partition",
     "SkewShape",
-    "enumerate_contingency",
     "enumerate_partitions",
     "iter_contingency",
     "partitions_of",
     "SchurExpansion",
-    "conjugate_expansion",
     "kostka",
     "lr_coeff",
     "schur_outer_product",
     "skew_schur_expansion",
-    "ClassFunction",
     "centralizer_order",
     "class_size",
     "dimension",
     "internal_h_oracle",
-    "kronecker_oracle",
     "kronecker_oracle_expansion",
     "lr_oracle",
     "mn_character",
-    "perm_character",
     "GAMMA",
     "SYM",
     "WEDGE",

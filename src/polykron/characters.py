@@ -12,9 +12,9 @@ share the same factors.  So `kronecker_oracle_expansion` and
 times the fixed characters) once per call, and then take one dot product with
 each target character.  Class sizes are memoised per cycle type.  The values
 of a permutation character are memoised per descending nonzero block sizes,
-as the tuple `perm_row(blocks)` aligned with `partitions_of(d)`; callers that
-work on rows (the contingency sweep) read it directly, and `perm_character`
-wraps it in a fresh `ClassFunction` on every call.
+as the tuple `perm_row(blocks)` aligned with `partitions_of(d)`: the value
+of the permutation character of a weight nu at the i-th cycle type is
+`perm_row(nu.sorted_parts())[i]`.
 """
 
 from __future__ import annotations
@@ -109,53 +109,8 @@ def dimension(lam: Partition) -> int:
     return q
 
 
-class ClassFunction:
-    """An integer-valued function on the conjugacy classes of one degree."""
-
-    __slots__ = ("degree", "values")
-
-    def __init__(self, degree: int, values):
-        self.degree = int(degree)
-        values = dict(values)
-        expected = set(partitions_of(self.degree))
-        if set(values) != expected:
-            raise ValueError("class function must be defined on every cycle type")
-        self.values = {rho: int(v) for rho, v in values.items()}
-
-    @classmethod
-    def _trusted(cls, degree: int, values: dict):
-        # Fast path for callers that build the values on partitions_of(degree).
-        self = object.__new__(cls)
-        self.degree = degree
-        self.values = values
-        return self
-
-    def __getitem__(self, rho: Partition) -> int:
-        return self.values[rho]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassFunction)
-            and self.degree == other.degree
-            and self.values == other.values
-        )
-
-    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        if self.degree != other.degree:
-            raise DegreeMismatchError("cannot multiply class functions of different degrees")
-        return ClassFunction._trusted(
-            self.degree, {rho: v * other.values[rho] for rho, v in self.values.items()}
-        )
-
-    def __repr__(self):
-        body = ", ".join(f"{rho.text()}: {v}" for rho, v in sorted(
-            self.values.items(), key=lambda kv: kv[0].parts, reverse=True))
-        return f"ClassFunction({self.degree}, {{{body}}})"
-
-
 def _perm_value(blocks: tuple, rho_parts: tuple) -> int:
     """Ways to distribute the cycles of rho over blocks of the given sizes."""
-    groups = []
     mult = {}
     for part in rho_parts:
         mult[part] = mult.get(part, 0) + 1
@@ -186,17 +141,6 @@ def _perm_value(blocks: tuple, rho_parts: tuple) -> int:
     return distribute(0, blocks)
 
 
-def perm_character(nu: Composition) -> ClassFunction:
-    """Character of the permutation module indexed by nu.
-
-    The value at rho counts the ways to distribute the cycles of rho into
-    blocks of sizes nu_i; it depends only on the nonzero entries of nu.
-    """
-    d = nu.degree
-    row = perm_row(nu.sorted_parts())
-    return ClassFunction._trusted(d, dict(zip(partitions_of(d), row)))
-
-
 @lru_cache(maxsize=None)
 def perm_row(blocks: tuple) -> tuple:
     """The permutation character of the block sizes, as a tuple aligned with
@@ -206,28 +150,6 @@ def perm_row(blocks: tuple) -> tuple:
     with the same blocks shares one memo entry; the tuple is the memo's own.
     """
     return tuple(_perm_value(blocks, rho.parts) for rho in partitions_of(sum(blocks)))
-
-
-def kronecker_oracle(lam: Partition, mu: Partition, alpha: Partition) -> int:
-    """Multiplicity of alpha in the tensor product of lam and mu irreducibles."""
-    d = lam.size
-    if mu.size != d or alpha.size != d:
-        raise DegreeMismatchError("kronecker oracle needs three partitions of one degree")
-    total = 0
-    for rho in partitions_of(d):
-        total += (
-            class_size(rho)
-            * mn_character(lam, rho)
-            * mn_character(mu, rho)
-            * mn_character(alpha, rho)
-        )
-    q, r = divmod(total, factorial(d))
-    if r:
-        raise ConsistencyError(
-            f"kronecker class sum {total} is not divisible by {d}! "
-            f"for ({lam.text()}, {mu.text()}, {alpha.text()})"
-        )
-    return q
 
 
 def _class_sums(lam: Partition, values):

@@ -56,18 +56,12 @@ def _ints_from_text(text: str, flag: str):
         raise _InputError(f"{flag}: expected comma-separated integers, got {text!r}") from None
 
 
-def parse_partition(text: str, flag: str) -> Partition:
+def parse_shape(kind, text: str, flag: str):
+    """A Partition or Composition (kind) of the integers in text; a value that
+    kind rejects is reported under the flag."""
     entries = _ints_from_text(text, flag)
     try:
-        return Partition(entries)
-    except ValueError as exc:
-        raise _InputError(f"{flag}: {exc}") from None
-
-
-def parse_composition(text: str, flag: str) -> Composition:
-    entries = _ints_from_text(text, flag)
-    try:
-        return Composition(entries)
+        return kind(entries)
     except ValueError as exc:
         raise _InputError(f"{flag}: {exc}") from None
 
@@ -80,7 +74,7 @@ def parse_mu(text: str, flag: str) -> Partition:
             raise _InputError(f"{flag}: hook shorthand needs hook:p,q with p,q >= 1")
         p, q = body
         return Partition([p] + [1] * q)
-    return parse_partition(text, flag)
+    return parse_shape(Partition, text, flag)
 
 
 def parse_functor(text: str, flag: str) -> ExpFunctor:
@@ -88,7 +82,7 @@ def parse_functor(text: str, flag: str) -> ExpFunctor:
     family, sep, weight = text.partition(":")
     if not sep or family.lower() not in _FAMILY_NAMES:
         raise _InputError(f"{flag}: expected gamma:WEIGHT, sym:WEIGHT or wedge:WEIGHT")
-    return ExpFunctor(_FAMILY_NAMES[family.lower()], parse_composition(weight, flag))
+    return ExpFunctor(_FAMILY_NAMES[family.lower()], parse_shape(Composition, weight, flag))
 
 
 def _flagged(flags: str, fn, *args, **kwargs):
@@ -140,7 +134,7 @@ def _multiset_pairs(weights):
 
 
 def _cmd_kron(args) -> str:
-    lam = parse_partition(args.lam, "--lambda")
+    lam = parse_shape(Partition, args.lam, "--lambda")
     mu = parse_mu(args.mu, "--mu")
     expansion, method = _flagged("--lambda/--mu", kronecker, lam, mu, args.method)
     report = expansion_report(lam.size, method, "Weyl", _schur_pairs(expansion))
@@ -148,8 +142,8 @@ def _cmd_kron(args) -> str:
 
 
 def _cmd_gamma_tensor(args) -> str:
-    mu = parse_composition(args.mu, "--mu")
-    lam = parse_composition(args.lam, "--lambda")
+    mu = parse_shape(Composition, args.mu, "--mu")
+    lam = parse_shape(Composition, args.lam, "--lambda")
     dec = _flagged("--mu/--lambda", gamma_tensor_gamma, mu, lam)
     report = expansion_report(
         mu.degree, "gamma-tensor", dec.family, _multiset_pairs(dec.summands)
@@ -169,16 +163,16 @@ def _cmd_exp_tensor(args) -> str:
 
 
 def _cmd_weyl_gamma(args) -> str:
-    lam = parse_partition(args.lam, "--lambda")
-    nu = parse_composition(args.nu, "--nu")
+    lam = parse_shape(Partition, args.lam, "--lambda")
+    nu = parse_shape(Composition, args.nu, "--nu")
     expansion = _flagged("--lambda/--nu", weyl_tensor_gamma, lam, nu)
     report = expansion_report(lam.size, "weyl-gamma", "Weyl", _schur_pairs(expansion))
     return render_report(report, args.json)
 
 
 def _cmd_weyl_wedge(args) -> str:
-    lam = parse_partition(args.lam, "--lambda")
-    nu = parse_composition(args.nu, "--nu")
+    lam = parse_shape(Partition, args.lam, "--lambda")
+    nu = parse_shape(Composition, args.nu, "--nu")
     expansion = _flagged("--lambda/--nu", weyl_tensor_wedge, lam, nu)
     report = expansion_report(lam.size, "weyl-wedge", "DualWeyl", _schur_pairs(expansion))
     return render_report(report, args.json)

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
 from .partitions import Composition, Partition, _conjugate_parts, iter_contingency, partitions_of
-from .schur import SchurExpansion, _add_product, _skew_terms, conjugate_expansion
+from .schur import SchurExpansion, _add_product, _skew_terms
 
 GAMMA = "Gamma"
 SYM = "Sym"
@@ -257,6 +257,12 @@ def _chain_sum(lam: tuple, terms: tuple) -> dict:
     }
 
 
+def _chain_expansion(lam: Partition, terms: tuple) -> SchurExpansion:
+    """The entry of _chain_sum(lam.parts, terms) at lam, as a fresh expansion."""
+    table = _chain_sum(lam.parts, terms)
+    return SchurExpansion._from_index(lam.size, table.get(lam.parts, {}).items())
+
+
 def _gamma_steps(nu: Composition) -> tuple:
     return _steps(*((x, GAMMA) for x in nu))
 
@@ -274,8 +280,7 @@ def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
         raise DegreeMismatchError(
             f"partition has size {lam.size} but weight has degree {nu.degree}"
         )
-    table = _chain_sum(lam.parts, ((1, _gamma_steps(nu)),))
-    return SchurExpansion._from_index(lam.size, table.get(lam.parts, {}).items())
+    return _chain_expansion(lam, ((1, _gamma_steps(nu)),))
 
 
 def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
@@ -285,8 +290,7 @@ def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
     The sum is taken by _chain_sum, keyed by lam and the sorted terms, so
     terms that share their last steps apply each shared step once.
     """
-    table = _chain_sum(lam.parts, tuple(sorted(signed_steps)))
-    result = SchurExpansion._from_index(lam.size, table.get(lam.parts, {}).items())
+    result = _chain_expansion(lam, tuple(sorted(signed_steps)))
     if not result.is_nonnegative():
         raise ConsistencyError(
             f"negative coefficient in kronecker product of {lam.text()} and {other}: {result!r}"
@@ -301,7 +305,7 @@ def weyl_tensor_wedge(lam: Partition, nu: Composition) -> SchurExpansion:
     coefficient of the conjugate of beta in weyl_tensor_gamma(lam, nu).
     The multiplicities are independent of the base ring.
     """
-    return conjugate_expansion(weyl_tensor_gamma(lam, nu))
+    return weyl_tensor_gamma(lam, nu).conjugate()
 
 
 def jacobi_trudi(mu: Partition, *, bound: int = JACOBI_TRUDI_BOUND):
@@ -400,8 +404,7 @@ def hook_mixed(lam: Partition, p: int, q: int) -> SchurExpansion:
         raise ValueError(f"need p >= 1 and q >= 0, got ({p}, {q})")
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
-    table = _chain_sum(lam.parts, ((1, _steps((p, GAMMA), (q, WEDGE))),))
-    return SchurExpansion._from_index(lam.size, table.get(lam.parts, {}).items())
+    return _chain_expansion(lam, ((1, _steps((p, GAMMA), (q, WEDGE))),))
 
 
 def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:

@@ -412,8 +412,3 @@ def iter_contingency(mu: Composition, lam: Composition):
     for prefix, rem in starts:
         for pair in _row_vectors(need, rem):
             yield trusted(prefix + pair, mu, lam)
-
-
-def enumerate_contingency(mu: Composition, lam: Composition):
-    """All matrices with the prescribed margins, as a list."""
-    return list(iter_contingency(mu, lam))

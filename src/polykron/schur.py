@@ -37,7 +37,7 @@ from functools import lru_cache
 from operator import le
 
 from .errors import DegreeMismatchError
-from .partitions import Composition, Partition, SkewShape, partitions_of
+from .partitions import Composition, Partition, SkewShape, _integers, partitions_of
 
 # A dict rather than an lru_cache because the CLI's --cache file saves it.
 _LR_CACHE: dict[tuple, int] = {}
@@ -60,15 +60,15 @@ class SchurExpansion:
 
     def __init__(self, degree: int, terms=None):
         self.degree = int(degree)
+        terms = dict(terms or {})
         clean = {}
-        for p, c in dict(terms or {}).items():
+        for p, c in zip(terms, _integers(tuple(terms.values()), "Schur coefficients")):
             if not isinstance(p, Partition):
                 p = Partition(p)
             if p.size != self.degree:
                 raise DegreeMismatchError(
                     f"term {p!r} does not have degree {self.degree}"
                 )
-            c = int(c)
             if c:
                 clean[p] = c
         self.terms = clean
@@ -116,6 +116,7 @@ class SchurExpansion:
         return self + (-1) * other
 
     def __mul__(self, scalar: int):
+        (scalar,) = _integers((scalar,), "Schur scalars")
         return SchurExpansion(self.degree, {p: c * scalar for p, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -372,8 +373,3 @@ def schur_outer_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
     for nu, y in b.terms.items():
         _add_product(acc, left, a.degree, nu.parts, y)
     return SchurExpansion._from_index(degree, enumerate(acc))
-
-
-def conjugate_expansion(a: SchurExpansion) -> SchurExpansion:
-    """Replace every key by its conjugate partition, coefficients unchanged."""
-    return a.conjugate()

@@ -1,0 +1,36 @@
+import importlib
+
+import pytest
+
+import polykron
+
+# Public wrappers that duplicated a path the package keeps, and what replaces
+# each of them.
+RETIRED = {
+    "ClassFunction": "perm_row(nu.sorted_parts()), aligned with partitions_of(d)",
+    "perm_character": "perm_row(nu.sorted_parts()), aligned with partitions_of(d)",
+    "kronecker_oracle": "kronecker_oracle_expansion(lam, mu).coefficient(alpha)",
+    "enumerate_contingency": "list(iter_contingency(mu, lam))",
+    "conjugate_expansion": "SchurExpansion.conjugate()",
+}
+MODULES = ("partitions", "schur", "characters", "internal_product", "sweeps", "cli")
+
+
+def test_every_exported_name_resolves():
+    for name in polykron.__all__:
+        assert getattr(polykron, name) is not None, name
+    namespace = {}
+    exec("from polykron import *", namespace)
+    assert set(polykron.__all__) <= set(namespace)
+
+
+def test_export_list_has_no_duplicates():
+    assert len(polykron.__all__) == len(set(polykron.__all__))
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_wrapper_is_gone(name):
+    assert name not in polykron.__all__
+    assert not hasattr(polykron, name)
+    for module in MODULES:
+        assert not hasattr(importlib.import_module(f"polykron.{module}"), name)

@@ -11,10 +11,10 @@ from polykron import (
     Partition,
     SizeBoundError,
     UndefinedProductError,
-    enumerate_contingency,
     exponential_tensor,
     gamma_tensor_gamma,
     hook_mixed,
+    iter_contingency,
     jacobi_trudi,
     kronecker,
     kronecker_general,
@@ -128,7 +128,7 @@ class TestExponentialTensor:
     def test_summands_are_contingency_flattenings(self):
         wl, wr = C(2, 1), C(1, 2)
         dec = exponential_tensor(ExpFunctor(WEDGE, wl), ExpFunctor(GAMMA, wr))
-        assert dec.summands == tuple(m.flatten() for m in enumerate_contingency(wl, wr))
+        assert dec.summands == tuple(m.flatten() for m in iter_contingency(wl, wr))
 
 
 class TestWeylTensorGamma:

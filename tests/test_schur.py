@@ -8,7 +8,6 @@ from polykron import (
     Partition,
     SchurExpansion,
     SkewShape,
-    conjugate_expansion,
     dimension,
     kostka,
     lr_coeff,
@@ -56,6 +55,22 @@ class TestSchurExpansion:
     def test_items_descending_lex(self):
         e = S({P(1, 1, 1): 1, P(3): 1, P(2, 1): 5})
         assert [p for p, _ in e.items()] == [P(3), P(2, 1), P(1, 1, 1)]
+
+    @pytest.mark.parametrize("coeff", [1.7, 2.0, "2", None])
+    def test_non_integer_coefficient_rejected(self, coeff):
+        # int() would truncate 1.7 to 1 and parse "2"; neither is a coefficient
+        with pytest.raises(ValueError):
+            SchurExpansion(3, {P(3): coeff})
+
+    @pytest.mark.parametrize("scalar", [0.5, 2.0, "2"])
+    def test_non_integer_scalar_rejected(self, scalar):
+        e = S({P(3): 1})
+        with pytest.raises(ValueError):
+            e * scalar
+        with pytest.raises(ValueError):
+            scalar * e
+        with pytest.raises(ValueError):
+            SchurExpansion.zero(3) * scalar
 
 
 class TestKostka:
@@ -166,9 +181,9 @@ class TestOuterProduct:
 
 class TestConjugateExpansion:
     def test_fixtures(self):
-        assert conjugate_expansion(SchurExpansion.single(P(3))).terms == {P(1, 1, 1): 1}
-        assert conjugate_expansion(SchurExpansion.single(P(2, 1))).terms == {P(2, 1): 1}
+        assert SchurExpansion.single(P(3)).conjugate().terms == {P(1, 1, 1): 1}
+        assert SchurExpansion.single(P(2, 1)).conjugate().terms == {P(2, 1): 1}
 
     def test_termwise(self):
         e = S({P(3): 1, P(2, 1): 2})
-        assert conjugate_expansion(e).terms == {P(1, 1, 1): 1, P(2, 1): 2}
+        assert e.conjugate().terms == {P(1, 1, 1): 1, P(2, 1): 2}

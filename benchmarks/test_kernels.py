@@ -1,6 +1,6 @@
 """Microbenchmarks of the Weyl chain, the general Kronecker product, the
-LR product kernel, skew Schur expansions, the character oracle, the Kostka
-counter, the contingency enumerator and its divided-power product, cold and
+LR product kernel, skew Schur expansions, the character oracle, Kostka
+numbers, the contingency enumerator and its divided-power product, cold and
 warm.
 
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``

@@ -175,7 +175,7 @@ def kronecker_oracle_expansion(lam: Partition, mu: Partition) -> SchurExpansion:
     """The full tensor-product decomposition given by the class-sum formula."""
     d = lam.size
     if mu.size != d:
-        raise DegreeMismatchError("kronecker oracle needs three partitions of one degree")
+        raise DegreeMismatchError(f"partitions have sizes {d} and {mu.size}")
     d_fact = factorial(d)
     chi_mu = [mn_character(mu, rho) for rho in partitions_of(d)]
     terms = {}

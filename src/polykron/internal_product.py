@@ -16,7 +16,14 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
-from .partitions import Composition, Partition, _conjugate_parts, iter_contingency, partitions_of
+from .partitions import (
+    Composition,
+    Partition,
+    _conjugate_parts,
+    _partitions_between,
+    iter_contingency,
+    partitions_of,
+)
 from .schur import SchurExpansion, _add_product, _skew_terms
 
 GAMMA = "Gamma"
@@ -141,31 +148,6 @@ def exponential_tensor(
     else:
         family = _FAMILY_TABLE[pair]
     return ExpDecomposition(family, _contingency_weights(left.weight, right.weight))
-
-
-@lru_cache(maxsize=None)
-def _partitions_between(lower: tuple, upper: tuple, size: int) -> tuple:
-    """Partitions beta with lower <= beta <= upper cell-wise and |beta| = size."""
-    n = len(upper)
-    below = [0] * (n + 1)  # below[r]: cells of upper in rows >= r
-    for r in range(n - 1, -1, -1):
-        below[r] = below[r + 1] + upper[r]
-    out = []
-
-    def rec(row, prev, remaining, acc):
-        if remaining == 0 and row >= len(lower):
-            out.append(tuple(acc))
-            return
-        if row == n:
-            return
-        lo = max(lower[row] if row < len(lower) else 1, remaining - below[row + 1])
-        for x in range(min(upper[row], prev, remaining), lo - 1, -1):
-            acc.append(x)
-            rec(row + 1, x, remaining - x, acc)
-            acc.pop()
-
-    rec(0, size, size, [])
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -363,21 +345,13 @@ def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
 
 
 def kronecker_two_row(lam: Partition, a: int, b: int) -> SchurExpansion:
-    """Kronecker product with the two-row partition (a, b).
-
-    The coefficient of alpha is the difference of the two double
-    Littlewood-Richardson sums at splittings (a, b) and (a+1, b-1); the sum
-    at (a, b) is the two-step chain sum over s_mu * s_{lam/mu}, mu of a.
-    """
+    """Kronecker product with the two-row partition (a, b): the general
+    algorithm, whose Jacobi-Trudi terms are +(a, b) and -(a+1, b-1)."""
     if not (a >= b >= 1):
         raise ValueError(f"need a >= b >= 1, got ({a}, {b})")
     if a + b != lam.size:
         raise DegreeMismatchError(f"{a} + {b} != {lam.size}")
-    signed = [
-        (1, _steps((a, GAMMA), (b, GAMMA))),
-        (-1, _steps((a + 1, GAMMA), (b - 1, GAMMA))),
-    ]
-    return _signed_chains(lam, signed, f"({a},{b})")
+    return kronecker_general(lam, Partition((a, b)))
 
 
 def kronecker_one_box(lam: Partition, a: int) -> SchurExpansion:

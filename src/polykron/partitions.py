@@ -304,6 +304,32 @@ def partitions_of(d: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _partitions_between(lower: tuple, upper: tuple, size: int) -> tuple:
+    """Partitions beta with lower <= beta <= upper cell-wise and |beta| = size,
+    in descending lexicographic order, the order of partitions_of(size)."""
+    n = len(upper)
+    below = [0] * (n + 1)  # below[r]: cells of upper in rows >= r
+    for r in range(n - 1, -1, -1):
+        below[r] = below[r + 1] + upper[r]
+    out = []
+
+    def rec(row, prev, remaining, acc):
+        if remaining == 0 and row >= len(lower):
+            out.append(tuple(acc))
+            return
+        if row == n:
+            return
+        lo = max(lower[row] if row < len(lower) else 1, remaining - below[row + 1])
+        for x in range(min(upper[row], prev, remaining), lo - 1, -1):
+            acc.append(x)
+            rec(row + 1, x, remaining - x, acc)
+            acc.pop()
+
+    rec(0, size, size, [])
+    return tuple(out)
+
+
 def enumerate_partitions(d: int, *, bound: int = PARTITION_ENUMERATION_BOUND):
     """All partitions of d in descending lexicographic order.
 

@@ -21,23 +21,29 @@ and the Weyl chain never receive that form: `lr_coeff`,
 `SchurExpansion._from_index` turns positions into the `Partition` objects of
 `partitions_of(d)`.
 
-Kostka numbers (`_count_fillings`, no lattice condition) come from the same
-idea, horizontal strips: the largest letter fills a strip, so K(lam, nu) is
-the sum of K(mu, nu without its last entry) over the mu with lam/mu a strip
-of that size.  A Kostka number does not change when the content is permuted,
-so `kostka` passes the nonzero entries in descending order and contents with
-one multiset share a memo entry.  Each kernel is an `lru_cache(maxsize=None)`
-function, so `cache_info()` and `cache_clear()` report and reset its memo.
+Kostka numbers come from the same product memo: K(lam, nu) is the
+coefficient of s_lam in h_nu = s_(nu_1) * s_(nu_2) * ... (Pieri), which
+`_h_terms` multiplies out one row at a time.  A Kostka number does not change
+when the content is permuted, so `kostka` passes the nonzero entries in
+descending order and contents with one multiset share a memo entry.  Each
+kernel is an `lru_cache(maxsize=None)` function, so `cache_info()` and
+`cache_clear()` report and reset its memo.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from operator import le
 
 from .errors import DegreeMismatchError
-from .partitions import Composition, Partition, SkewShape, _integers, partitions_of
+from .partitions import (
+    Composition,
+    Partition,
+    SkewShape,
+    _integers,
+    _partitions_between,
+    partitions_of,
+)
 
 # A dict rather than an lru_cache because the CLI's --cache file saves it.
 _LR_CACHE: dict[tuple, int] = {}
@@ -59,7 +65,7 @@ class SchurExpansion:
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms=None):
-        self.degree = int(degree)
+        (self.degree,) = _integers((degree,), "Schur degrees")
         terms = dict(terms or {})
         clean = {}
         for p, c in zip(terms, _integers(tuple(terms.values()), "Schur coefficients")):
@@ -144,49 +150,11 @@ class SchurExpansion:
         return f"SchurExpansion({self.degree}, {body})"
 
 
-@lru_cache(maxsize=None)
-def _count_fillings(shape: tuple, content: tuple) -> int:
-    """Count semistandard fillings of the shape with the given content.
-
-    content holds positive entries.  The largest letter fills a horizontal
-    strip of content[-1] cells, so the count is the sum, over the shapes mu
-    with shape/mu such a strip, of the fillings of mu by content[:-1].
-    Rows are visited from the top: row r gives up at most
-    shape[r] - shape[r + 1] cells, so no two strip cells share a column, and
-    the rows below it at most shape[r + 1] together.
-    """
-    if len(shape) > len(content):
-        return 0
-    if not content:
-        return 1
-    size, rest = content[-1], content[:-1]
-    n = len(shape)
-    mu = list(shape)
-    total = 0
-
-    def strip(r, left):
-        nonlocal total
-        if left == 0:
-            total += _count_fillings(tuple([x for x in mu if x]), rest)
-            return
-        below = shape[r + 1] if r + 1 < n else 0
-        top = min(left, shape[r] - below)
-        for x in range(top, max(left - below, 0) - 1, -1):
-            mu[r] = shape[r] - x
-            strip(r + 1, left - x)
-        mu[r] = shape[r]
-
-    strip(0, size)
-    return total
-
-
 def kostka(shape: Partition, content: Composition, *, strict: bool = False) -> int:
     """Number of semistandard Young tableaux of the given shape and content.
 
-    Kostka numbers do not change when the content is permuted, so the
-    counter sees the nonzero entries in descending order, and contents with
-    the same multiset share one memo entry.  A degree mismatch yields 0 by
-    convention, or raises when `strict`.
+    The count is the coefficient of s_shape in h_content (_h_terms).  A
+    degree mismatch yields 0 by convention, or raises when `strict`.
     """
     if shape.size != content.degree:
         if strict:
@@ -194,7 +162,7 @@ def kostka(shape: Partition, content: Composition, *, strict: bool = False) -> i
                 f"shape has size {shape.size} but content has degree {content.degree}"
             )
         return 0
-    return _count_fillings(shape.parts, content.sorted_parts())
+    return _h_terms(content.sorted_parts())[_positions(shape.size)[shape.parts]]
 
 
 def _strips(shape: list, prev, size: int, first: bool, visit) -> None:
@@ -322,13 +290,13 @@ def _skew_terms(outer: tuple, inner: tuple) -> dict:
     The returned dict is the memo's own and must not be changed.
     """
     at = _positions(sum(outer))[outer]
+    size = sum(outer) - sum(inner)
+    pos = _positions(size)
     terms = {}
-    for i, p in enumerate(partitions_of(sum(outer) - sum(inner))):
-        beta = p.parts
-        if len(beta) <= len(outer) and all(map(le, beta, outer)):
-            c = _coefficient(_product_terms(inner, beta), at)
-            if c:
-                terms[i] = c
+    for beta in _partitions_between((), outer, size):
+        c = _coefficient(_product_terms(inner, beta), at)
+        if c:
+            terms[pos[beta]] = c
     return terms
 
 
@@ -340,6 +308,21 @@ def _add_product(acc: list, left: dict, degree: int, nu: tuple, weight: int = 1)
         w = weight * x
         for i, c in _product_terms(shapes[mu].parts, nu):
             acc[i] += w * c
+
+
+@lru_cache(maxsize=None)
+def _h_terms(content: tuple) -> tuple:
+    """The Schur terms of h_content, as a tuple aligned with
+    partitions_of(|content|): the entry at lam is K(lam, content).  The last
+    one-row factor multiplies the memo entry of the content before it."""
+    if not content:
+        return (1,)
+    size = content[-1]
+    degree = sum(content) - size
+    left = {i: c for i, c in enumerate(_h_terms(content[:-1])) if c}
+    acc = [0] * len(partitions_of(degree + size))
+    _add_product(acc, left, degree, (size,))
+    return tuple(acc)
 
 
 def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:

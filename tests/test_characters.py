@@ -147,7 +147,7 @@ class TestKroneckerOracle:
                         assert g(lam.conjugate(), mu.conjugate(), alpha) == want
 
     def test_degree_mismatch(self):
-        with pytest.raises(DegreeMismatchError):
+        with pytest.raises(DegreeMismatchError, match="sizes 2 and 1"):
             kronecker_oracle_expansion(P(2), P(1))
 
     def test_expansion_matches_single_coefficients(self):

@@ -1,7 +1,7 @@
 """Property tests of the LR kernel, the Weyl chain and the Kronecker product
 against the character oracle and their symmetries, of the LR kernel against
-the depth-first tableau walk it replaced, of the Kostka counter against the
-cell-by-cell count it replaced, of the skew terms against the cell-by-cell
+the depth-first tableau walk it replaced, of Kostka numbers against the
+cell-by-cell count, of the skew terms against the cell-by-cell
 LR walk they replaced, beyond the oracle's bound, of the grouped chain sums
 against the plain fold of each chain, of the contingency
 enumerator and its row-vector pairs against independent counts, on random
@@ -27,6 +27,7 @@ from polykron import (
     jacobi_trudi,
     kostka,
     kronecker,
+    kronecker_general,
     kronecker_oracle_expansion,
     lr_coeff,
     lr_oracle,
@@ -286,9 +287,10 @@ def _fold(lam, steps):
 
 def _fill_cells(shape, content):
     """Semistandard fillings of the shape with the given content, one cell at
-    a time: the reference for _count_fillings, which replaced it in
-    polykron.schur.  Cells are scanned row by row, right to left; a cell is
-    at most its right neighbour and more than the cell above it.
+    a time: the reference for kostka, which reads them from the product of
+    one-row Schur functions in polykron.schur.  Cells are scanned row by row,
+    right to left; a cell is at most its right neighbour and more than the
+    cell above it.
     """
     cells = [(r, c) for r in range(len(shape)) for c in range(shape[r] - 1, -1, -1)]
     if len(cells) != sum(content):
@@ -371,6 +373,31 @@ def test_kostka_matches_the_cell_by_cell_count(case):
     assert kostka(shape, content) == _fill_cells(shape.parts, content.entries)
 
 
+def test_kostka_matches_the_cell_by_cell_count_from_a_shared_product_memo():
+    # Kostka numbers are products of one-row factors in the LR product memo;
+    # products that a Kronecker product left there must give the same counts.
+    cases = [
+        (shape, content)
+        for d in range(8)
+        for content in dict.fromkeys(nu for mu in partitions_of(d) for _, nu in jacobi_trudi(mu))
+        for shape in partitions_of(d)
+    ]
+    memos = (schur._h_terms, _product_terms, _last_strips, _skew_terms, _chain_sum)
+    for fn in memos:
+        fn.cache_clear()
+    kronecker_general(Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1]))
+    before = _product_terms.cache_info().misses
+    for shape, content in cases:
+        assert kostka(shape, content) == _fill_cells(shape.parts, content.entries)
+    shared = _product_terms.cache_info().misses - before
+    for fn in memos:
+        fn.cache_clear()
+    for shape, content in cases:
+        kostka(shape, content)
+    # Some of the products were answered from the Kronecker product's entries.
+    assert shared < _product_terms.cache_info().misses
+
+
 @PROPERTY
 @given(lr_triples())
 def test_lr_is_symmetric_and_both_orders_share_one_memo_entry(triple):
@@ -388,7 +415,8 @@ def test_skew_terms_match_the_oracle(shape):
         c = lr_oracle(outer, inner, beta)
         if c:
             want[i] = c
-    assert _skew_terms(outer.parts, inner.parts) == want
+    # Equal as lists: the keys come in ascending position order.
+    assert list(_skew_terms(outer.parts, inner.parts).items()) == list(want.items())
 
 
 @PROPERTY
@@ -465,7 +493,7 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
     }.values()
     names = {fn.__name__ for fn in memos}
     assert names == {
-        "partitions_of", "_row_vectors", "_positions", "_count_fillings", "_last_strips",
+        "partitions_of", "_row_vectors", "_positions", "_h_terms", "_last_strips",
         "_product_terms", "_skew_terms", "class_size", "perm_row", "_partitions_between",
         "_steps", "_chain_sum", "_shared",
     }
@@ -555,7 +583,7 @@ def test_the_oracle_never_runs_the_tableau_engine(monkeypatch):
         raise AssertionError("the oracle called the tableau engine")
 
     for name in (
-        "_strips", "_last_strips", "_lr_tally", "_count_fillings", "_product_terms",
+        "_strips", "_last_strips", "_lr_tally", "_h_terms", "_product_terms",
         "_skew_terms",
     ):
         monkeypatch.setattr(schur, name, forbidden)

@@ -62,6 +62,12 @@ class TestSchurExpansion:
         with pytest.raises(ValueError):
             SchurExpansion(3, {P(3): coeff})
 
+    @pytest.mark.parametrize("degree", [2.9, 3.0, "3", None])
+    def test_non_integer_degree_rejected(self, degree):
+        # int() would truncate 2.9 to 2 and parse "3"; neither is a degree
+        with pytest.raises(ValueError):
+            SchurExpansion(degree, {})
+
     @pytest.mark.parametrize("scalar", [0.5, 2.0, "2"])
     def test_non_integer_scalar_rejected(self, scalar):
         e = S({P(3): 1})

@@ -1,7 +1,7 @@
 """Microbenchmarks of the Weyl chain, the general Kronecker product, the
-LR product kernel, skew Schur expansions, the character oracle, Kostka
-numbers, the contingency enumerator and its divided-power product, cold and
-warm.
+LR product kernel, skew Schur expansions, the character oracle and one
+character row, Kostka numbers, the contingency enumerator (public matrices
+and bare rows tuples) and its divided-power product, cold and warm.
 
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``
 run collects only ``tests/``.  A cold round clears every kernel memo first,
@@ -28,8 +28,9 @@ from polykron import (
     schur,
     skew_schur_expansion,
 )
+from polykron.characters import character_row
 from polykron.internal_product import _chain_sum, _gamma_steps
-from polykron.partitions import partitions_of
+from polykron.partitions import _contingency_rows, partitions_of
 from polykron.schur import _product_terms
 
 MEMOS = {
@@ -41,6 +42,7 @@ MEMOS = {
 
 
 def clear_memos():
+    # Every lru_cache memo, the character rows and strip removals included.
     for fn in MEMOS:
         fn.cache_clear()
     # The two memo dicts that the CLI's --cache file saves; the oracle's
@@ -102,6 +104,13 @@ def test_kronecker_oracle_expansion(benchmark, mode, parts):
     measure(benchmark, mode, kronecker_oracle_expansion, lam, lam)
 
 
+@MODES
+@pytest.mark.parametrize("parts", [(6, 4, 3, 2, 1), (6, 5, 4, 2, 1)], ids=["d16", "d18"])
+def test_character_row(benchmark, mode, parts):
+    # Cold, the row fills the Murnaghan-Nakayama memo for its shape.
+    measure(benchmark, mode, character_row, parts)
+
+
 def kostka_table(shapes, contents):
     return [kostka(lam, nu) for nu in contents for lam in shapes]
 
@@ -119,8 +128,11 @@ def count_matrices(mu, lam):
     return sum(1 for _ in iter_contingency(mu, lam))
 
 
-@MODES
-@pytest.mark.parametrize(
+def count_rows(sums, cols):
+    return sum(1 for _ in _contingency_rows(sums, cols))
+
+
+MARGINS = pytest.mark.parametrize(
     "mu, lam",
     [
         ((2, 2, 2, 2), (3, 2, 2, 1)),
@@ -131,8 +143,19 @@ def count_matrices(mu, lam):
     ],
     ids=["d8", "d20-2rows", "d10-5rows"],
 )
+
+
+@MODES
+@MARGINS
 def test_contingency_count(benchmark, mode, mu, lam):
     measure(benchmark, mode, count_matrices, Composition(mu), Composition(lam))
+
+
+@MODES
+@MARGINS
+def test_contingency_rows_count(benchmark, mode, mu, lam):
+    # The rows tuples alone, as the contingency sweep counts them.
+    measure(benchmark, mode, count_rows, mu, lam)
 
 
 @MODES

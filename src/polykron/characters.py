@@ -6,15 +6,22 @@ dimensions from hook lengths, and every multiplicity formula is an exact
 class-function inner product.  All divisions are exact; a nonzero remainder
 raises instead of rounding.
 
+The recursion runs on `parts` tuples and builds no Partition: `_chi` memoises
+each value in `_MN_CACHE` under (lam parts, rho parts), and `_strip_removals`
+memoises the strips of each (shape, length), which every cycle type that
+starts with that length shares.  `character_row(parts)` is one irreducible
+character as a tuple aligned with `partitions_of(d)`; `mn_character` is the
+public query and reads the same memo.
+
 A decomposition needs one class sum per target partition, and all of them
 share the same factors.  So `kronecker_oracle_expansion` and
 `internal_h_oracle` first compute the per-class weights w[rho] (class size
 times the fixed characters) once per call, and then take one dot product with
-each target character.  Class sizes are memoised per cycle type.  The values
-of a permutation character are memoised per descending nonzero block sizes,
-as the tuple `perm_row(blocks)` aligned with `partitions_of(d)`: the value
-of the permutation character of a weight nu at the i-th cycle type is
-`perm_row(nu.sorted_parts())[i]`.
+the character row of each target.  Class sizes are memoised per cycle type.
+The values of a permutation character are memoised per descending nonzero
+block sizes, as the tuple `perm_row(blocks)` aligned with `partitions_of(d)`:
+the value of the permutation character of a weight nu at the i-th cycle type
+is `perm_row(nu.sorted_parts())[i]`.
 """
 
 from __future__ import annotations
@@ -53,26 +60,50 @@ def class_size(rho: Partition) -> int:
     return q
 
 
-def _strip_removals(parts, length):
-    """Yield (sign, smaller partition) for each removable border strip.
+@lru_cache(maxsize=None)
+def _strip_removals(parts: tuple, length: int) -> tuple:
+    """The (sign, smaller parts) pairs of the border strips of this length.
 
     Uses first-column hook lengths (beta numbers): removing a strip of the
     given length moves one beta number down by that length, provided the
-    target is free; the sign is (-1)^(rows spanned - 1).
+    target is free; the sign is (-1)^(rows spanned - 1).  A strip that moves
+    the beta of row i below those of rows i+1..j-1 spans rows i..j-1: each
+    of rows i+1..j-1 moves up a row, one cell shorter, and row j-1 ends at
+    the moved beta.  Memoised, since every cycle type that starts with a
+    cycle of this length removes the same strips.
     """
     n = len(parts)
-    betas = [parts[i] + n - 1 - i for i in range(n)]
-    beta_set = set(betas)
+    betas = [p + n - 1 - i for i, p in enumerate(parts)]
+    out = []
     for i, b in enumerate(betas):
         nb = b - length
-        if nb < 0 or nb in beta_set:
+        if nb < 0:
+            break  # the betas decrease, so every later one moves below 0 too
+        j = i + 1
+        while j < n and betas[j] > nb:
+            j += 1
+        if j < n and betas[j] == nb:
             continue
-        height = sum(1 for c in betas if nb < c < b)
-        new_betas = sorted((x for x in betas if x != b), reverse=True)
-        new_betas.append(nb)
-        new_betas.sort(reverse=True)
-        new_parts = [new_betas[j] - (n - 1 - j) for j in range(n)]
-        yield (-1) ** height, Partition(new_parts)
+        smaller = parts[:i] + tuple(p - 1 for p in parts[i + 1:j]) + (nb - n + j,) + parts[j:]
+        while smaller and not smaller[-1]:
+            smaller = smaller[:-1]
+        out.append(((-1) ** (j - 1 - i), smaller))
+    return tuple(out)
+
+
+def _chi(lam: tuple, rho: tuple) -> int:
+    """chi_lam(rho) for the parts tuples of two partitions of one size."""
+    if not rho:
+        return 1
+    key = (lam, rho)
+    hit = _MN_CACHE.get(key)
+    if hit is None:
+        rest = rho[1:]
+        hit = 0
+        for sign, smaller in _strip_removals(lam, rho[0]):
+            hit += sign * _chi(smaller, rest)
+        _MN_CACHE[key] = hit
+    return hit
 
 
 def mn_character(lam: Partition, rho: Partition) -> int:
@@ -81,19 +112,15 @@ def mn_character(lam: Partition, rho: Partition) -> int:
         raise DegreeMismatchError(
             f"partition of {lam.size} evaluated at a cycle type of {rho.size}"
         )
-    if lam.size == 0:
-        return 1
-    key = (lam.parts, rho.parts)
-    hit = _MN_CACHE.get(key)
-    if hit is None:
-        length = rho.parts[0]
-        rest = Partition(rho.parts[1:])
-        hit = sum(
-            sign * mn_character(smaller, rest)
-            for sign, smaller in _strip_removals(lam.parts, length)
-        )
-        _MN_CACHE[key] = hit
-    return hit
+    return _chi(lam.parts, rho.parts)
+
+
+@lru_cache(maxsize=None)
+def character_row(parts: tuple) -> tuple:
+    """The irreducible character of the partition with these parts, as a
+    tuple aligned with partitions_of(sum(parts)); the tuple is the memo's own.
+    """
+    return tuple(_chi(parts, rho.parts) for rho in partitions_of(sum(parts)))
 
 
 def dimension(lam: Partition) -> int:
@@ -158,17 +185,18 @@ def _class_sums(lam: Partition, values):
     are aligned with partitions_of(d).
 
     The weight of each class is computed once, and classes of weight zero
-    are skipped, so each alpha costs one dot product.
+    are skipped, so each alpha costs one dot product with its character row.
     """
-    d = lam.size
+    shapes = partitions_of(lam.size)
     classes, weights = [], []
-    for rho, v in zip(partitions_of(d), values):
-        w = class_size(rho) * mn_character(lam, rho) * v
+    for i, (rho, chi, v) in enumerate(zip(shapes, character_row(lam.parts), values)):
+        w = class_size(rho) * chi * v
         if w:
-            classes.append(rho)
+            classes.append(i)
             weights.append(w)
-    for alpha in partitions_of(d):
-        yield alpha, sum(map(mul, weights, [mn_character(alpha, rho) for rho in classes]))
+    for alpha in shapes:
+        row = character_row(alpha.parts)
+        yield alpha, sum(map(mul, weights, map(row.__getitem__, classes)))
 
 
 def kronecker_oracle_expansion(lam: Partition, mu: Partition) -> SchurExpansion:
@@ -177,9 +205,8 @@ def kronecker_oracle_expansion(lam: Partition, mu: Partition) -> SchurExpansion:
     if mu.size != d:
         raise DegreeMismatchError(f"partitions have sizes {d} and {mu.size}")
     d_fact = factorial(d)
-    chi_mu = [mn_character(mu, rho) for rho in partitions_of(d)]
     terms = {}
-    for alpha, total in _class_sums(lam, chi_mu):
+    for alpha, total in _class_sums(lam, character_row(mu.parts)):
         q, r = divmod(total, d_fact)
         if r:
             raise ConsistencyError(
@@ -199,18 +226,16 @@ def lr_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
             f"outer partition has size {lam.size}, expected {a} + {b}"
         )
     total = 0
-    for rho1 in partitions_of(a):
-        chi1 = mn_character(mu, rho1)
+    for rho1, chi1 in zip(partitions_of(a), character_row(mu.parts)):
         if chi1 == 0:
             continue
         w1 = class_size(rho1)
-        for rho2 in partitions_of(b):
-            chi2 = mn_character(nu, rho2)
+        for rho2, chi2 in zip(partitions_of(b), character_row(nu.parts)):
             if chi2 == 0:
                 continue
             w2 = class_size(rho2)
-            union = Partition(sorted(rho1.parts + rho2.parts, reverse=True))
-            total += w1 * w2 * chi1 * chi2 * mn_character(lam, union)
+            union = tuple(sorted(rho1.parts + rho2.parts, reverse=True))
+            total += w1 * w2 * chi1 * chi2 * _chi(lam.parts, union)
     q, r = divmod(total, factorial(a) * factorial(b))
     if r:
         raise ConsistencyError(

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from itertools import chain
 
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
 from .partitions import (
     Composition,
     Partition,
     _conjugate_parts,
+    _contingency_rows,
+    _margin_degree,
     _partitions_between,
-    iter_contingency,
     partitions_of,
 )
 from .schur import SchurExpansion, _add_product, _skew_terms
@@ -87,6 +89,14 @@ class ExpDecomposition:
         self.family = family
         self.summands = summands
 
+    @classmethod
+    def _trusted(cls, family: str, summands: tuple):
+        # Fast path for callers that guarantee the family and one degree.
+        self = object.__new__(cls)
+        self.family = family
+        self.summands = summands
+        return self
+
     @property
     def degree(self) -> int:
         return self.summands[0].degree if self.summands else 0
@@ -103,14 +113,21 @@ class ExpDecomposition:
         return f"ExpDecomposition({self.family}, [{body}])"
 
 
-def _contingency_weights(mu: Composition, lam: Composition):
-    return tuple(m.flatten() for m in iter_contingency(mu, lam))
+def _contingency_weights(mu: Composition, lam: Composition) -> tuple:
+    """The row-major flattening of every matrix with margins mu and lam, in
+    the order of iter_contingency, built from the rows tuples alone."""
+    d = _margin_degree(mu, lam)
+    trusted = Composition._trusted
+    return tuple(
+        trusted(tuple(chain.from_iterable(rows)), d)
+        for rows in _contingency_rows(mu.entries, lam.entries)
+    )
 
 
 def gamma_tensor_gamma(mu: Composition, lam: Composition) -> ExpDecomposition:
     """Product of two divided-power weights: one Gamma summand per matrix
     with row sums mu and column sums lam, flattened row-major."""
-    return ExpDecomposition(GAMMA, _contingency_weights(mu, lam))
+    return ExpDecomposition._trusted(GAMMA, _contingency_weights(mu, lam))
 
 
 # Output family for each unordered pair of input families.  The Sym/Wedge
@@ -147,7 +164,7 @@ def exponential_tensor(
             )
     else:
         family = _FAMILY_TABLE[pair]
-    return ExpDecomposition(family, _contingency_weights(left.weight, right.weight))
+    return ExpDecomposition._trusted(family, _contingency_weights(left.weight, right.weight))
 
 
 @lru_cache(maxsize=None)

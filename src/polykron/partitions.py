@@ -12,6 +12,9 @@ and memoises each with what remains after it, so no remainder is computed
 per matrix.  The last row is the remainder itself, so only rows 0..n-3
 recurse, yielding (prefix, remainder), and row n-2 closes each matrix in a
 flat loop.  The memo's vectors are `_shared`: equal vectors are one object.
+That core, `_contingency_rows`, works on plain tuples and yields each matrix
+as its rows tuple; `iter_contingency` wraps each one in a ContingencyMatrix,
+and callers that only flatten or count the matrices read the tuples.
 """
 
 from __future__ import annotations
@@ -277,10 +280,16 @@ class ContingencyMatrix:
         return ContingencyMatrix._trusted(cols, self.col_sums, self.row_sums)
 
     def __eq__(self, other):
-        return isinstance(other, ContingencyMatrix) and self.rows == other.rows
+        # The margins count: a 0x0 and a 0x2 matrix both have rows ().
+        return (
+            isinstance(other, ContingencyMatrix)
+            and self.rows == other.rows
+            and self.row_sums == other.row_sums
+            and self.col_sums == other.col_sums
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.rows, self.row_sums, self.col_sums))
 
     def __repr__(self):
         return f"ContingencyMatrix({[list(r) for r in self.rows]})"
@@ -399,28 +408,30 @@ def _row_vectors(need: int, rem: tuple) -> tuple:
     return tuple(out)
 
 
-def iter_contingency(mu: Composition, lam: Composition):
-    """Yield every matrix with row sums mu and column sums lam exactly once.
-
-    Matrices appear in descending row-major lexicographic order of their
-    flattened entries.  Rows 0..n-3 come depth first from the memoised
-    `_row_vectors` pairs as (prefix, remainder); each matrix is then closed
-    in one flat loop by a pair of that remainder, whose row is row n-2 and
-    whose remainder is row n-1.  Depth first keeps the generator lazy: a
-    list of all prefixes of (6^5) x (6^5) would hold millions.
-    """
+def _margin_degree(mu: Composition, lam: Composition) -> int:
+    """The common degree of two margins; DegreeMismatchError if they differ."""
     if mu.degree != lam.degree:
         raise DegreeMismatchError(
             f"row sums have degree {mu.degree} but column sums have degree {lam.degree}"
         )
-    n = len(mu)
-    if n == 0:
-        yield ContingencyMatrix._trusted((), mu, lam)
+    return mu.degree
+
+
+def _contingency_rows(sums: tuple, cols: tuple):
+    """Yield the rows tuple of every matrix with row sums `sums` and column
+    sums `cols`, in descending row-major lexicographic order; the caller
+    guarantees that both margins have one degree.
+
+    Rows 0..n-3 come depth first from the memoised `_row_vectors` pairs as
+    (prefix, remainder); each matrix is then closed in one flat loop by a
+    pair of that remainder, whose row is row n-2 and whose remainder is row
+    n-1.  Depth first keeps the generator lazy: a list of all prefixes of
+    (6^5) x (6^5) would hold millions.
+    """
+    n = len(sums)
+    if n < 2:
+        yield (cols,) if n else ()
         return
-    if n == 1:
-        yield ContingencyMatrix._trusted((lam.entries,), mu, lam)
-        return
-    sums = mu.entries
     close = n - 2
 
     def prefixes(i, prefix, rem):
@@ -433,8 +444,19 @@ def iter_contingency(mu: Composition, lam: Composition):
                 yield prefix + (row,), rest
 
     need = sums[close]
-    trusted = ContingencyMatrix._trusted
-    starts = prefixes(0, (), lam.entries) if close else [((), lam.entries)]
-    for prefix, rem in starts:
+    for prefix, rem in prefixes(0, (), cols) if close else [((), cols)]:
         for pair in _row_vectors(need, rem):
-            yield trusted(prefix + pair, mu, lam)
+            yield prefix + pair
+
+
+def iter_contingency(mu: Composition, lam: Composition):
+    """Yield every matrix with row sums mu and column sums lam exactly once.
+
+    Matrices appear in descending row-major lexicographic order of their
+    flattened entries; each wraps a rows tuple of `_contingency_rows`.  The
+    degree check runs on the first next().
+    """
+    _margin_degree(mu, lam)
+    trusted = ContingencyMatrix._trusted
+    for rows in _contingency_rows(mu.entries, lam.entries):
+        yield trusted(rows, mu, lam)

@@ -67,7 +67,7 @@ class SchurExpansion:
     def __init__(self, degree: int, terms=None):
         (self.degree,) = _integers((degree,), "Schur degrees")
         terms = dict(terms or {})
-        clean = {}
+        acc = {}
         for p, c in zip(terms, _integers(tuple(terms.values()), "Schur coefficients")):
             if not isinstance(p, Partition):
                 p = Partition(p)
@@ -75,9 +75,9 @@ class SchurExpansion:
                 raise DegreeMismatchError(
                     f"term {p!r} does not have degree {self.degree}"
                 )
-            if c:
-                clean[p] = c
-        self.terms = clean
+            # A parts tuple and the equal Partition name one term, as in __add__.
+            acc[p] = acc.get(p, 0) + c
+        self.terms = {p: c for p, c in acc.items() if c}
 
     @classmethod
     def _from_index(cls, degree: int, pairs) -> "SchurExpansion":

@@ -41,6 +41,7 @@ from .internal_product import (
 )
 from .partitions import (
     Partition,
+    _contingency_rows,
     enumerate_compositions,
     iter_contingency,
     partitions_of,
@@ -168,7 +169,7 @@ def sweep_contingency(
         kostkas = {w: [kostka(v, w) for v in parts_d] for w in weights}
         for mu in weights:
             for lam in weights:
-                count = sum(1 for _ in iter_contingency(mu, lam))
+                count = sum(1 for _ in _contingency_rows(mu.entries, lam.entries))
                 rsk = sum(map(mul, kostkas[mu], kostkas[lam]))
                 checks += 1
                 if count != rsk:

@@ -1,13 +1,17 @@
 from itertools import permutations
 from math import factorial
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polykron import (
     Composition,
     DegreeMismatchError,
     Partition,
     centralizer_order,
+    characters,
     class_size,
     dimension,
     internal_h_oracle,
@@ -16,7 +20,7 @@ from polykron import (
     lr_oracle,
     mn_character,
 )
-from polykron.characters import perm_row
+from polykron.characters import character_row, perm_row
 from polykron.partitions import enumerate_compositions, partitions_of
 
 
@@ -26,6 +30,45 @@ def P(*parts):
 
 def C(*entries):
     return Composition(entries)
+
+
+def _reference_strip_removals(parts, length):
+    """Yield (sign, smaller Partition) for each removable border strip, by
+    beta numbers: the Partition-based recursion the tuple kernel replaced."""
+    n = len(parts)
+    betas = [parts[i] + n - 1 - i for i in range(n)]
+    beta_set = set(betas)
+    for b in betas:
+        nb = b - length
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for c in betas if nb < c < b)
+        new_betas = sorted((x for x in betas if x != b), reverse=True)
+        new_betas.append(nb)
+        new_betas.sort(reverse=True)
+        new_parts = [new_betas[j] - (n - 1 - j) for j in range(n)]
+        yield (-1) ** height, Partition(new_parts)
+
+
+def reference_character(lam, rho, memo):
+    """chi_lam(rho) by the Murnaghan-Nakayama rule on Partition objects,
+    memoised in the caller's dict: the reference for mn_character."""
+    if lam.size == 0:
+        return 1
+    key = (lam, rho)
+    if key not in memo:
+        rest = Partition(rho.parts[1:])
+        memo[key] = sum(
+            sign * reference_character(smaller, rest, memo)
+            for sign, smaller in _reference_strip_removals(lam.parts, rho.parts[0])
+        )
+    return memo[key]
+
+
+def clear_character_memos():
+    characters._MN_CACHE.clear()
+    characters.character_row.cache_clear()
+    characters._strip_removals.cache_clear()
 
 
 def kronecker_class_sum(lam, mu, alpha):
@@ -101,6 +144,27 @@ class TestMNCharacter:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             mn_character(P(2), P(3))
+
+
+@pytest.mark.parametrize("d", range(11))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mn_character_matches_the_reference_cold_and_warm(d, seed):
+    # Every (lam, rho) of degree d, asked in a drawn order on empty memos and
+    # then again on full ones; the rows must hold the same values.
+    shapes = partitions_of(d)
+    memo = {}
+    want = {(lam, rho): reference_character(lam, rho, memo) for lam in shapes for rho in shapes}
+    order = list(want)
+    Random(seed).shuffle(order)
+    clear_character_memos()
+    assert [mn_character(lam, rho) for lam, rho in order] == [want[k] for k in order]
+    assert [mn_character(lam, rho) for lam, rho in order] == [want[k] for k in order]
+    for lam in shapes:
+        assert character_row(lam.parts) == tuple(want[lam, rho] for rho in shapes)
+    clear_character_memos()
+    for lam in shapes:
+        assert character_row(lam.parts) == tuple(want[lam, rho] for rho in shapes)
 
 
 class TestDimension:

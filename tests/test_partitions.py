@@ -269,6 +269,19 @@ class TestContingency:
         assert [m.rows for m in iter_contingency(C(), C(0, 0))] == [()]
         assert [m.rows for m in iter_contingency(C(0, 0), C())] == [((), ())]
 
+    def test_equality_compares_the_margins(self):
+        # A 0x0 and a 0x2 matrix have the same (empty) rows but are not equal.
+        square = next(iter_contingency(C(), C()))
+        wide = next(iter_contingency(C(), C(0, 0)))
+        assert square.rows == wide.rows == ()
+        assert square != wide
+        assert len({square, wide}) == 2
+        assert square == ContingencyMatrix([])
+        assert wide == ContingencyMatrix([], col_sums=[0, 0])
+        assert hash(wide) == hash(ContingencyMatrix([], col_sums=[0, 0]))
+        tall = next(iter_contingency(C(0, 0), C()))
+        assert tall == ContingencyMatrix([[], []]) and tall != square
+
     def test_rows_are_int_tuples_with_exact_margins(self):
         cases = [
             (C(3, 0, 2), C(1, 2, 2)),

@@ -87,9 +87,12 @@ def weyl_cases(draw, max_d=9):
 
 
 @st.composite
-def _compositions(draw, d, max_parts=5):
-    # n - 1 sorted cut points give every composition of d with n entries.
-    n = draw(st.integers(1, max_parts))
+def _compositions(draw, d, max_parts=5, min_parts=1):
+    # n - 1 sorted cut points give every composition of d with n entries;
+    # only d = 0 has a composition with no entries.
+    n = draw(st.integers(min_parts if d == 0 else max(min_parts, 1), max_parts))
+    if n == 0:
+        return Composition(())
     cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
     return Composition(b - a for a, b in zip([0] + cuts, cuts + [d]))
 
@@ -145,9 +148,9 @@ def signed_chain_terms(draw, max_d=10):
 
 
 @st.composite
-def margin_pairs(draw, max_d=10):
+def margin_pairs(draw, max_d=10, min_parts=1):
     d = draw(st.integers(0, max_d))
-    return draw(_compositions(d)), draw(_compositions(d))
+    return draw(_compositions(d, min_parts=min_parts)), draw(_compositions(d, min_parts=min_parts))
 
 
 def _margin_count(mu, lam):
@@ -495,7 +498,7 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
     assert names == {
         "partitions_of", "_row_vectors", "_positions", "_h_terms", "_last_strips",
         "_product_terms", "_skew_terms", "class_size", "perm_row", "_partitions_between",
-        "_steps", "_chain_sum", "_shared",
+        "_steps", "_chain_sum", "_shared", "character_row", "_strip_removals",
     }
     lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
     before, _ = kronecker(lam, mu)
@@ -529,6 +532,24 @@ def test_contingency_order_matches_brute_force(pair):
     mu, lam = pair
     got = [m.rows for m in iter_contingency(mu, lam)]
     assert got == _brute_force_matrices(mu, lam)
+
+
+@PROPERTY
+@given(margin_pairs(max_d=6, min_parts=0))
+@example((Composition([]), Composition([0, 0])))
+@example((Composition([0, 0]), Composition([])))
+@example((Composition([4]), Composition([1, 0, 3])))
+@example((Composition([0, 3, 0, 2]), Composition([2, 0, 3])))
+def test_gamma_summands_are_the_flattened_matrices(pair):
+    # The summands come from the rows tuples; the public matrices must
+    # flatten to the same weights, in the same order, and so must the
+    # brute-force matrices, which share no code with the enumerator.
+    mu, lam = pair
+    got = internal_product.gamma_tensor_gamma(mu, lam)
+    assert got.summands == tuple(m.flatten() for m in iter_contingency(mu, lam))
+    brute = _brute_force_matrices(mu, lam)
+    assert got.summands == tuple(Composition(chain.from_iterable(m)) for m in brute)
+    assert all(nu.degree == mu.degree for nu in got.summands)
 
 
 @PROPERTY

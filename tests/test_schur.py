@@ -35,6 +35,14 @@ class TestSchurExpansion:
         e = SchurExpansion(2, {P(2): 0, P(1, 1): 3})
         assert e.terms == {P(1, 1): 3}
 
+    def test_equal_keys_are_summed(self):
+        # A parts tuple and the equal Partition name one term, as in __add__.
+        e = SchurExpansion(3, {(2, 1): 1, P(2, 1): 2})
+        assert e.terms == {P(2, 1): 3}
+        assert e == S({P(2, 1): 1}) + S({P(2, 1): 2})
+        cancelled = SchurExpansion(3, {(2, 1): 1, P(2, 1): -1, (3,): 4})
+        assert cancelled.terms == {P(3): 4}
+
     def test_wrong_degree_key_rejected(self):
         with pytest.raises(DegreeMismatchError):
             SchurExpansion(2, {P(3): 1})

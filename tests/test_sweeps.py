@@ -22,15 +22,15 @@ def test_contingency_characters_fail_without_one_summand(monkeypatch):
 
 
 def test_contingency_count_fails_without_one_matrix(monkeypatch):
-    real = sweeps.iter_contingency
+    real = sweeps._contingency_rows
 
-    def skip_one(mu, lam):
-        matrices = real(mu, lam)
-        if (mu, lam) == (MU, LAM):
+    def skip_one(sums, cols):
+        matrices = real(sums, cols)
+        if (sums, cols) == (MU.entries, LAM.entries):
             next(matrices)
         return matrices
 
-    monkeypatch.setattr(sweeps, "iter_contingency", skip_one)
+    monkeypatch.setattr(sweeps, "_contingency_rows", skip_one)
     result = sweeps.sweep_contingency(count_max_d=4, char_max_d=4)
     assert not result.ok
     assert result.failure == "count mu=2,1 lambda=1,2: 1 != 2"

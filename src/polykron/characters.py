@@ -199,23 +199,31 @@ def _class_sums(lam: Partition, values):
         yield alpha, sum(map(mul, weights, map(row.__getitem__, classes)))
 
 
+def _divided_class_sums(lam: Partition, values, what: str, factor: str) -> SchurExpansion:
+    """The expansion whose coefficient at alpha is lam's class sum at alpha
+    (see _class_sums) divided by d!.  A sum that d! does not divide raises,
+    named by `what` and by `factor`, the text of the other factor."""
+    d = lam.size
+    d_fact = factorial(d)
+    terms = {}
+    for alpha, total in _class_sums(lam, values):
+        q, r = divmod(total, d_fact)
+        if r:
+            raise ConsistencyError(
+                f"{what} {total} is not divisible by {d}! "
+                f"for ({lam.text()}, {factor}, {alpha.text()})"
+            )
+        if q:
+            terms[alpha] = q
+    return SchurExpansion(d, terms)
+
+
 def kronecker_oracle_expansion(lam: Partition, mu: Partition) -> SchurExpansion:
     """The full tensor-product decomposition given by the class-sum formula."""
     d = lam.size
     if mu.size != d:
         raise DegreeMismatchError(f"partitions have sizes {d} and {mu.size}")
-    d_fact = factorial(d)
-    terms = {}
-    for alpha, total in _class_sums(lam, character_row(mu.parts)):
-        q, r = divmod(total, d_fact)
-        if r:
-            raise ConsistencyError(
-                f"kronecker class sum {total} is not divisible by {d}! "
-                f"for ({lam.text()}, {mu.text()}, {alpha.text()})"
-            )
-        if q:
-            terms[alpha] = q
-    return SchurExpansion(d, terms)
+    return _divided_class_sums(lam, character_row(mu.parts), "kronecker class sum", mu.text())
 
 
 def lr_oracle(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -252,15 +260,5 @@ def internal_h_oracle(lam: Partition, nu: Composition) -> SchurExpansion:
         raise DegreeMismatchError(
             f"partition has size {d} but weight has degree {nu.degree}"
         )
-    d_fact = factorial(d)
-    terms = {}
-    for beta, total in _class_sums(lam, perm_row(nu.sorted_parts())):
-        q, r = divmod(total, d_fact)
-        if r:
-            raise ConsistencyError(
-                f"class sum {total} is not divisible by {d}! "
-                f"for ({lam.text()}, weight {nu.text()}, {beta.text()})"
-            )
-        if q:
-            terms[beta] = q
-    return SchurExpansion(d, terms)
+    values = perm_row(nu.sorted_parts())
+    return _divided_class_sums(lam, values, "class sum", f"weight {nu.text()}")

@@ -66,9 +66,11 @@ class SchurExpansion:
 
     def __init__(self, degree: int, terms=None):
         (self.degree,) = _integers((degree,), "Schur degrees")
-        terms = dict(terms or {})
+        # A mapping or (key, coefficient) pairs, told apart as dict() does;
+        # repeated pairs are summed like equal keys.
+        terms = tuple(terms.items() if hasattr(terms, "keys") else terms or ())
         acc = {}
-        for p, c in zip(terms, _integers(tuple(terms.values()), "Schur coefficients")):
+        for (p, _), c in zip(terms, _integers(tuple(c for _, c in terms), "Schur coefficients")):
             if not isinstance(p, Partition):
                 p = Partition(p)
             if p.size != self.degree:

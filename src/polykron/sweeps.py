@@ -4,11 +4,18 @@ Each sweep walks a bounded family of inputs, compares the combinatorial
 computation against the independent character-theoretic one (or an exact
 identity), and stops at the first counterexample.  Tolerances are zero
 everywhere: a single coefficient mismatch is a failure.
+
+Every sweep is a generator wrapped by `_sweep`, which counts its checks: the
+generator yields once per check, None when the check passed or the
+counterexample text when it failed, and the first text stops the sweep.  A
+check with several conditions tests them in order and still yields once, and
+its text is formatted only when it fails.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import wraps
 from math import factorial
 from operator import mul
 
@@ -72,6 +79,22 @@ class SweepResult:
         return f"SweepResult({self.line()!r})"
 
 
+def _sweep(checks):
+    """Turn a generator of checks into a sweep that returns its SweepResult;
+    sweep_x reports under the name x."""
+    name = checks.__name__.removeprefix("sweep_")
+
+    @wraps(checks)
+    def sweep(*args, **kwargs) -> SweepResult:
+        count = 0
+        for count, failure in enumerate(checks(*args, **kwargs), 1):
+            if failure is not None:
+                return SweepResult(name, count, failure)
+        return SweepResult(name, count)
+
+    return sweep
+
+
 def _weights_up_to(d: int, max_parts: int):
     out = []
     for n in range(1, max_parts + 1):
@@ -79,26 +102,22 @@ def _weights_up_to(d: int, max_parts: int):
     return out
 
 
+@_sweep
 def sweep_kron(max_d: int = 6) -> SweepResult:
     """Kronecker decompositions agree with the character class sums."""
-    checks = 0
     for d in range(0, max_d + 1):
         for lam in partitions_of(d):
             for mu in partitions_of(d):
                 got = kronecker_general(lam, mu)
                 want = kronecker_oracle_expansion(lam, mu)
-                checks += 1
-                if got != want:
-                    return SweepResult(
-                        "kron", checks,
-                        f"lambda={lam.text()} mu={mu.text()}: {got!r} != {want!r}",
-                    )
-    return SweepResult("kron", checks)
+                yield None if got == want else (
+                    f"lambda={lam.text()} mu={mu.text()}: {got!r} != {want!r}"
+                )
 
 
+@_sweep
 def sweep_fastpath(max_d: int = 8) -> SweepResult:
     """Two-row, one-box, and hook procedures match the character class sums."""
-    checks = 0
     for d in range(2, max_d + 1):
         for lam in partitions_of(d):
             for a in range(d - 1, 0, -1):
@@ -107,33 +126,24 @@ def sweep_fastpath(max_d: int = 8) -> SweepResult:
                     continue
                 got = kronecker_two_row(lam, a, b)
                 want = kronecker_oracle_expansion(lam, Partition([a, b]))
-                checks += 1
-                if got != want:
-                    return SweepResult(
-                        "fastpath", checks,
-                        f"two-row lambda={lam.text()} mu=({a},{b}): {got!r} != {want!r}",
-                    )
+                yield None if got == want else (
+                    f"two-row lambda={lam.text()} mu=({a},{b}): {got!r} != {want!r}"
+                )
             for q in range(1, d):
                 p = d - q
                 got = kronecker_hook(lam, p, q)
                 want = kronecker_oracle_expansion(lam, Partition([p] + [1] * q))
-                checks += 1
-                if got != want:
-                    return SweepResult(
-                        "fastpath", checks,
-                        f"hook lambda={lam.text()} mu=({p},1^{q}): {got!r} != {want!r}",
-                    )
+                yield None if got == want else (
+                    f"hook lambda={lam.text()} mu=({p},1^{q}): {got!r} != {want!r}"
+                )
             got = kronecker_one_box(lam, d - 1)
             want = kronecker_oracle_expansion(lam, Partition([d - 1, 1]))
-            checks += 1
-            if got != want:
-                return SweepResult(
-                    "fastpath", checks,
-                    f"one-box lambda={lam.text()} a={d - 1}: {got!r} != {want!r}",
-                )
-    return SweepResult("fastpath", checks)
+            yield None if got == want else (
+                f"one-box lambda={lam.text()} a={d - 1}: {got!r} != {want!r}"
+            )
 
 
+@_sweep
 def sweep_fixture() -> SweepResult:
     """The d=3 worked product (2,1) x (2,1) comes out of all four procedures."""
     lam = Partition([2, 1])
@@ -148,21 +158,17 @@ def sweep_fixture() -> SweepResult:
         "one-box": kronecker_one_box(lam, 2),
         "hook": kronecker_hook(lam, 2, 1),
     }
-    checks = 0
     for name, got in paths.items():
-        checks += 1
-        if got.terms != want:
-            return SweepResult("fixture", checks, f"{name} path produced {got!r}")
-    return SweepResult("fixture", checks)
+        yield None if got.terms == want else f"{name} path produced {got!r}"
 
 
+@_sweep
 def sweep_contingency(
     count_max_d: int = 8, char_max_d: int = 6, max_parts: int = 4
 ) -> SweepResult:
     """Margin enumeration has the RSK cardinality and the permutation-module
     character identity holds for the divided-power product (the latter up to
     the smaller of the two degree bounds)."""
-    checks = 0
     for d in range(0, count_max_d + 1):
         weights = _weights_up_to(d, max_parts)
         parts_d = partitions_of(d)
@@ -171,12 +177,9 @@ def sweep_contingency(
             for lam in weights:
                 count = sum(1 for _ in _contingency_rows(mu.entries, lam.entries))
                 rsk = sum(map(mul, kostkas[mu], kostkas[lam]))
-                checks += 1
-                if count != rsk:
-                    return SweepResult(
-                        "contingency", checks,
-                        f"count mu={mu.text()} lambda={lam.text()}: {count} != {rsk}",
-                    )
+                yield None if count == rsk else (
+                    f"count mu={mu.text()} lambda={lam.text()}: {count} != {rsk}"
+                )
     for d in range(0, min(char_max_d, count_max_d) + 1):
         weights = _weights_up_to(d, max_parts)
         rows = {w: perm_row(w.sorted_parts()) for w in weights}
@@ -189,19 +192,15 @@ def sweep_contingency(
                 summands = gamma_tensor_gamma(mu, lam).summands
                 for blocks, k in Counter(nu.sorted_parts() for nu in summands).items():
                     acc = [a + k * v for a, v in zip(acc, perm_row(blocks))]
-                checks += 1
-                if acc != product:
-                    return SweepResult(
-                        "contingency", checks,
-                        f"characters mu={mu.text()} lambda={lam.text()}",
-                    )
-    return SweepResult("contingency", checks)
+                yield None if acc == product else (
+                    f"characters mu={mu.text()} lambda={lam.text()}"
+                )
 
 
+@_sweep
 def sweep_weyl(max_d: int = 7, max_parts: int = 4) -> SweepResult:
     """Weyl filtrations are non-negative and match the class-sum oracle, and
     the dual Weyl filtration of lam x Wedge^nu matches the oracle at lam'."""
-    checks = 0
     for d in range(0, max_d + 1):
         weights = _weights_up_to(d, max_parts)
         # The first of lam and lam' to be checked computes the oracle at both
@@ -211,12 +210,9 @@ def sweep_weyl(max_d: int = 7, max_parts: int = 4) -> SweepResult:
             conj = lam.conjugate()
             for nu in weights:
                 got = weyl_tensor_gamma(lam, nu)
-                checks += 1
                 if not got.is_nonnegative():
-                    return SweepResult(
-                        "weyl", checks,
-                        f"negative coefficient lambda={lam.text()} nu={nu.text()}",
-                    )
+                    yield f"negative coefficient lambda={lam.text()} nu={nu.text()}"
+                    continue
                 if (lam, nu) in pending:
                     want, want_conj = pending.pop((lam, nu))
                 elif conj == lam:
@@ -225,17 +221,12 @@ def sweep_weyl(max_d: int = 7, max_parts: int = 4) -> SweepResult:
                     want, want_conj = internal_h_oracle(lam, nu), internal_h_oracle(conj, nu)
                     pending[(conj, nu)] = (want_conj, want)
                 if got != want:
-                    return SweepResult(
-                        "weyl", checks,
-                        f"lambda={lam.text()} nu={nu.text()}: {got!r} != {want!r}",
-                    )
+                    yield f"lambda={lam.text()} nu={nu.text()}: {got!r} != {want!r}"
+                    continue
                 wedge = weyl_tensor_wedge(lam, nu)
-                if wedge != want_conj:
-                    return SweepResult(
-                        "weyl", checks,
-                        f"wedge lambda={lam.text()} nu={nu.text()}: {wedge!r} != {want_conj!r}",
-                    )
-    return SweepResult("weyl", checks)
+                yield None if wedge == want_conj else (
+                    f"wedge lambda={lam.text()} nu={nu.text()}: {wedge!r} != {want_conj!r}"
+                )
 
 
 # Expected output family for each ordered family pair when 2 is invertible.
@@ -252,10 +243,10 @@ _EXPECTED_FAMILY = {
 }
 
 
+@_sweep
 def sweep_exptable(max_d: int = 6, max_parts: int = 3) -> SweepResult:
     """All nine exponential products have the stated family and summands,
     and the undefined Sym/Wedge case raises."""
-    checks = 0
     for d in range(0, max_d + 1):
         weights = _weights_up_to(d, max_parts)
         for wl in weights:
@@ -263,21 +254,15 @@ def sweep_exptable(max_d: int = 6, max_parts: int = 3) -> SweepResult:
                 summands = tuple(m.flatten() for m in iter_contingency(wl, wr))
                 for (fl, fr), family in _EXPECTED_FAMILY.items():
                     got = exponential_tensor(ExpFunctor(fl, wl), ExpFunctor(fr, wr))
-                    checks += 1
-                    if got.family != family or got.summands != summands:
-                        return SweepResult(
-                            "exptable", checks,
-                            f"{fl}^{wl.text()} x {fr}^{wr.text()} gave {got!r}",
-                        )
+                    yield None if got.family == family and got.summands == summands else (
+                        f"{fl}^{wl.text()} x {fr}^{wr.text()} gave {got!r}"
+                    )
                 zero_mode = exponential_tensor(
                     ExpFunctor(SYM, wl), ExpFunctor(WEDGE, wr), CharTwoMode.TWO_ZERO
                 )
-                checks += 1
-                if zero_mode.family != SYM or zero_mode.summands != summands:
-                    return SweepResult(
-                        "exptable", checks,
-                        f"Sym^{wl.text()} x Wedge^{wr.text()} with 2=0 gave {zero_mode!r}",
-                    )
+                yield None if zero_mode.family == SYM and zero_mode.summands == summands else (
+                    f"Sym^{wl.text()} x Wedge^{wr.text()} with 2=0 gave {zero_mode!r}"
+                )
                 try:
                     exponential_tensor(
                         ExpFunctor(SYM, wl),
@@ -285,19 +270,17 @@ def sweep_exptable(max_d: int = 6, max_parts: int = 3) -> SweepResult:
                         CharTwoMode.TWO_NONZERO_NONUNIT,
                     )
                 except UndefinedProductError:
-                    checks += 1
+                    yield None
                 else:
-                    return SweepResult(
-                        "exptable", checks,
-                        f"Sym^{wl.text()} x Wedge^{wr.text()} did not raise for nonzero nonunit 2",
+                    yield (
+                        f"Sym^{wl.text()} x Wedge^{wr.text()} did not raise for nonzero nonunit 2"
                     )
-    return SweepResult("exptable", checks)
 
 
+@_sweep
 def sweep_jt(max_d: int = 8) -> SweepResult:
     """Re-expanding the signed determinant terms through Kostka numbers
     recovers each Schur function exactly."""
-    checks = 0
     for d in range(0, max_d + 1):
         parts_d = partitions_of(d)
         for mu in parts_d:
@@ -305,15 +288,13 @@ def sweep_jt(max_d: int = 8) -> SweepResult:
             for sign, nu in jacobi_trudi(mu):
                 for lam in parts_d:
                     acc[lam] += sign * kostka(lam, nu)
-            checks += 1
-            if any(c != (1 if lam == mu else 0) for lam, c in acc.items()):
-                return SweepResult("jt", checks, f"mu={mu.text()}: {acc}")
-    return SweepResult("jt", checks)
+            exact = all(c == (1 if lam == mu else 0) for lam, c in acc.items())
+            yield None if exact else f"mu={mu.text()}: {acc}"
 
 
+@_sweep
 def sweep_chars(max_d: int = 8) -> SweepResult:
     """Row orthogonality of the character table in every degree."""
-    checks = 0
     for d in range(0, max_d + 1):
         parts_d = partitions_of(d)
         d_fact = factorial(d)
@@ -324,23 +305,19 @@ def sweep_chars(max_d: int = 8) -> SweepResult:
                     for rho in parts_d
                 )
                 want = d_fact if lam == mu else 0
-                checks += 1
-                if total != want:
-                    return SweepResult(
-                        "chars", checks,
-                        f"lambda={lam.text()} mu={mu.text()}: {total} != {want}",
-                    )
-    return SweepResult("chars", checks)
+                yield None if total == want else (
+                    f"lambda={lam.text()} mu={mu.text()}: {total} != {want}"
+                )
 
 
 def _is_structured(p: Partition) -> bool:
     return len(p) <= 2 or all(x == 1 for x in p.parts[1:])
 
 
+@_sweep
 def sweep_dims(max_d: int = 8) -> SweepResult:
     """Dimension identity: multiplicities weighted by hook-length dimensions
     multiply, for every pair through the dispatching Kronecker."""
-    checks = 0
     for d in range(0, max_d + 1):
         parts_d = partitions_of(d)
         for i, lam in enumerate(parts_d):
@@ -351,18 +328,14 @@ def sweep_dims(max_d: int = 8) -> SweepResult:
                 expansion, _ = kronecker(a, b)
                 total = sum(c * dimension(al) for al, c in expansion.terms.items())
                 want = dimension(lam) * dimension(mu)
-                checks += 1
-                if total != want:
-                    return SweepResult(
-                        "dims", checks,
-                        f"lambda={lam.text()} mu={mu.text()}: {total} != {want}",
-                    )
-    return SweepResult("dims", checks)
+                yield None if total == want else (
+                    f"lambda={lam.text()} mu={mu.text()}: {total} != {want}"
+                )
 
 
+@_sweep
 def sweep_lr(max_d: int = 7) -> SweepResult:
     """Tableau counts agree with induced-character inner products."""
-    checks = 0
     for d in range(0, max_d + 1):
         for lam in partitions_of(d):
             for a in range(0, d + 1):
@@ -370,13 +343,9 @@ def sweep_lr(max_d: int = 7) -> SweepResult:
                     for nu in partitions_of(d - a):
                         got = lr_coeff(lam, mu, nu)
                         want = lr_oracle(lam, mu, nu)
-                        checks += 1
-                        if got != want:
-                            return SweepResult(
-                                "lr", checks,
-                                f"({lam.text()}; {mu.text()}, {nu.text()}): {got} != {want}",
-                            )
-    return SweepResult("lr", checks)
+                        yield None if got == want else (
+                            f"({lam.text()}; {mu.text()}, {nu.text()}): {got} != {want}"
+                        )
 
 
 #: Suite names in the order `all` runs them; suite x is the function sweep_x.
@@ -390,10 +359,11 @@ def run_suites(names, max_d: int | None = None):
         names = list(SUITE_NAMES)
     elif isinstance(names, str):
         names = [names]
-    results = []
     for name in names:
         if name not in SUITE_NAMES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
+    results = []
+    for name in names:
         # Looked up when called, so a sweep replaced on this module (wrapped
         # for timing, or patched in a test) is the one that runs.  Without
         # max_d each sweep runs at the defaults of its signature.

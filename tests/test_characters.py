@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polykron import (
     Composition,
+    ConsistencyError,
     DegreeMismatchError,
     Partition,
     centralizer_order,
@@ -30,6 +31,19 @@ def P(*parts):
 
 def C(*entries):
     return Composition(entries)
+
+
+def _plant_one_wrong_value(monkeypatch):
+    """Make the oracles pass _class_sums a row whose last value (the
+    identity class) is one too large, so no class sum is divisible by d!."""
+    real = characters._class_sums
+
+    def planted(lam, values):
+        values = list(values)
+        values[-1] += 1
+        return real(lam, values)
+
+    monkeypatch.setattr(characters, "_class_sums", planted)
 
 
 def _reference_strip_removals(parts, length):
@@ -214,6 +228,12 @@ class TestKroneckerOracle:
         with pytest.raises(DegreeMismatchError, match="sizes 2 and 1"):
             kronecker_oracle_expansion(P(2), P(1))
 
+    def test_indivisible_class_sum_raises(self, monkeypatch):
+        _plant_one_wrong_value(monkeypatch)
+        with pytest.raises(ConsistencyError) as exc:
+            kronecker_oracle_expansion(P(2, 1), P(2, 1))
+        assert str(exc.value) == "kronecker class sum 8 is not divisible by 3! for (2,1, 2,1, 3)"
+
     def test_expansion_matches_single_coefficients(self):
         for d in range(0, 8):
             parts = partitions_of(d)
@@ -303,6 +323,12 @@ class TestInternalHOracle:
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             internal_h_oracle(P(2), C(3))
+
+    def test_indivisible_class_sum_raises(self, monkeypatch):
+        _plant_one_wrong_value(monkeypatch)
+        with pytest.raises(ConsistencyError) as exc:
+            internal_h_oracle(P(2, 1), C(1, 2))
+        assert str(exc.value) == "class sum 8 is not divisible by 3! for (2,1, weight 1,2, 3)"
 
     def test_matches_the_class_sum_per_target(self):
         # One class sum per (beta, rho), nothing shared between targets.

@@ -538,6 +538,19 @@ def test_contingency_order_matches_brute_force(pair):
 @given(margin_pairs(max_d=6, min_parts=0))
 @example((Composition([]), Composition([0, 0])))
 @example((Composition([0, 0]), Composition([])))
+def test_contingency_order_matches_brute_force_with_empty_margins(pair):
+    # Margins with no entries draw here: a 0-row or 0-column matrix, checked
+    # through the public matrices and the bare rows tuples alike.
+    mu, lam = pair
+    want = _brute_force_matrices(mu, lam)
+    assert [m.rows for m in iter_contingency(mu, lam)] == want
+    assert list(partitions._contingency_rows(mu.entries, lam.entries)) == want
+
+
+@PROPERTY
+@given(margin_pairs(max_d=6, min_parts=0))
+@example((Composition([]), Composition([0, 0])))
+@example((Composition([0, 0]), Composition([])))
 @example((Composition([4]), Composition([1, 0, 3])))
 @example((Composition([0, 3, 0, 2]), Composition([2, 0, 3])))
 def test_gamma_summands_are_the_flattened_matrices(pair):

@@ -43,6 +43,13 @@ class TestSchurExpansion:
         cancelled = SchurExpansion(3, {(2, 1): 1, P(2, 1): -1, (3,): 4})
         assert cancelled.terms == {P(3): 4}
 
+    def test_repeated_pairs_are_summed(self):
+        # Terms given as (key, coefficient) pairs sum like equal mapping keys.
+        e = SchurExpansion(3, [((2, 1), 1), ((2, 1), 2)])
+        assert e.terms == {P(2, 1): 3}
+        cancelled = SchurExpansion(3, [(P(2, 1), 1), ((3,), 4), ((2, 1), -1)])
+        assert cancelled.terms == {P(3): 4}
+
     def test_wrong_degree_key_rejected(self):
         with pytest.raises(DegreeMismatchError):
             SchurExpansion(2, {P(3): 1})

@@ -6,8 +6,8 @@ and bare rows tuples) and its divided-power product, cold and warm.
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``
 run collects only ``tests/``.  A cold round clears every kernel memo first,
 so it pays for all the LR products the call needs; a warm round is answered
-by memos that an untimed call filled.  The d = 18 cases compare the
-general algorithm with the oracle it is checked against.
+by memos that an untimed call filled.  The d = 18 and d = 20 cases compare
+the general algorithm with the oracle it is checked against.
 """
 
 import pytest
@@ -72,11 +72,23 @@ def test_chain(benchmark, mode, parts):
 
 @MODES
 @pytest.mark.parametrize(
-    "parts", [(5, 4, 3, 2), (6, 4, 3, 2, 1), (6, 5, 4, 2, 1)], ids=["d14", "d16", "d18"]
+    "parts",
+    [(5, 4, 3, 2), (6, 4, 3, 2, 1), (6, 5, 4, 2, 1), (7, 5, 4, 2, 1, 1)],
+    ids=["d14", "d16", "d18", "d20"],
 )
 def test_kronecker_general(benchmark, mode, parts):
     lam = Partition(parts)
     measure(benchmark, mode, kronecker_general, lam, lam)
+
+
+@MODES
+@pytest.mark.parametrize(
+    "lam, mu", [((9, 3, 2, 1), (4, 4, 4, 3)), ((4, 4, 4, 3), (9, 3, 2, 1))], ids=["lam-mu", "mu-lam"]
+)
+def test_kronecker_general_either_order(benchmark, mode, lam, mu):
+    # Both orders expand (9,3,2,1) along (4,4,4,3), the side with the lower
+    # chain estimate, so their times match.
+    measure(benchmark, mode, kronecker_general, Partition(lam), Partition(mu))
 
 
 @MODES
@@ -98,7 +110,7 @@ def test_skew_schur_expansion(benchmark, mode, outer, inner):
 
 
 @MODES
-@pytest.mark.parametrize("parts", [(6, 5, 4, 2, 1)], ids=["d18"])
+@pytest.mark.parametrize("parts", [(6, 5, 4, 2, 1), (7, 5, 4, 2, 1, 1)], ids=["d18", "d20"])
 def test_kronecker_oracle_expansion(benchmark, mode, parts):
     lam = Partition(parts)
     measure(benchmark, mode, kronecker_oracle_expansion, lam, lam)

@@ -321,14 +321,12 @@ def jacobi_trudi(mu: Partition, *, bound: int = JACOBI_TRUDI_BOUND):
     sigma = [0] * n
 
     # Row i admits columns j >= i - mu_i only; the thresholds increase with i,
-    # so filling rows bottom-up never runs into a dead end.
-    def rec(k):
+    # so filling rows bottom-up never runs into a dead end.  The rows below i
+    # hold the used columns, and each one left of j is an inversion.
+    def rec(k, inv):
         if k == n:
-            inv = sum(
-                1 for a in range(n) for b in range(a + 1, n) if sigma[a] > sigma[b]
-            )
-            idxs = [mu.parts[i] - (i + 1) + (sigma[i] + 1) for i in range(n)]
-            terms.append(((-1) ** inv, Composition(idxs)))
+            idxs = tuple(mu.parts[i] - i + sigma[i] for i in range(n))
+            terms.append(((-1) ** inv, Composition._trusted(idxs, mu.size)))
             return
         i = n - 1 - k
         for j in range(max(0, i - mu.parts[i]), n):
@@ -336,20 +334,29 @@ def jacobi_trudi(mu: Partition, *, bound: int = JACOBI_TRUDI_BOUND):
                 continue
             used[j] = True
             sigma[i] = j
-            rec(k + 1)
+            rec(k + 1, inv + sum(used[:j]))
             used[j] = False
 
-    rec(0)
+    rec(0, 0)
     return terms
+
+
+def _chain_cost(signed_steps, lam: Partition) -> int:
+    """A shape-only estimate of chaining the signed terms along lam: the
+    partitions inside lam at the size of every distinct step prefix, one
+    prefix per _chain_sum level.  It reads no LR, skew or chain memo."""
+    prefixes = {steps[:k] for _, steps in signed_steps for k in range(1, len(steps) + 1)}
+    return sum(len(_partitions_between((), lam.parts, sum(x for x, _ in p))) for p in prefixes)
 
 
 def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
     """Kronecker decomposition via the alternating divided-power resolution.
 
-    Expands mu through the Jacobi-Trudi determinant and accumulates the signed
-    Weyl filtrations; the cancellations must leave every coefficient >= 0.
-    The product is symmetric, so when mu has more rows than the determinant's
-    bound and lam does not, lam is expanded instead.
+    Expands one factor through the Jacobi-Trudi determinant and accumulates
+    the signed Weyl filtrations of the other; the cancellations must leave
+    every coefficient >= 0.  The product is symmetric, so either factor with
+    at most the determinant's bound of rows may be expanded: mu, unless the
+    chain estimate of expanding lam is lower or mu is past the bound.
     """
     if lam.size != mu.size:
         raise DegreeMismatchError(
@@ -358,6 +365,10 @@ def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
     if len(mu) > JACOBI_TRUDI_BOUND >= len(lam):
         lam, mu = mu, lam
     signed = [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(mu)]
+    if lam != mu and len(lam) <= JACOBI_TRUDI_BOUND:
+        other = [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(lam)]
+        if _chain_cost(other, mu) < _chain_cost(signed, lam):
+            lam, mu, signed = mu, lam, other
     return _signed_chains(lam, signed, mu.text())
 
 

@@ -100,6 +100,8 @@ class SchurExpansion:
         return cls(part.size, {part: coeff})
 
     def coefficient(self, part: Partition) -> int:
+        if not isinstance(part, Partition):
+            part = Partition(part)
         return self.terms.get(part, 0)
 
     def items(self):

@@ -11,9 +11,11 @@ from polykron import (
     Partition,
     SizeBoundError,
     UndefinedProductError,
+    characters,
     exponential_tensor,
     gamma_tensor_gamma,
     hook_mixed,
+    internal_product,
     iter_contingency,
     jacobi_trudi,
     kronecker,
@@ -22,9 +24,12 @@ from polykron import (
     kronecker_one_box,
     kronecker_oracle_expansion,
     kronecker_two_row,
+    partitions,
+    schur,
     weyl_tensor_gamma,
     weyl_tensor_wedge,
 )
+from polykron.internal_product import _chain_cost, _gamma_steps
 from polykron.partitions import partitions_of
 from polykron.schur import kostka
 
@@ -239,6 +244,73 @@ class TestKroneckerGeneral:
                         assert kronecker_general(
                             lam.conjugate(), mu.conjugate()
                         ).coefficient(alpha) == g
+
+
+def _signed_steps(mu):
+    return [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(mu)]
+
+
+def _clear_kernel_memos():
+    for module in (partitions, schur, characters, internal_product):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+class TestResolutionChoice:
+    """kronecker_general expands the factor whose Jacobi-Trudi terms have the
+    lower chain estimate along the other, and mu on a tie."""
+
+    def chained(self, monkeypatch, lam, mu, run=True):
+        # The (chain, expanded factor's text) of every _signed_chains call.
+        seen = []
+        real = internal_product._signed_chains
+
+        def spy(chain, signed, other):
+            seen.append((chain, other))
+            return real(chain, signed, other) if run else None
+
+        monkeypatch.setattr(internal_product, "_signed_chains", spy)
+        kronecker_general(lam, mu)
+        return seen
+
+    def test_the_estimate_reads_shapes_only(self, monkeypatch):
+        lam, mu = P(9, 3, 2, 1), P(4, 4, 4, 3)
+        _clear_kernel_memos()
+        assert _chain_cost(_signed_steps(mu), lam) == 358
+        assert _chain_cost(_signed_steps(lam), mu) == 81
+        assert self.chained(monkeypatch, lam, mu, run=False) == [(mu, lam.text())]
+        for fn in (
+            schur._product_terms, schur._last_strips, schur._skew_terms,
+            schur._h_terms, internal_product._chain_sum,
+        ):
+            assert fn.cache_info().currsize == 0, fn.__name__
+
+    def test_the_cheaper_side_is_chained_in_both_orders(self, monkeypatch):
+        lam, mu = P(9, 3, 2, 1), P(4, 4, 4, 3)
+        want = kronecker_oracle_expansion(lam, mu)
+        for a, b in ((lam, mu), (mu, lam)):
+            _clear_kernel_memos()
+            assert self.chained(monkeypatch, a, b) == [(mu, lam.text())]
+            assert kronecker_general(a, b) == want
+        # Cold, chaining mu's terms along lam takes over four times the LR
+        # products.
+        chosen = schur._product_terms.cache_info().misses
+        _clear_kernel_memos()
+        internal_product._signed_chains(lam, _signed_steps(mu), mu.text())
+        assert schur._product_terms.cache_info().misses > 4 * chosen
+
+    def test_a_tie_expands_mu(self, monkeypatch):
+        # The d = 18 square: the estimates are equal, and mu is expanded.
+        lam, mu = P(6, 5, 4, 2, 1), P(6, 5, 4, 2, 1)
+        seen = self.chained(monkeypatch, lam, mu, run=False)
+        assert len(seen) == 1 and seen[0][0] is lam
+
+    def test_a_two_row_factor_is_expanded_on_either_side(self, monkeypatch):
+        lam, mu = P(6, 4), P(4, 3, 2, 1)
+        assert _chain_cost(_signed_steps(lam), mu) < _chain_cost(_signed_steps(mu), lam)
+        assert self.chained(monkeypatch, lam, mu, run=False) == [(mu, lam.text())]
+        assert self.chained(monkeypatch, mu, lam, run=False) == [(mu, lam.text())]
 
 
 class TestKroneckerTwoRow:

@@ -3,7 +3,8 @@ against the character oracle and their symmetries, of the LR kernel against
 the depth-first tableau walk it replaced, of Kostka numbers against the
 cell-by-cell count, of the skew terms against the cell-by-cell
 LR walk they replaced, beyond the oracle's bound, of the grouped chain sums
-against the plain fold of each chain, of the contingency
+against the plain fold of each chain, of every Jacobi-Trudi resolution of a
+Kronecker product against the one kronecker_general picks, of the contingency
 enumerator and its row-vector pairs against independent counts, on random
 inputs beyond the sweep bounds, and of the kernel memos."""
 
@@ -485,6 +486,31 @@ def test_kronecker_coefficient_is_symmetric_in_all_three_arguments(triple):
     want = kronecker(lam, mu)[0].coefficient(alpha)
     for a, b, c in permutations(triple):
         assert kronecker(a, b)[0].coefficient(c) == want
+
+
+def _resolve(chain, expanded):
+    """The Kronecker product with the Jacobi-Trudi terms of `expanded`
+    chained along `chain`, whichever side kronecker_general would pick."""
+    signed = [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(expanded)]
+    return internal_product._signed_chains(chain, signed, expanded.text())
+
+
+@PROPERTY
+@given(same_degree_pairs())
+@example((Partition([6, 4]), Partition([4, 3, 2, 1])))
+@example((Partition([9, 3]), Partition([4, 4, 4])))
+def test_every_resolution_agrees_with_kronecker_general(pair):
+    # kronecker_general runs one chain for both argument orders, so the
+    # symmetries are checked here on resolutions forced through each side:
+    # s_lam*s_mu = s_mu*s_lam = s_lam'*s_mu', and s_lam*s_mu' = w(s_lam*s_mu).
+    lam, mu = pair
+    got = kronecker_general(lam, mu)
+    assert _resolve(lam, mu) == got
+    assert _resolve(mu, lam) == got
+    assert _resolve(lam.conjugate(), mu.conjugate()) == got
+    assert _resolve(lam, mu.conjugate()).conjugate() == got
+    if lam.size <= 10:
+        assert got == kronecker_oracle_expansion(lam, mu)
 
 
 def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():

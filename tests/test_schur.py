@@ -43,6 +43,14 @@ class TestSchurExpansion:
         cancelled = SchurExpansion(3, {(2, 1): 1, P(2, 1): -1, (3,): 4})
         assert cancelled.terms == {P(3): 4}
 
+    def test_coefficient_reads_a_parts_tuple_as_its_partition(self):
+        # The key is normalised as in the constructor and __add__.
+        e = SchurExpansion(2, {(1, 1): 1})
+        assert e.coefficient((1, 1)) == e.coefficient(P(1, 1)) == 1
+        assert e.coefficient((2,)) == 0
+        with pytest.raises(ValueError):
+            e.coefficient((1, 2))
+
     def test_repeated_pairs_are_summed(self):
         # Terms given as (key, coefficient) pairs sum like equal mapping keys.
         e = SchurExpansion(3, [((2, 1), 1), ((2, 1), 2)])

@@ -316,7 +316,12 @@ def jacobi_trudi(mu: Partition, *, bound: int = JACOBI_TRUDI_BOUND):
     n = len(mu)
     if n > bound:
         raise SizeBoundError(f"partition has {n} parts > bound {bound}")
-    terms = []
+    return list(_jacobi_trudi_terms(mu))
+
+
+def _jacobi_trudi_terms(mu: Partition):
+    """Yields the terms of jacobi_trudi(mu) in order, one at a time."""
+    n = len(mu)
     used = [False] * n
     sigma = [0] * n
 
@@ -326,7 +331,7 @@ def jacobi_trudi(mu: Partition, *, bound: int = JACOBI_TRUDI_BOUND):
     def rec(k, inv):
         if k == n:
             idxs = tuple(mu.parts[i] - i + sigma[i] for i in range(n))
-            terms.append(((-1) ** inv, Composition._trusted(idxs, mu.size)))
+            yield (-1) ** inv, Composition._trusted(idxs, mu.size)
             return
         i = n - 1 - k
         for j in range(max(0, i - mu.parts[i]), n):
@@ -334,19 +339,32 @@ def jacobi_trudi(mu: Partition, *, bound: int = JACOBI_TRUDI_BOUND):
                 continue
             used[j] = True
             sigma[i] = j
-            rec(k + 1, inv + sum(used[:j]))
+            yield from rec(k + 1, inv + sum(used[:j]))
             used[j] = False
 
-    rec(0, 0)
-    return terms
+    return rec(0, 0)
 
 
-def _chain_cost(signed_steps, lam: Partition) -> int:
-    """A shape-only estimate of chaining the signed terms along lam: the
-    partitions inside lam at the size of every distinct step prefix, one
-    prefix per _chain_sum level.  It reads no LR, skew or chain memo."""
-    prefixes = {steps[:k] for _, steps in signed_steps for k in range(1, len(steps) + 1)}
-    return sum(len(_partitions_between((), lam.parts, sum(x for x, _ in p))) for p in prefixes)
+def _chain_terms(determinant, lam: Partition, budget=float("inf")):
+    """The signed steps (sign, _gamma_steps(nu)) of the determinant's terms
+    and a shape-only estimate of chaining them along lam: the partitions
+    inside lam at the size of every distinct step prefix, one prefix per
+    _chain_sum level.  It reads no LR, skew or chain memo.  The terms are
+    read in order until the estimate reaches the budget, so a determinant
+    that cannot come in under it is never built whole."""
+    terms, prefixes, cost = [], set(), 0
+    for sign, nu in determinant:
+        steps = _gamma_steps(nu)
+        terms.append((sign, steps))
+        size = 0
+        for k, (x, _) in enumerate(steps, 1):
+            size += x
+            if steps[:k] not in prefixes:
+                prefixes.add(steps[:k])
+                cost += len(_partitions_between((), lam.parts, size))
+        if cost >= budget:
+            break
+    return terms, cost
 
 
 def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
@@ -356,7 +374,8 @@ def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
     the signed Weyl filtrations of the other; the cancellations must leave
     every coefficient >= 0.  The product is symmetric, so either factor with
     at most the determinant's bound of rows may be expanded: mu, unless the
-    chain estimate of expanding lam is lower or mu is past the bound.
+    chain estimate of expanding lam is lower or mu is past the bound.  Lam's
+    terms are built only while their estimate stays below mu's.
     """
     if lam.size != mu.size:
         raise DegreeMismatchError(
@@ -364,17 +383,18 @@ def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
         )
     if len(mu) > JACOBI_TRUDI_BOUND >= len(lam):
         lam, mu = mu, lam
-    signed = [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(mu)]
+    signed, cost = _chain_terms(jacobi_trudi(mu), lam)
     if lam != mu and len(lam) <= JACOBI_TRUDI_BOUND:
-        other = [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(lam)]
-        if _chain_cost(other, mu) < _chain_cost(signed, lam):
+        other, other_cost = _chain_terms(_jacobi_trudi_terms(lam), mu, cost)
+        if other_cost < cost:
             lam, mu, signed = mu, lam, other
     return _signed_chains(lam, signed, mu.text())
 
 
 def kronecker_two_row(lam: Partition, a: int, b: int) -> SchurExpansion:
-    """Kronecker product with the two-row partition (a, b): the general
-    algorithm, whose Jacobi-Trudi terms are +(a, b) and -(a+1, b-1)."""
+    """Kronecker product with the two-row partition (a, b) by the general
+    algorithm, which usually expands the two-term determinant +(a, b),
+    -(a+1, b-1) and may expand lam when lam's estimate is lower."""
     if not (a >= b >= 1):
         raise ValueError(f"need a >= b >= 1, got ({a}, {b})")
     if a + b != lam.size:

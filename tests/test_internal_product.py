@@ -29,7 +29,7 @@ from polykron import (
     weyl_tensor_gamma,
     weyl_tensor_wedge,
 )
-from polykron.internal_product import _chain_cost, _gamma_steps
+from polykron.internal_product import _chain_terms, _gamma_steps
 from polykron.partitions import partitions_of
 from polykron.schur import kostka
 
@@ -250,18 +250,25 @@ def _signed_steps(mu):
     return [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(mu)]
 
 
-def _clear_kernel_memos():
-    for module in (partitions, schur, characters, internal_product):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+def _estimate(expanded, chain):
+    return _chain_terms(jacobi_trudi(expanded), chain)[1]
+
+
+# Every lru memo of the kernels.  kronecker_general reads no memo dict, so
+# clearing these leaves it as cold as a cold round of the microbenchmarks.
+KERNEL_MEMOS = [
+    fn
+    for module in (partitions, schur, characters, internal_product)
+    for fn in vars(module).values()
+    if hasattr(fn, "cache_clear")
+]
 
 
 class TestResolutionChoice:
     """kronecker_general expands the factor whose Jacobi-Trudi terms have the
     lower chain estimate along the other, and mu on a tie."""
 
-    def chained(self, monkeypatch, lam, mu, run=True):
+    def chained(self, monkeypatch, lam, mu, run=True, product=kronecker_general):
         # The (chain, expanded factor's text) of every _signed_chains call.
         seen = []
         real = internal_product._signed_chains
@@ -271,14 +278,15 @@ class TestResolutionChoice:
             return real(chain, signed, other) if run else None
 
         monkeypatch.setattr(internal_product, "_signed_chains", spy)
-        kronecker_general(lam, mu)
+        product(lam, mu)
         return seen
 
     def test_the_estimate_reads_shapes_only(self, monkeypatch):
         lam, mu = P(9, 3, 2, 1), P(4, 4, 4, 3)
-        _clear_kernel_memos()
-        assert _chain_cost(_signed_steps(mu), lam) == 358
-        assert _chain_cost(_signed_steps(lam), mu) == 81
+        for fn in KERNEL_MEMOS:
+            fn.cache_clear()
+        assert _estimate(mu, lam) == 358
+        assert _estimate(lam, mu) == 81
         assert self.chained(monkeypatch, lam, mu, run=False) == [(mu, lam.text())]
         for fn in (
             schur._product_terms, schur._last_strips, schur._skew_terms,
@@ -290,13 +298,15 @@ class TestResolutionChoice:
         lam, mu = P(9, 3, 2, 1), P(4, 4, 4, 3)
         want = kronecker_oracle_expansion(lam, mu)
         for a, b in ((lam, mu), (mu, lam)):
-            _clear_kernel_memos()
+            for fn in KERNEL_MEMOS:
+                fn.cache_clear()
             assert self.chained(monkeypatch, a, b) == [(mu, lam.text())]
             assert kronecker_general(a, b) == want
         # Cold, chaining mu's terms along lam takes over four times the LR
         # products.
         chosen = schur._product_terms.cache_info().misses
-        _clear_kernel_memos()
+        for fn in KERNEL_MEMOS:
+            fn.cache_clear()
         internal_product._signed_chains(lam, _signed_steps(mu), mu.text())
         assert schur._product_terms.cache_info().misses > 4 * chosen
 
@@ -308,9 +318,31 @@ class TestResolutionChoice:
 
     def test_a_two_row_factor_is_expanded_on_either_side(self, monkeypatch):
         lam, mu = P(6, 4), P(4, 3, 2, 1)
-        assert _chain_cost(_signed_steps(lam), mu) < _chain_cost(_signed_steps(mu), lam)
+        assert _estimate(lam, mu) < _estimate(mu, lam)
         assert self.chained(monkeypatch, lam, mu, run=False) == [(mu, lam.text())]
         assert self.chained(monkeypatch, mu, lam, run=False) == [(mu, lam.text())]
+
+    def test_a_large_determinant_is_read_only_up_to_the_other_estimate(self, monkeypatch):
+        # lam = (2^12) has 118,098 Jacobi-Trudi terms and (12, 12) has two,
+        # whose estimate along lam is 15.  Every new step tuple of lam's adds
+        # at least 1 to its estimate, and its first two reach 15.
+        lam = P(*[2] * 12)
+        assert _estimate(P(12, 12), lam) == 15
+        read = []
+        real = internal_product._jacobi_trudi_terms
+
+        def spy(mu):
+            for term in real(mu):
+                read.append(mu)
+                yield term
+
+        monkeypatch.setattr(internal_product, "_jacobi_trudi_terms", spy)
+        seen = self.chained(
+            monkeypatch, lam, 12, run=False, product=lambda a, b: kronecker_two_row(a, b, b)
+        )
+        assert seen == [(lam, P(12, 12).text())]
+        assert read.count(P(12, 12)) == 2
+        assert read.count(lam) == 2
 
 
 class TestKroneckerTwoRow:

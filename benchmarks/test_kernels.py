@@ -1,5 +1,6 @@
-"""Microbenchmarks of the Weyl chain, the general Kronecker product, the
-LR product kernel, skew Schur expansions, the character oracle and one
+"""Microbenchmarks of the Weyl chain and its dual read, the general Kronecker
+product, the LR product kernel and its conjugate redirect, skew Schur
+expansions, the character oracle and one
 character row, Kostka numbers, the contingency enumerator (public matrices
 and bare rows tuples) and its divided-power product, cold and warm.
 
@@ -27,6 +28,7 @@ from polykron import (
     partitions,
     schur,
     skew_schur_expansion,
+    weyl_tensor_wedge,
 )
 from polykron.characters import character_row
 from polykron.internal_product import _chain_sum, _gamma_steps
@@ -97,6 +99,27 @@ def test_kronecker_general_either_order(benchmark, mode, lam, mu):
 )
 def test_product_terms(benchmark, mode, mu, nu):
     measure(benchmark, mode, _product_terms, mu, nu)
+
+
+def product_then_conjugate(mu, nu):
+    _product_terms(mu, nu)
+    return _product_terms(Partition(mu).conjugate().parts, Partition(nu).conjugate().parts)
+
+
+@pytest.mark.parametrize("mu, nu", [((5, 4, 2, 1), (3, 2, 1))], ids=["d18"])
+def test_product_terms_then_its_conjugate(benchmark, mu, nu):
+    # Cold, one walk answers both calls: the conjugate pair reads it through
+    # the conjugation permutation, so the gap to the cold test_product_terms
+    # case is the redirect's cost.
+    benchmark.pedantic(product_then_conjugate, args=(mu, nu), setup=clear_memos, rounds=3)
+
+
+@MODES
+@pytest.mark.parametrize("parts", [(5, 4, 3, 2)], ids=["d14"])
+def test_weyl_tensor_wedge(benchmark, mode, parts):
+    # The Gamma chain of lam along its own rows, its entry at lam read
+    # through the conjugation permutation.
+    measure(benchmark, mode, weyl_tensor_wedge, Partition(parts), Composition(parts))
 
 
 @MODES

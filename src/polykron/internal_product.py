@@ -20,13 +20,12 @@ from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, Undef
 from .partitions import (
     Composition,
     Partition,
-    _conjugate_parts,
     _contingency_rows,
     _margin_degree,
     _partitions_between,
     partitions_of,
 )
-from .schur import SchurExpansion, _add_product, _skew_terms
+from .schur import SchurExpansion, _add_product, _conjugation, _skew_terms
 
 GAMMA = "Gamma"
 SYM = "Sym"
@@ -186,28 +185,28 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
 
     Each alpha passes to every beta between alpha and lam with `size` more
     cells, times the step piece: s_{beta/alpha} for a GAMMA step and its
-    conjugate s_{beta'/alpha'} for a WEDGE step.  The step is linear in the
-    expansions, so a signed sum of tables may be stepped once.  Every alpha
-    has the same size, and an expansion is keyed by the positions of its
-    partitions in partitions_of of that size.
+    conjugate s_{beta'/alpha'} = omega s_{beta/alpha} for a WEDGE step, whose
+    terms are those of s_{beta/alpha} read through _conjugation.  The step is
+    linear in the expansions, so a signed sum of tables may be stepped once.
+    Every alpha has the same size, and an expansion is keyed by the
+    positions of its partitions in partitions_of of that size.
     """
     if not dp:
         return {}
     degree = sum(next(iter(dp)))
     pieces = partitions_of(size)
+    flip = _conjugation(size) if family == WEDGE else None
     # by_piece[beta][gamma] sums c^{beta/alpha}_gamma * dp[alpha] over alpha,
     # so each (mu, gamma) product is expanded once per beta.
     by_piece = {}
     for alpha, expn in dp.items():
         for beta in _partitions_between(alpha, lam, sum(alpha) + size):
-            if family == WEDGE:
-                piece = _skew_terms(_conjugate_parts(beta), _conjugate_parts(alpha))
-            else:
-                piece = _skew_terms(beta, alpha)
             groups = by_piece.get(beta)
             if groups is None:
                 groups = by_piece[beta] = {}
-            for gamma, c in piece.items():
+            for gamma, c in _skew_terms(beta, alpha).items():
+                if flip:
+                    gamma = flip[gamma]
                 acc = groups.get(gamma)
                 if acc is None:
                     acc = groups[gamma] = {}
@@ -256,14 +255,26 @@ def _chain_sum(lam: tuple, terms: tuple) -> dict:
     }
 
 
-def _chain_expansion(lam: Partition, terms: tuple) -> SchurExpansion:
-    """The entry of _chain_sum(lam.parts, terms) at lam, as a fresh expansion."""
-    table = _chain_sum(lam.parts, terms)
-    return SchurExpansion._from_index(lam.size, table.get(lam.parts, {}).items())
+def _chain_expansion(lam: Partition, terms: tuple, flip=None) -> SchurExpansion:
+    """The entry of _chain_sum(lam.parts, terms) at lam, as a fresh expansion;
+    with a `flip` from _conjugation, its omega image."""
+    entry = _chain_sum(lam.parts, terms).get(lam.parts, {}).items()
+    if flip:
+        entry = [(flip[i], c) for i, c in entry]
+    return SchurExpansion._from_index(lam.size, entry)
 
 
 def _gamma_steps(nu: Composition) -> tuple:
     return _steps(*((x, GAMMA) for x in nu))
+
+
+def _weyl_chain(lam: Partition, nu: Composition) -> tuple:
+    """The single chain term of lam x Gamma^nu, once the degrees agree."""
+    if lam.size != nu.degree:
+        raise DegreeMismatchError(
+            f"partition has size {lam.size} but weight has degree {nu.degree}"
+        )
+    return ((1, _gamma_steps(nu)),)
 
 
 def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
@@ -275,11 +286,7 @@ def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
     A zero step forces the chain to pause, so weights with zeros are legal.
     The multiplicities are independent of the base ring.
     """
-    if lam.size != nu.degree:
-        raise DegreeMismatchError(
-            f"partition has size {lam.size} but weight has degree {nu.degree}"
-        )
-    return _chain_expansion(lam, ((1, _gamma_steps(nu)),))
+    return _chain_expansion(lam, _weyl_chain(lam, nu))
 
 
 def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
@@ -301,10 +308,11 @@ def weyl_tensor_wedge(lam: Partition, nu: Composition) -> SchurExpansion:
     """Dual-Weyl-filtration multiplicities of (Weyl functor lam) x (Wedge nu).
 
     Keys index dual Weyl functors: the coefficient of beta here equals the
-    coefficient of the conjugate of beta in weyl_tensor_gamma(lam, nu).
+    coefficient of the conjugate of beta in weyl_tensor_gamma(lam, nu), so
+    the chain's entry at lam is read through _conjugation.
     The multiplicities are independent of the base ring.
     """
-    return weyl_tensor_gamma(lam, nu).conjugate()
+    return _chain_expansion(lam, _weyl_chain(lam, nu), _conjugation(lam.size))
 
 
 def jacobi_trudi(mu: Partition, *, bound: int = JACOBI_TRUDI_BOUND):

@@ -10,9 +10,18 @@ for one coefficient at a time (the technique of Buch's lrcalc):
   and on the strip of the letter before, and products of different factors
   often reach the same such state, so they come from one memo shared by all
   products (`_last_strips`).  The tally counts each LR tableau once.
+  c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}, so of the four
+  orientations (mu, nu), (nu, mu), (mu', nu') and (nu', mu') only the first
+  in `_walk_order` is walked: the content with the fewest letters, then the
+  fewest rows to grow.  The swapped pair returns the same tuple, and the
+  conjugate pair reads it through `_conjugation(d)`, the permutation of
+  positions in partitions_of(d) that conjugates each partition.
 - `_skew_terms(outer, inner)` reads each c^outer_{inner,beta} from the
   memoised product s_inner * s_beta, so skew Schur functions and products
-  share one LR walker and one memo of products.
+  share one LR walker and one memo of products.  The Weyl chain's Wedge
+  steps need s_{beta'/alpha'} = omega s_{beta/alpha}, and read the terms of
+  s_{beta/alpha} through `_conjugation`, so both step families share the
+  skew memo's entries.
 
 Both take `parts` tuples and answer in index form: a result partition is
 named by its position in `partitions_of(d)`.  Callers outside this module
@@ -40,6 +49,7 @@ from .partitions import (
     Composition,
     Partition,
     SkewShape,
+    _conjugate_parts,
     _integers,
     _partitions_between,
     partitions_of,
@@ -53,6 +63,13 @@ _LR_CACHE: dict[tuple, int] = {}
 def _positions(d: int) -> dict:
     """parts tuple -> its position in partitions_of(d)."""
     return {p.parts: i for i, p in enumerate(partitions_of(d))}
+
+
+@lru_cache(maxsize=None)
+def _conjugation(d: int) -> tuple:
+    """position in partitions_of(d) -> the position of its conjugate."""
+    pos = _positions(d)
+    return tuple(pos[_conjugate_parts(p.parts)] for p in partitions_of(d))
 
 
 class SchurExpansion:
@@ -263,17 +280,30 @@ def _lr_tally(base: tuple, content: tuple) -> list:
     return tally
 
 
+def _walk_order(mu: tuple, nu: tuple) -> tuple:
+    """The sort key of the orientation that grows mu by the content nu: the
+    fewest letters, then the fewest rows to grow, then the parts."""
+    return (len(nu), len(mu), nu, mu)
+
+
 @lru_cache(maxsize=None)
 def _product_terms(mu: tuple, nu: tuple) -> tuple:
     """(i, c^lam_{mu,nu}) pairs, i ascending, over the positions i in
     partitions_of(|mu| + |nu|) of the lam with a nonzero coefficient.
 
-    The factor with more rows is grown by the content of the other, which
-    needs fewer letters; s_nu*s_mu returns the tuple of s_mu*s_nu, so both
-    orders share one object.
+    c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}, so of the four
+    orientations only the one first in _walk_order is walked.  s_nu*s_mu
+    returns the tuple of s_mu*s_nu, and the conjugate pair's tuple is read
+    through _conjugation and re-sorted by position.
     """
-    if (len(mu), mu) < (len(nu), nu):
+    if _walk_order(nu, mu) < _walk_order(mu, nu):
         return _product_terms(nu, mu)
+    cmu, cnu = _conjugate_parts(mu), _conjugate_parts(nu)
+    if _walk_order(cnu, cmu) < _walk_order(cmu, cnu):
+        cmu, cnu = cnu, cmu
+    if _walk_order(cmu, cnu) < _walk_order(mu, nu):
+        flip = _conjugation(sum(mu) + sum(nu))
+        return tuple(sorted([(flip[i], c) for i, c in _product_terms(cmu, cnu)]))
     return tuple([(i, c) for i, c in enumerate(_lr_tally(mu, nu)) if c])
 
 

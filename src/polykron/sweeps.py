@@ -203,9 +203,17 @@ def sweep_weyl(max_d: int = 7, max_parts: int = 4) -> SweepResult:
     the dual Weyl filtration of lam x Wedge^nu matches the oracle at lam'."""
     for d in range(0, max_d + 1):
         weights = _weights_up_to(d, max_parts)
-        # The first of lam and lam' to be checked computes the oracle at both
-        # and leaves them here for the other, which takes them out.
-        pending = {}
+        # The oracle reads nu only through its block sizes, so each value is
+        # computed once per (shape, blocks) and shared by lam, lam' and every
+        # weight that permutes nu.
+        oracle = {}
+
+        def want_at(shape, nu):
+            key = (shape, nu.sorted_parts())
+            if key not in oracle:
+                oracle[key] = internal_h_oracle(shape, nu)
+            return oracle[key]
+
         for lam in partitions_of(d):
             conj = lam.conjugate()
             for nu in weights:
@@ -213,13 +221,7 @@ def sweep_weyl(max_d: int = 7, max_parts: int = 4) -> SweepResult:
                 if not got.is_nonnegative():
                     yield f"negative coefficient lambda={lam.text()} nu={nu.text()}"
                     continue
-                if (lam, nu) in pending:
-                    want, want_conj = pending.pop((lam, nu))
-                elif conj == lam:
-                    want = want_conj = internal_h_oracle(lam, nu)
-                else:
-                    want, want_conj = internal_h_oracle(lam, nu), internal_h_oracle(conj, nu)
-                    pending[(conj, nu)] = (want_conj, want)
+                want, want_conj = want_at(lam, nu), want_at(conj, nu)
                 if got != want:
                     yield f"lambda={lam.text()} nu={nu.text()}: {got!r} != {want!r}"
                     continue

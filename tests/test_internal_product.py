@@ -183,6 +183,10 @@ class TestWeylTensorWedge:
             for lam in partitions_of(d):
                 assert weyl_tensor_wedge(lam, nu).terms == {lam.conjugate(): 1}
 
+    def test_degree_mismatch(self):
+        with pytest.raises(DegreeMismatchError):
+            weyl_tensor_wedge(P(2, 1), C(2))
+
 
 class TestJacobiTrudi:
     def test_single_row(self):

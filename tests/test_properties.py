@@ -1,6 +1,7 @@
 """Property tests of the LR kernel, the Weyl chain and the Kronecker product
 against the character oracle and their symmetries, of the LR kernel against
-the depth-first tableau walk it replaced, of Kostka numbers against the
+the depth-first tableau walk it replaced, of the conjugation-canonical
+product memo against one walk per argument pair, of Kostka numbers against the
 cell-by-cell count, of the skew terms against the cell-by-cell
 LR walk they replaced, beyond the oracle's bound, of the grouped chain sums
 against the plain fold of each chain, of every Jacobi-Trudi resolution of a
@@ -9,6 +10,7 @@ enumerator and its row-vector pairs against independent counts, on random
 inputs beyond the sweep bounds, and of the kernel memos."""
 
 from collections import Counter
+from functools import lru_cache, partial
 from itertools import accumulate, chain, permutations, product
 
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from polykron import (
     SchurExpansion,
     characters,
     dimension,
+    hook_mixed,
     internal_h_oracle,
     internal_product,
     iter_contingency,
@@ -29,6 +32,7 @@ from polykron import (
     kostka,
     kronecker,
     kronecker_general,
+    kronecker_hook,
     kronecker_oracle_expansion,
     lr_coeff,
     lr_oracle,
@@ -36,6 +40,7 @@ from polykron import (
     schur,
     sweeps,
     weyl_tensor_gamma,
+    weyl_tensor_wedge,
 )
 from polykron.internal_product import _chain_sum, _gamma_steps, _step
 from polykron.partitions import partitions_of
@@ -85,6 +90,14 @@ def weyl_cases(draw, max_d=9):
     nu = [b - a for a, b in zip([0] + cuts, cuts + [d])]
     padded = nu + [0] * draw(st.integers(0, 2))
     return lam, nu, draw(st.permutations(padded))
+
+
+@st.composite
+def hook_cases(draw, max_d=10):
+    """lam of size d and (p, q) with p, q >= 1 and p + q = d."""
+    d = draw(st.integers(2, max_d))
+    q = draw(st.integers(1, d - 1))
+    return draw(_sized(d)), d - q, q
 
 
 @st.composite
@@ -340,6 +353,76 @@ def _assert_kernel_matches_the_reference(mu, nu):
     assert _lr_tally(mu, nu) == cold
 
 
+@lru_cache(maxsize=None)
+def _row_order_product_terms(mu, nu):
+    """(i, c^lam_{mu,nu}) pairs, i ascending, from one walk per unordered
+    pair, the factor with more rows grown by the content of the other: the
+    reference for _product_terms, which walks one orientation per conjugate
+    class of pairs in polykron.schur."""
+    if (len(mu), mu) < (len(nu), nu):
+        return _row_order_product_terms(nu, mu)
+    return tuple([(i, c) for i, c in enumerate(schur._lr_tally(mu, nu)) if c])
+
+
+def _orientations(mu, nu):
+    """The four argument pairs with one product up to conjugation."""
+    cmu, cnu = mu.conjugate().parts, nu.conjugate().parts
+    return [(mu.parts, nu.parts), (nu.parts, mu.parts), (cmu, cnu), (cnu, cmu)]
+
+
+@PROPERTY
+@given(factor_pairs(max_total=12))
+@example((Partition([3, 1]), Partition([2, 1, 1])))
+@example((Partition([2, 1]), Partition([3, 3])))
+def test_product_terms_match_the_row_order_walk_cold_and_warm(pair):
+    # Each orientation is asked first with an empty product memo, so that it
+    # walks or reads a redirect from scratch, then again with the memo filled
+    # by the other three.
+    cases = _orientations(*pair)
+    for mu, nu in cases:
+        _product_terms.cache_clear()
+        assert _product_terms(mu, nu) == _row_order_product_terms(mu, nu)
+    for mu, nu in cases:
+        assert _product_terms(mu, nu) == _row_order_product_terms(mu, nu)
+    assert _product_terms(*cases[0]) is _product_terms(*cases[1])
+
+
+def _walks(monkeypatch, product_terms, run):
+    """The (base, content) pairs that the LR walker grows while run() calls
+    products through `product_terms`, from cold memos."""
+    for fn in (product_terms, _product_terms, _skew_terms, schur._h_terms, _chain_sum):
+        fn.cache_clear()
+    monkeypatch.setattr(schur, "_product_terms", product_terms)
+    walked = []
+
+    def counted(base, content):
+        walked.append((base, content))
+        return _lr_tally(base, content)
+
+    monkeypatch.setattr(schur, "_lr_tally", counted)
+    run()
+    return walked
+
+
+def test_a_cold_square_walks_each_conjugate_class_of_products_once(monkeypatch):
+    # A memo that shares only the two argument orders walks 54 products for
+    # this square; one walk per conjugate class of pairs takes 31.
+    lam = Partition([3, 3, 2])
+    square = partial(kronecker_general, lam, lam)
+    assert len(_walks(monkeypatch, _row_order_product_terms, square)) == 54
+    assert len(_walks(monkeypatch, _product_terms, square)) == 31
+
+
+def test_the_orientation_with_the_fewest_letters_then_rows_is_walked(monkeypatch):
+    # (2,1,1) and (2,1,1,1) both take a content of two letters, (4,1) or
+    # (3,1); the first has fewer rows to grow.
+    pair = (Partition([4, 1]), Partition([2, 1, 1]))
+    walked = _walks(
+        monkeypatch, _product_terms, lambda: [_product_terms(*o) for o in _orientations(*pair)]
+    )
+    assert walked == [((2, 1, 1), (4, 1))]
+
+
 @PROPERTY
 @given(factor_pairs())
 def test_product_terms_match_the_oracle(pair):
@@ -447,6 +530,28 @@ def test_weyl_chain_ignores_step_order_and_zeros(case):
 
 
 @PROPERTY
+@given(weyl_cases())
+def test_wedge_filtration_is_the_conjugate_of_the_gamma_filtration(case):
+    lam, nu, _ = case
+    nu = Composition(nu)
+    assert weyl_tensor_wedge(lam, nu) == weyl_tensor_gamma(lam, nu).conjugate()
+
+
+@PROPERTY
+@given(hook_cases())
+@example((Partition([4, 3, 2, 1]), 3, 7))
+def test_the_wedge_step_of_the_hook_products_matches_the_oracle(case):
+    # kronecker_hook and hook_mixed chain Gamma^p with Wedge^q, and the Wedge
+    # step reads the skew terms through the conjugation permutation;
+    # Gamma^p (x) Wedge^q carries the hooks (p,1^q) and (p+1,1^(q-1)).
+    lam, p, q = case
+    hook = kronecker_oracle_expansion(lam, Partition([p] + [1] * q))
+    assert kronecker_hook(lam, p, q) == hook
+    second = kronecker_oracle_expansion(lam, Partition([p + 1] + [1] * (q - 1)))
+    assert hook_mixed(lam, p, q) == hook + second
+
+
+@PROPERTY
 @given(signed_chain_terms())
 @example(
     (
@@ -525,6 +630,7 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
         "partitions_of", "_row_vectors", "_positions", "_h_terms", "_last_strips",
         "_product_terms", "_skew_terms", "class_size", "perm_row", "_partitions_between",
         "_steps", "_chain_sum", "_shared", "character_row", "_strip_removals",
+        "_conjugation",
     }
     lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
     before, _ = kronecker(lam, mu)

@@ -216,3 +216,10 @@ class TestConjugateExpansion:
     def test_termwise(self):
         e = S({P(3): 1, P(2, 1): 2})
         assert e.conjugate().terms == {P(1, 1, 1): 1, P(2, 1): 2}
+
+    def test_a_one_term_conjugate_builds_no_table_of_partitions(self):
+        # Terms are conjugated one at a time, never through partitions_of(40).
+        before = partitions_of.cache_info().currsize
+        got = SchurExpansion.single(P(20, 20)).conjugate()
+        assert got.terms == {Partition([2] * 20): 1}
+        assert partitions_of.cache_info().currsize == before

@@ -145,7 +145,7 @@ def test_weyl_fails_with_one_filtration_off_the_oracle(monkeypatch):
 
 
 def test_weyl_fails_with_one_wrong_wedge_filtration(monkeypatch):
-    # (1,1,1) reads the oracle that (3) computed and left for its conjugate.
+    # (1,1,1) reads the oracle value at (3) that the check of (3) computed.
     _plant(monkeypatch, "weyl_tensor_wedge", (Partition([1, 1, 1]), LAM), _plus_one_row)
     assert sweeps.sweep_weyl(3).line() == (
         "weyl: FAIL (128 checks) first counterexample: wedge lambda=1,1,1 nu=1,2: "

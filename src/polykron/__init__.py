@@ -2,8 +2,8 @@
 
 Everything is computed in exact integer arithmetic: contingency-matrix
 decompositions of exponential-functor products, Weyl-filtration
-multiplicities, symmetric-group Kronecker coefficients (general, two-row,
-one-box, and hook procedures), and an independent character-theoretic oracle
+multiplicities, symmetric-group Kronecker coefficients (general, one-box,
+and hook procedures), and an independent character-theoretic oracle
 used to verify all of it.
 """
 
@@ -18,7 +18,6 @@ from .partitions import (
     ContingencyMatrix,
     Partition,
     SkewShape,
-    enumerate_partitions,
     iter_contingency,
     partitions_of,
 )
@@ -53,7 +52,6 @@ from .internal_product import (
     kronecker_general,
     kronecker_hook,
     kronecker_one_box,
-    kronecker_two_row,
     weyl_tensor_gamma,
     weyl_tensor_wedge,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "ContingencyMatrix",
     "Partition",
     "SkewShape",
-    "enumerate_partitions",
     "iter_contingency",
     "partitions_of",
     "SchurExpansion",
@@ -96,7 +93,6 @@ __all__ = [
     "kronecker_general",
     "kronecker_hook",
     "kronecker_one_box",
-    "kronecker_two_row",
     "weyl_tensor_gamma",
     "weyl_tensor_wedge",
 ]

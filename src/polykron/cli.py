@@ -123,7 +123,7 @@ def render_report(report: dict, as_json: bool) -> str:
 
 
 def _schur_pairs(expansion):
-    return [(p.parts, c) for p, c in expansion.items()]
+    return [(p.parts, c) for p, c in expansion.terms.items()]
 
 
 def _multiset_pairs(weights):

@@ -6,8 +6,8 @@ functor with a divided-power weight produces an explicit Weyl filtration whose
 multiplicities are sums of products of Littlewood-Richardson coefficients,
 indexed by chains of nested partitions.  Combining that filtration with the
 Jacobi-Trudi determinant gives symmetric-group Kronecker multiplicities in
-characteristic zero, with fast procedures when one factor is a two-row shape
-or a hook.
+characteristic zero, with fast procedures when one factor is a hook or
+(a, 1).
 """
 
 from __future__ import annotations
@@ -315,15 +315,16 @@ def weyl_tensor_wedge(lam: Partition, nu: Composition) -> SchurExpansion:
     return _chain_expansion(lam, _weyl_chain(lam, nu), _conjugation(lam.size))
 
 
-def jacobi_trudi(mu: Partition, *, bound: int = JACOBI_TRUDI_BOUND):
+def jacobi_trudi(mu: Partition):
     """Signed h-indices from the determinant det(h_{mu_i - i + j}).
 
     Returns (sign, weight) pairs, one per permutation whose indices are all
-    non-negative; zeros in the weights are kept.
+    non-negative; zeros in the weights are kept.  Raises SizeBoundError when
+    mu has more than JACOBI_TRUDI_BOUND parts.
     """
     n = len(mu)
-    if n > bound:
-        raise SizeBoundError(f"partition has {n} parts > bound {bound}")
+    if n > JACOBI_TRUDI_BOUND:
+        raise SizeBoundError(f"partition has {n} parts > bound {JACOBI_TRUDI_BOUND}")
     return list(_jacobi_trudi_terms(mu))
 
 
@@ -399,17 +400,6 @@ def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
     return _signed_chains(lam, signed, mu.text())
 
 
-def kronecker_two_row(lam: Partition, a: int, b: int) -> SchurExpansion:
-    """Kronecker product with the two-row partition (a, b) by the general
-    algorithm, which usually expands the two-term determinant +(a, b),
-    -(a+1, b-1) and may expand lam when lam's estimate is lower."""
-    if not (a >= b >= 1):
-        raise ValueError(f"need a >= b >= 1, got ({a}, {b})")
-    if a + b != lam.size:
-        raise DegreeMismatchError(f"{a} + {b} != {lam.size}")
-    return kronecker_general(lam, Partition((a, b)))
-
-
 def kronecker_one_box(lam: Partition, a: int) -> SchurExpansion:
     """Kronecker product with (a, 1): corner count and one-box moves of lam."""
     if a < 1:
@@ -460,7 +450,7 @@ def kronecker(lam: Partition, mu: Partition, method: str = "auto"):
 
     `auto` picks the cheapest applicable procedure from the shape of mu:
     one-box for (a, 1), two-row for two parts, hook for (p, 1^q), otherwise
-    the general alternating algorithm.
+    the general alternating algorithm, which two-row runs under its label.
     """
     if lam.size != mu.size:
         raise DegreeMismatchError(
@@ -480,7 +470,7 @@ def kronecker(lam: Partition, mu: Partition, method: str = "auto"):
     if method == "two-row":
         if len(mu) != 2:
             raise ValueError(f"mu = {mu.text()} is not a two-row partition")
-        return kronecker_two_row(lam, mu.parts[0], mu.parts[1]), method
+        return kronecker_general(lam, mu), method
     if method == "one-box":
         if len(mu) != 2 or mu.parts[1] != 1:
             raise ValueError(f"mu = {mu.text()} is not of the form (a, 1)")

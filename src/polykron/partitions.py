@@ -3,7 +3,9 @@
 All objects are immutable after construction and safe to share across
 threads.  Enumeration orders are deterministic (descending lexicographic for
 partitions, row-major lexicographic for matrices) so outputs are reproducible
-byte for byte.
+byte for byte.  There is one partition enumerator, `_partitions_between`,
+which lists the partitions of a size between two shapes; `partitions_of(d)`
+reads it with the bounds () and (d, ..., d).
 
 Contingency matrices are enumerated row by row.  The candidates for a row are
 the descending-lex vectors that sum to its row sum and fit under what remains
@@ -23,10 +25,7 @@ from functools import lru_cache, total_ordering
 from itertools import chain
 from operator import index
 
-from .errors import DegreeMismatchError, SizeBoundError
-
-#: Default cap on enumerate_partitions; p(30) = 5604 keeps sweeps bounded.
-PARTITION_ENUMERATION_BOUND = 30
+from .errors import DegreeMismatchError
 
 
 def _conjugate_parts(parts: tuple) -> tuple:
@@ -300,17 +299,7 @@ def partitions_of(d: int):
     """All partitions of d, descending lexicographic, as a cached tuple."""
     if d < 0:
         raise ValueError("d must be non-negative")
-    out = []
-
-    def rec(remaining, maxpart, acc):
-        if remaining == 0:
-            out.append(Partition(acc))
-            return
-        for first in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - first, first, acc + [first])
-
-    rec(d, d if d else 1, [])
-    return tuple(out)
+    return tuple(map(Partition, _partitions_between((), (d,) * d, d)))
 
 
 @lru_cache(maxsize=None)
@@ -337,18 +326,6 @@ def _partitions_between(lower: tuple, upper: tuple, size: int) -> tuple:
 
     rec(0, size, size, [])
     return tuple(out)
-
-
-def enumerate_partitions(d: int, *, bound: int = PARTITION_ENUMERATION_BOUND):
-    """All partitions of d in descending lexicographic order.
-
-    Raises SizeBoundError past the configured bound (default 30).
-    """
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    if d > bound:
-        raise SizeBoundError(f"partition enumeration requested for d={d} > bound {bound}")
-    return list(partitions_of(d))
 
 
 def enumerate_compositions(d: int, length: int):

@@ -171,17 +171,13 @@ class SchurExpansion:
         return f"SchurExpansion({self.degree}, {body})"
 
 
-def kostka(shape: Partition, content: Composition, *, strict: bool = False) -> int:
+def kostka(shape: Partition, content: Composition) -> int:
     """Number of semistandard Young tableaux of the given shape and content.
 
     The count is the coefficient of s_shape in h_content (_h_terms).  A
-    degree mismatch yields 0 by convention, or raises when `strict`.
+    degree mismatch yields 0 by convention.
     """
     if shape.size != content.degree:
-        if strict:
-            raise DegreeMismatchError(
-                f"shape has size {shape.size} but content has degree {content.degree}"
-            )
         return 0
     return _h_terms(content.sorted_parts())[_positions(shape.size)[shape.parts]]
 
@@ -193,12 +189,13 @@ def _strips(shape: list, prev, size: int, first: bool, visit) -> None:
 
     shape ends in at least one zero row, prev[r] is the number of cells the
     letter before filled in row r, with an entry for every row up to shape's
-    first zero row, and `first` says whether this is the letter 1.  Cells go in row by row from the top.  With x cells in row r
-    the word stays a lattice word iff, summed over rows <= r, the new letter
-    occurs no more often than the one before does in rows < r; the `slack` of
-    a row is that bound less what the rows above already used.  While visit
-    runs, shape holds the grown shape and cur[r] the strip's cells in row r;
-    both are restored before the next strip.
+    first zero row, and `first` says whether this is the letter 1.  Cells go
+    in row by row from the top.  With x cells in row r the word stays a
+    lattice word iff, summed over rows <= r, the new letter occurs no more
+    often than the one before does in rows < r; the `slack` of a row is that
+    bound less what the rows above already used.  While visit runs, shape
+    holds the grown shape and cur[r] the strip's cells in row r; both are
+    restored before the next strip.
     """
     old = shape[:]
     cur = [0] * len(shape)

@@ -42,7 +42,6 @@ from .internal_product import (
     kronecker_general,
     kronecker_hook,
     kronecker_one_box,
-    kronecker_two_row,
     weyl_tensor_gamma,
     weyl_tensor_wedge,
 )
@@ -124,7 +123,7 @@ def sweep_fastpath(max_d: int = 8) -> SweepResult:
                 b = d - a
                 if not (a >= b >= 1):
                     continue
-                got = kronecker_two_row(lam, a, b)
+                got = kronecker(lam, Partition([a, b]), "two-row")[0]
                 want = kronecker_oracle_expansion(lam, Partition([a, b]))
                 yield None if got == want else (
                     f"two-row lambda={lam.text()} mu=({a},{b}): {got!r} != {want!r}"
@@ -154,7 +153,7 @@ def sweep_fixture() -> SweepResult:
     }
     paths = {
         "general": kronecker_general(lam, lam),
-        "two-row": kronecker_two_row(lam, 2, 1),
+        "two-row": kronecker(lam, Partition([2, 1]), "two-row")[0],
         "one-box": kronecker_one_box(lam, 2),
         "hook": kronecker_hook(lam, 2, 1),
     }

@@ -12,6 +12,8 @@ RETIRED = {
     "kronecker_oracle": "kronecker_oracle_expansion(lam, mu).coefficient(alpha)",
     "enumerate_contingency": "list(iter_contingency(mu, lam))",
     "conjugate_expansion": "SchurExpansion.conjugate()",
+    "kronecker_two_row": 'kronecker(lam, Partition((a, b)), "two-row")[0]',
+    "enumerate_partitions": "list(partitions_of(d))",
 }
 MODULES = ("partitions", "schur", "characters", "internal_product", "sweeps", "cli")
 

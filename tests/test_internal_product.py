@@ -23,7 +23,6 @@ from polykron import (
     kronecker_hook,
     kronecker_one_box,
     kronecker_oracle_expansion,
-    kronecker_two_row,
     partitions,
     schur,
     weyl_tensor_gamma,
@@ -204,7 +203,6 @@ class TestJacobiTrudi:
     def test_bound(self):
         with pytest.raises(SizeBoundError):
             jacobi_trudi(Partition([1] * 13))
-        assert jacobi_trudi(Partition([1] * 13), bound=13)
 
     def test_roundtrip_small(self):
         for d in range(0, 7):
@@ -341,37 +339,42 @@ class TestResolutionChoice:
                 yield term
 
         monkeypatch.setattr(internal_product, "_jacobi_trudi_terms", spy)
-        seen = self.chained(
-            monkeypatch, lam, 12, run=False, product=lambda a, b: kronecker_two_row(a, b, b)
-        )
+        seen = self.chained(monkeypatch, lam, P(12, 12), run=False)
         assert seen == [(lam, P(12, 12).text())]
         assert read.count(P(12, 12)) == 2
         assert read.count(lam) == 2
 
 
 class TestKroneckerTwoRow:
+    """The two-row method runs kronecker_general under its own label."""
+
+    def two_row(self, lam, mu):
+        got, method = kronecker(lam, mu, "two-row")
+        assert method == "two-row"
+        return got
+
     def test_staircase(self):
-        got = kronecker_two_row(P(2, 1), 2, 1)
+        got = self.two_row(P(2, 1), P(2, 1))
         assert got.terms == {P(3): 1, P(2, 1): 1, P(1, 1, 1): 1}
 
     def test_trivial_lambda(self):
         for (a, b) in [(3, 1), (2, 2), (4, 3)]:
-            got = kronecker_two_row(Partition([a + b]), a, b)
+            got = self.two_row(Partition([a + b]), P(a, b))
             assert got.terms == {P(a, b): 1}
 
     def test_square_fixture(self):
         # frozen from the character-sum oracle at d=4
-        got = kronecker_two_row(P(2, 2), 2, 2)
+        got = self.two_row(P(2, 2), P(2, 2))
         assert got.terms == {P(4): 1, P(2, 2): 1, P(1, 1, 1, 1): 1}
         assert got == kronecker_oracle_expansion(P(2, 2), P(2, 2))
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            kronecker_two_row(P(3), 1, 2)
+            kronecker(P(3), P(3), "two-row")
         with pytest.raises(ValueError):
-            kronecker_two_row(P(3), 3, 0)
+            kronecker(P(3), P(1, 1, 1), "two-row")
         with pytest.raises(DegreeMismatchError):
-            kronecker_two_row(P(3), 3, 1)
+            kronecker(P(3), P(3, 1), "two-row")
 
 
 class TestKroneckerOneBox:

@@ -8,9 +8,7 @@ from polykron import (
     ContingencyMatrix,
     DegreeMismatchError,
     Partition,
-    SizeBoundError,
     SkewShape,
-    enumerate_partitions,
     iter_contingency,
 )
 from polykron.partitions import enumerate_compositions, partitions_of
@@ -124,23 +122,47 @@ class TestOneBoxMoves:
                 assert total == len(p.one_box_moves())
 
 
+def _brute_partitions(d):
+    """Every non-increasing tuple of positive parts that sums to d, in
+    descending lexicographic order, from all compositions of d."""
+    found = set()
+    for mask in range(2 ** max(d - 1, 0)):
+        parts, run = [], 1
+        for i in range(d - 1):
+            if mask >> i & 1:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        if d:
+            parts.append(run)
+        found.add(tuple(sorted(parts, reverse=True)))
+    return sorted(found, reverse=True)
+
+
 class TestEnumeratePartitions:
     def test_degree_zero(self):
-        assert enumerate_partitions(0) == [P()]
+        assert partitions_of(0) == (P(),)
 
     def test_counts(self):
-        assert len(enumerate_partitions(4)) == 5
-        assert len(enumerate_partitions(8)) == 22
+        assert len(partitions_of(4)) == 5
+        assert len(partitions_of(8)) == 22
 
     def test_descending_lex_order(self):
         for d in range(0, 10):
-            ps = enumerate_partitions(d)
+            ps = list(partitions_of(d))
             assert ps == sorted(ps, key=lambda p: p.parts, reverse=True)
 
-    def test_bound(self):
-        with pytest.raises(SizeBoundError):
-            enumerate_partitions(31)
-        assert len(enumerate_partitions(31, bound=31)) > 0
+    def test_matches_a_brute_force(self):
+        for d in range(0, 13):
+            assert [p.parts for p in partitions_of(d)] == _brute_partitions(d), d
+
+    def test_larger_counts(self):
+        assert [len(partitions_of(d)) for d in (20, 25, 30)] == [627, 1958, 5604]
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError):
+            partitions_of(-1)
 
 
 class TestComposition:

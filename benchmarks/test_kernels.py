@@ -5,10 +5,11 @@ character row, Kostka numbers, the contingency enumerator (public matrices
 and bare rows tuples) and its divided-power product, cold and warm.
 
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``
-run collects only ``tests/``.  A cold round clears every kernel memo first,
-so it pays for all the LR products the call needs; a warm round is answered
-by memos that an untimed call filled.  The d = 18 and d = 20 cases compare
-the general algorithm with the oracle it is checked against.
+run collects only ``tests/``.  A cold round empties every memo table in the
+registry first (``_memo.clear_all``), so it pays for all the LR products the
+call needs; a warm round is answered by memos that an untimed call filled.
+The d = 18 and d = 20 cases compare the general algorithm with the oracle it
+is checked against.
 """
 
 import pytest
@@ -17,45 +18,25 @@ from polykron import (
     Composition,
     Partition,
     SkewShape,
-    characters,
     gamma_tensor_gamma,
-    internal_product,
     iter_contingency,
     jacobi_trudi,
     kostka,
     kronecker_general,
     kronecker_oracle_expansion,
-    partitions,
-    schur,
     skew_schur_expansion,
     weyl_tensor_wedge,
 )
+from polykron._memo import clear_all
 from polykron.characters import character_row
 from polykron.internal_product import _chain_sum, _gamma_steps
 from polykron.partitions import _contingency_rows, partitions_of
 from polykron.schur import _product_terms
 
-MEMOS = {
-    id(fn): fn
-    for module in (partitions, schur, characters, internal_product)
-    for fn in vars(module).values()
-    if hasattr(fn, "cache_clear")
-}.values()
-
-
-def clear_memos():
-    # Every lru_cache memo, the character rows and strip removals included.
-    for fn in MEMOS:
-        fn.cache_clear()
-    # The two memo dicts that the CLI's --cache file saves; the oracle's
-    # character table is most of its cold cost.
-    characters._MN_CACHE.clear()
-    schur._LR_CACHE.clear()
-
 
 def measure(benchmark, mode, fn, *args):
     if mode == "cold":
-        return benchmark.pedantic(fn, args=args, setup=clear_memos, rounds=3)
+        return benchmark.pedantic(fn, args=args, setup=clear_all, rounds=3)
     fn(*args)
     return benchmark(fn, *args)
 
@@ -111,7 +92,7 @@ def test_product_terms_then_its_conjugate(benchmark, mu, nu):
     # Cold, one walk answers both calls: the conjugate pair reads it through
     # the conjugation permutation, so the gap to the cold test_product_terms
     # case is the redirect's cost.
-    benchmark.pedantic(product_then_conjugate, args=(mu, nu), setup=clear_memos, rounds=3)
+    benchmark.pedantic(product_then_conjugate, args=(mu, nu), setup=clear_all, rounds=3)
 
 
 @MODES

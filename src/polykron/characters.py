@@ -6,36 +6,33 @@ dimensions from hook lengths, and every multiplicity formula is an exact
 class-function inner product.  All divisions are exact; a nonzero remainder
 raises instead of rounding.
 
-The recursion runs on `parts` tuples and builds no Partition: `_chi` memoises
-each value in `_MN_CACHE` under (lam parts, rho parts), and `_strip_removals`
-memoises the strips of each (shape, length), which every cycle type that
-starts with that length shares.  `character_row(parts)` is one irreducible
-character as a tuple aligned with `partitions_of(d)`; `mn_character` is the
-public query and reads the same memo.
+The recursion runs on `parts` tuples and builds no Partition.
+`character_row(parts)` is one irreducible character as a tuple aligned with
+`partitions_of(d)`; `mn_character` is the public query and reads the same
+values.  The module's memos, `_MN_CACHE` included, are registered in `_memo`.
 
 A decomposition needs one class sum per target partition, and all of them
 share the same factors.  So `kronecker_oracle_expansion` and
 `internal_h_oracle` first compute the per-class weights w[rho] (class size
 times the fixed characters) once per call, and then take one dot product with
-the character row of each target.  Class sizes are memoised per cycle type.
-The values of a permutation character are memoised per descending nonzero
-block sizes, as the tuple `perm_row(blocks)` aligned with `partitions_of(d)`:
-the value of the permutation character of a weight nu at the i-th cycle type
-is `perm_row(nu.sorted_parts())[i]`.
+the character row of each target.  A permutation character is the tuple
+`perm_row(blocks)` aligned with `partitions_of(d)`: the value of the
+permutation character of a weight nu at the i-th cycle type is
+`perm_row(nu.sorted_parts())[i]`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial
 from operator import mul
 
+from ._memo import MEMOS, memo
 from .errors import ConsistencyError, DegreeMismatchError
 from .partitions import Composition, Partition, partitions_of
 from .schur import SchurExpansion
 
 # A dict rather than an lru_cache because the CLI's --cache file saves it.
-_MN_CACHE: dict[tuple, int] = {}
+_MN_CACHE: dict[tuple, int] = MEMOS.setdefault("characters._MN_CACHE", {})
 
 
 def centralizer_order(rho: Partition) -> int:
@@ -49,7 +46,7 @@ def centralizer_order(rho: Partition) -> int:
     return z
 
 
-@lru_cache(maxsize=None)
+@memo
 def class_size(rho: Partition) -> int:
     """Number of permutations with cycle type rho: d!/z_rho."""
     d = rho.size
@@ -60,7 +57,7 @@ def class_size(rho: Partition) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
+@memo
 def _strip_removals(parts: tuple, length: int) -> tuple:
     """The (sign, smaller parts) pairs of the border strips of this length.
 
@@ -115,7 +112,7 @@ def mn_character(lam: Partition, rho: Partition) -> int:
     return _chi(lam.parts, rho.parts)
 
 
-@lru_cache(maxsize=None)
+@memo
 def character_row(parts: tuple) -> tuple:
     """The irreducible character of the partition with these parts, as a
     tuple aligned with partitions_of(sum(parts)); the tuple is the memo's own.
@@ -168,7 +165,7 @@ def _perm_value(blocks: tuple, rho_parts: tuple) -> int:
     return distribute(0, blocks)
 
 
-@lru_cache(maxsize=None)
+@memo
 def perm_row(blocks: tuple) -> tuple:
     """The permutation character of the block sizes, as a tuple aligned with
     partitions_of(sum(blocks)).

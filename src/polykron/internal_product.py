@@ -7,15 +7,15 @@ multiplicities are sums of products of Littlewood-Richardson coefficients,
 indexed by chains of nested partitions.  Combining that filtration with the
 Jacobi-Trudi determinant gives symmetric-group Kronecker multiplicities in
 characteristic zero, with fast procedures when one factor is a hook or
-(a, 1).
+(a, 1).  The module's memos are registered in `_memo`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from itertools import chain
 
+from ._memo import memo
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
 from .partitions import (
     Composition,
@@ -166,7 +166,7 @@ def exponential_tensor(
     return ExpDecomposition._trusted(family, _contingency_weights(left.weight, right.weight))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _steps(*pairs) -> tuple:
     """Canonical chain steps: the nonzero (size, family) pairs, smallest first.
 
@@ -222,7 +222,7 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def _chain_sum(lam: tuple, terms: tuple) -> dict:
     """The sum of sign * (the table that _step folded over steps makes of
     {(): s_()}) over the (sign, steps) terms, zeros dropped.

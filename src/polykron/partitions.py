@@ -13,18 +13,19 @@ of the column sums; `_row_vectors` builds them once per (row sum, remainder)
 and memoises each with what remains after it, so no remainder is computed
 per matrix.  The last row is the remainder itself, so only rows 0..n-3
 recurse, yielding (prefix, remainder), and row n-2 closes each matrix in a
-flat loop.  The memo's vectors are `_shared`: equal vectors are one object.
-That core, `_contingency_rows`, works on plain tuples and yields each matrix
-as its rows tuple; `iter_contingency` wraps each one in a ContingencyMatrix,
-and callers that only flatten or count the matrices read the tuples.
+flat loop.  That core, `_contingency_rows`, works on plain tuples and yields
+each matrix as its rows tuple; `iter_contingency` wraps each one in a
+ContingencyMatrix, and callers that only flatten or count the matrices read
+the tuples.  The module's memos are registered in `_memo`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 from itertools import chain
 from operator import index
 
+from ._memo import memo
 from .errors import DegreeMismatchError
 
 
@@ -85,6 +86,8 @@ class Partition:
         return self._hash
 
     def __lt__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
         return self.parts < other.parts
 
     def __repr__(self):
@@ -294,7 +297,7 @@ class ContingencyMatrix:
         return f"ContingencyMatrix({[list(r) for r in self.rows]})"
 
 
-@lru_cache(maxsize=None)
+@memo
 def partitions_of(d: int):
     """All partitions of d, descending lexicographic, as a cached tuple."""
     if d < 0:
@@ -302,7 +305,7 @@ def partitions_of(d: int):
     return tuple(map(Partition, _partitions_between((), (d,) * d, d)))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _partitions_between(lower: tuple, upper: tuple, size: int) -> tuple:
     """Partitions beta with lower <= beta <= upper cell-wise and |beta| = size,
     in descending lexicographic order, the order of partitions_of(size)."""
@@ -347,14 +350,14 @@ def enumerate_compositions(d: int, length: int):
     return out
 
 
-@lru_cache(maxsize=None)
+@memo
 def _shared(vector: tuple) -> tuple:
     """The one stored copy of a row or remainder vector: the pair memo holds
     thousands of entries but only hundreds of distinct vectors."""
     return vector
 
 
-@lru_cache(maxsize=None)
+@memo
 def _row_vectors(need: int, rem: tuple) -> tuple:
     """All pairs (x, rem - x) with 0 <= x_j <= rem_j and sum(x) = need,
     descending lex in x.  Both vectors of a pair are `_shared`."""

@@ -34,16 +34,15 @@ Kostka numbers come from the same product memo: K(lam, nu) is the
 coefficient of s_lam in h_nu = s_(nu_1) * s_(nu_2) * ... (Pieri), which
 `_h_terms` multiplies out one row at a time.  A Kostka number does not change
 when the content is permuted, so `kostka` passes the nonzero entries in
-descending order and contents with one multiset share a memo entry.  Each
-kernel is an `lru_cache(maxsize=None)` function, so `cache_info()` and
-`cache_clear()` report and reset its memo.
+descending order and contents with one multiset share a memo entry.  The
+module's memos, `_LR_CACHE` included, are registered in `_memo`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 
+from ._memo import MEMOS, memo
 from .errors import DegreeMismatchError
 from .partitions import (
     Composition,
@@ -56,16 +55,16 @@ from .partitions import (
 )
 
 # A dict rather than an lru_cache because the CLI's --cache file saves it.
-_LR_CACHE: dict[tuple, int] = {}
+_LR_CACHE: dict[tuple, int] = MEMOS.setdefault("schur._LR_CACHE", {})
 
 
-@lru_cache(maxsize=None)
+@memo
 def _positions(d: int) -> dict:
     """parts tuple -> its position in partitions_of(d)."""
     return {p.parts: i for i, p in enumerate(partitions_of(d))}
 
 
-@lru_cache(maxsize=None)
+@memo
 def _conjugation(d: int) -> tuple:
     """position in partitions_of(d) -> the position of its conjugate."""
     pos = _positions(d)
@@ -132,6 +131,8 @@ class SchurExpansion:
         return SchurExpansion(self.degree, {p.conjugate(): c for p, c in self.terms.items()})
 
     def __add__(self, other):
+        if not isinstance(other, SchurExpansion):
+            return NotImplemented
         if self.degree != other.degree:
             raise DegreeMismatchError("cannot add expansions of different degrees")
         acc = dict(self.terms)
@@ -229,7 +230,7 @@ def _strips(shape: list, prev, size: int, first: bool, visit) -> None:
     row(0, size, size if first else 0)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _last_strips(shape: tuple, prev: tuple, size: int, first: bool) -> tuple:
     """The positions in partitions_of(|shape| + size) of the shapes that the
     last letter's strip of `size` cells reaches from `shape` (see _strips).
@@ -283,7 +284,7 @@ def _walk_order(mu: tuple, nu: tuple) -> tuple:
     return (len(nu), len(mu), nu, mu)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _product_terms(mu: tuple, nu: tuple) -> tuple:
     """(i, c^lam_{mu,nu}) pairs, i ascending, over the positions i in
     partitions_of(|mu| + |nu|) of the lam with a nonzero coefficient.
@@ -310,7 +311,7 @@ def _coefficient(terms: tuple, at: int) -> int:
     return terms[k][1] if k < len(terms) and terms[k][0] == at else 0
 
 
-@lru_cache(maxsize=None)
+@memo
 def _skew_terms(outer: tuple, inner: tuple) -> dict:
     """{i: c^outer_{inner,beta}} over the positions i in
     partitions_of(|outer| - |inner|) of the beta with a nonzero coefficient,
@@ -341,7 +342,7 @@ def _add_product(acc: list, left: dict, degree: int, nu: tuple, weight: int = 1)
             acc[i] += w * c
 
 
-@lru_cache(maxsize=None)
+@memo
 def _h_terms(content: tuple) -> tuple:
     """The Schur terms of h_content, as a tuple aligned with
     partitions_of(|content|): the entry at lam is K(lam, content).  The last

@@ -21,6 +21,7 @@ from polykron import (
     lr_oracle,
     mn_character,
 )
+from polykron._memo import clear_all
 from polykron.characters import character_row, perm_row
 from polykron.partitions import enumerate_compositions, partitions_of
 
@@ -77,12 +78,6 @@ def reference_character(lam, rho, memo):
             for sign, smaller in _reference_strip_removals(lam.parts, rho.parts[0])
         )
     return memo[key]
-
-
-def clear_character_memos():
-    characters._MN_CACHE.clear()
-    characters.character_row.cache_clear()
-    characters._strip_removals.cache_clear()
 
 
 def kronecker_class_sum(lam, mu, alpha):
@@ -171,12 +166,12 @@ def test_mn_character_matches_the_reference_cold_and_warm(d, seed):
     want = {(lam, rho): reference_character(lam, rho, memo) for lam in shapes for rho in shapes}
     order = list(want)
     Random(seed).shuffle(order)
-    clear_character_memos()
+    clear_all()
     assert [mn_character(lam, rho) for lam, rho in order] == [want[k] for k in order]
     assert [mn_character(lam, rho) for lam, rho in order] == [want[k] for k in order]
     for lam in shapes:
         assert character_row(lam.parts) == tuple(want[lam, rho] for rho in shapes)
-    clear_character_memos()
+    clear_all()
     for lam in shapes:
         assert character_row(lam.parts) == tuple(want[lam, rho] for rho in shapes)
 

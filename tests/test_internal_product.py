@@ -11,7 +11,6 @@ from polykron import (
     Partition,
     SizeBoundError,
     UndefinedProductError,
-    characters,
     exponential_tensor,
     gamma_tensor_gamma,
     hook_mixed,
@@ -23,11 +22,11 @@ from polykron import (
     kronecker_hook,
     kronecker_one_box,
     kronecker_oracle_expansion,
-    partitions,
     schur,
     weyl_tensor_gamma,
     weyl_tensor_wedge,
 )
+from polykron._memo import clear_all
 from polykron.internal_product import _chain_terms, _gamma_steps
 from polykron.partitions import partitions_of
 from polykron.schur import kostka
@@ -256,16 +255,6 @@ def _estimate(expanded, chain):
     return _chain_terms(jacobi_trudi(expanded), chain)[1]
 
 
-# Every lru memo of the kernels.  kronecker_general reads no memo dict, so
-# clearing these leaves it as cold as a cold round of the microbenchmarks.
-KERNEL_MEMOS = [
-    fn
-    for module in (partitions, schur, characters, internal_product)
-    for fn in vars(module).values()
-    if hasattr(fn, "cache_clear")
-]
-
-
 class TestResolutionChoice:
     """kronecker_general expands the factor whose Jacobi-Trudi terms have the
     lower chain estimate along the other, and mu on a tie."""
@@ -285,8 +274,7 @@ class TestResolutionChoice:
 
     def test_the_estimate_reads_shapes_only(self, monkeypatch):
         lam, mu = P(9, 3, 2, 1), P(4, 4, 4, 3)
-        for fn in KERNEL_MEMOS:
-            fn.cache_clear()
+        clear_all()
         assert _estimate(mu, lam) == 358
         assert _estimate(lam, mu) == 81
         assert self.chained(monkeypatch, lam, mu, run=False) == [(mu, lam.text())]
@@ -300,15 +288,13 @@ class TestResolutionChoice:
         lam, mu = P(9, 3, 2, 1), P(4, 4, 4, 3)
         want = kronecker_oracle_expansion(lam, mu)
         for a, b in ((lam, mu), (mu, lam)):
-            for fn in KERNEL_MEMOS:
-                fn.cache_clear()
+            clear_all()
             assert self.chained(monkeypatch, a, b) == [(mu, lam.text())]
             assert kronecker_general(a, b) == want
         # Cold, chaining mu's terms along lam takes over four times the LR
         # products.
         chosen = schur._product_terms.cache_info().misses
-        for fn in KERNEL_MEMOS:
-            fn.cache_clear()
+        clear_all()
         internal_product._signed_chains(lam, _signed_steps(mu), mu.text())
         assert schur._product_terms.cache_info().misses > 4 * chosen
 

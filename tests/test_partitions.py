@@ -73,6 +73,13 @@ class TestPartition:
         assert not P(3).contains(P(1, 1))
         assert P().contains(P())
 
+    def test_ordering_with_a_foreign_type_raises_type_error(self):
+        for other in ((1,), 3):
+            with pytest.raises(TypeError):
+                P(1) < other
+            with pytest.raises(TypeError):
+                P(2, 1) >= other
+
 
 class TestOuterCorners:
     def test_two_corners(self):

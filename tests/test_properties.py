@@ -11,6 +11,7 @@ inputs beyond the sweep bounds, and of the kernel memos."""
 
 from collections import Counter
 from functools import lru_cache, partial
+from importlib import import_module
 from itertools import accumulate, chain, permutations, product
 
 from hypothesis import example, given, settings
@@ -42,6 +43,7 @@ from polykron import (
     weyl_tensor_gamma,
     weyl_tensor_wedge,
 )
+from polykron._memo import MEMOS, clear_all
 from polykron.internal_product import _chain_sum, _gamma_steps, _step
 from polykron.partitions import partitions_of
 from polykron.schur import _last_strips, _lr_tally, _product_terms, _skew_terms
@@ -619,29 +621,47 @@ def test_every_resolution_agrees_with_kronecker_general(pair):
 
 
 def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
-    memos = {
-        id(fn): fn
-        for module in (partitions, schur, characters, internal_product)
-        for fn in vars(module).values()
-        if hasattr(fn, "cache_clear")
-    }.values()
-    names = {fn.__name__ for fn in memos}
-    assert names == {
-        "partitions_of", "_row_vectors", "_positions", "_h_terms", "_last_strips",
-        "_product_terms", "_skew_terms", "class_size", "perm_row", "_partitions_between",
-        "_steps", "_chain_sum", "_shared", "character_row", "_strip_removals",
-        "_conjugation",
+    assert set(MEMOS) == {
+        "partitions.partitions_of", "partitions._row_vectors", "partitions._shared",
+        "partitions._partitions_between", "schur._positions", "schur._conjugation",
+        "schur._h_terms", "schur._last_strips", "schur._product_terms", "schur._skew_terms",
+        "schur._LR_CACHE", "characters.class_size", "characters.perm_row",
+        "characters.character_row", "characters._strip_removals", "characters._MN_CACHE",
+        "internal_product._steps", "internal_product._chain_sum",
     }
     lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
     before, _ = kronecker(lam, mu)
-    for fn in memos:
-        fn.cache_clear()
-    assert all(fn.cache_info().currsize == 0 for fn in memos)
+    # Only these queries fill the two tables that --cache saves.
+    lr_coeff(Partition([2, 1]), Partition([1]), Partition([1, 1]))
+    characters.mn_character(Partition([2, 1]), Partition([3]))
+    assert schur._LR_CACHE and characters._MN_CACHE
+    clear_all()
+    assert not schur._LR_CACHE and not characters._MN_CACHE
+    assert all(t.cache_info().currsize == 0 for t in MEMOS.values() if not isinstance(t, dict))
     assert kronecker(lam, mu)[0] == before
     # A repeated call is answered from the memo of grouped chain sums.
     hits = internal_product._chain_sum.cache_info().hits
     assert kronecker(lam, mu)[0] == before
     assert internal_product._chain_sum.cache_info().hits > hits
+
+
+def test_every_kernel_memo_is_a_registered_bare_lru_cache(monkeypatch):
+    def unregistered():
+        modules = (partitions, schur, characters, internal_product)
+        found = [fn for m in modules for fn in vars(m).values() if hasattr(fn, "cache_clear")]
+        return [fn for fn in found if not any(fn is table for table in MEMOS.values())]
+
+    assert unregistered() == []
+    # memo returns the lru_cache object itself: each module holds its entry as is.
+    bare = type(lru_cache(maxsize=None)(lambda: 0))
+    for name, table in MEMOS.items():
+        module, attr = name.split(".")
+        assert getattr(import_module(f"polykron.{module}"), attr) is table, name
+        assert isinstance(table, dict) or type(table) is bare, name
+    # A memo that skips the registry is caught.
+    stray = lru_cache(maxsize=None)(lambda: 0)
+    monkeypatch.setattr(schur, "_stray", stray, raising=False)
+    assert unregistered() == [stray]
 
 
 @PROPERTY

@@ -75,6 +75,14 @@ class TestSchurExpansion:
         with pytest.raises(DegreeMismatchError):
             S({P(2): 1}) + S({P(3): 1})
 
+    def test_adding_a_foreign_type_raises_type_error(self):
+        e = SchurExpansion(3, {(3,): 1})
+        for other in (0, P(3)):
+            with pytest.raises(TypeError):
+                e + other
+            with pytest.raises(TypeError):
+                e - other
+
     def test_items_descending_lex(self):
         e = S({P(1, 1, 1): 1, P(3): 1, P(2, 1): 5})
         assert [p for p, _ in e.items()] == [P(3), P(2, 1), P(1, 1, 1)]

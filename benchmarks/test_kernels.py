@@ -2,7 +2,8 @@
 product, the LR product kernel and its conjugate redirect, skew Schur
 expansions, the character oracle and one
 character row, Kostka numbers, the contingency enumerator (public matrices
-and bare rows tuples) and its divided-power product, cold and warm.
+and bare rows tuples) and its divided-power product, cold and warm, and a
+cold contingency sweep.
 
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``
 run collects only ``tests/``.  A cold round empties every memo table in the
@@ -25,6 +26,7 @@ from polykron import (
     kronecker_general,
     kronecker_oracle_expansion,
     skew_schur_expansion,
+    sweeps,
     weyl_tensor_wedge,
 )
 from polykron._memo import clear_all
@@ -172,6 +174,16 @@ def test_contingency_count(benchmark, mode, mu, lam):
 def test_contingency_rows_count(benchmark, mode, mu, lam):
     # The rows tuples alone, as the contingency sweep counts them.
     measure(benchmark, mode, count_rows, mu, lam)
+
+
+def test_sweep_contingency(benchmark):
+    # Cold, a smaller contingency sweep: count pairs up to d = 7, character
+    # pairs up to d = 5, with the Kostka rows and row-vector pairs rebuilt.
+    result = benchmark.pedantic(
+        sweeps.sweep_contingency, kwargs={"count_max_d": 7, "char_max_d": 5},
+        setup=clear_all, rounds=3,
+    )
+    assert result.ok
 
 
 @MODES

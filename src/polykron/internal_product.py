@@ -13,7 +13,7 @@ characteristic zero, with fast procedures when one factor is a hook or
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 
 from ._memo import memo
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
@@ -116,11 +116,8 @@ def _contingency_weights(mu: Composition, lam: Composition) -> tuple:
     """The row-major flattening of every matrix with margins mu and lam, in
     the order of iter_contingency, built from the rows tuples alone."""
     d = _margin_degree(mu, lam)
-    trusted = Composition._trusted
-    return tuple(
-        trusted(tuple(chain.from_iterable(rows)), d)
-        for rows in _contingency_rows(mu.entries, lam.entries)
-    )
+    rows = _contingency_rows(mu.entries, lam.entries)
+    return tuple(map(Composition._trusted, map(tuple, map(chain.from_iterable, rows)), repeat(d)))
 
 
 def gamma_tensor_gamma(mu: Composition, lam: Composition) -> ExpDecomposition:

@@ -11,12 +11,13 @@ Contingency matrices are enumerated row by row.  The candidates for a row are
 the descending-lex vectors that sum to its row sum and fit under what remains
 of the column sums; `_row_vectors` builds them once per (row sum, remainder)
 and memoises each with what remains after it, so no remainder is computed
-per matrix.  The last row is the remainder itself, so only rows 0..n-3
-recurse, yielding (prefix, remainder), and row n-2 closes each matrix in a
-flat loop.  That core, `_contingency_rows`, works on plain tuples and yields
-each matrix as its rows tuple; `iter_contingency` wraps each one in a
-ContingencyMatrix, and callers that only flatten or count the matrices read
-the tuples.  The module's memos are registered in `_memo`.
+per matrix.  The last row is the remainder itself, so only rows 0..n-3 are
+walked, depth first in one generator frame with an iterator of pairs per row
+and one prefix list, and row n-2 closes each prefix in a flat loop.  That
+core, `_contingency_rows`, works on plain tuples and yields each matrix as
+its rows tuple; `iter_contingency` wraps each one in a ContingencyMatrix,
+and callers that only flatten or count the matrices read the tuples.  The
+module's memos are registered in `_memo`.
 """
 
 from __future__ import annotations
@@ -402,31 +403,38 @@ def _contingency_rows(sums: tuple, cols: tuple):
     sums `cols`, in descending row-major lexicographic order; the caller
     guarantees that both margins have one degree.
 
-    Rows 0..n-3 come depth first from the memoised `_row_vectors` pairs as
-    (prefix, remainder); each matrix is then closed in one flat loop by a
-    pair of that remainder, whose row is row n-2 and whose remainder is row
-    n-1.  Depth first keeps the generator lazy: a list of all prefixes of
-    (6^5) x (6^5) would hold millions.
+    Rows 0..n-3 are walked depth first in this one frame: `its[i]` iterates
+    the memoised `_row_vectors` pairs of row i under what rows 0..i-1 left,
+    and `rows` holds the current prefix.  Each prefix is then closed in one
+    flat loop by a pair of its remainder, whose row is row n-2 and whose
+    remainder is row n-1.  Depth first keeps the generator lazy, with O(n)
+    state: a list of all prefixes of (6^5) x (6^5) would hold millions.
     """
     n = len(sums)
     if n < 2:
         yield (cols,) if n else ()
         return
     close = n - 2
-
-    def prefixes(i, prefix, rem):
-        pairs = _row_vectors(sums[i], rem)
-        if i + 1 < close:
-            for row, rest in pairs:
-                yield from prefixes(i + 1, prefix + (row,), rest)
-        else:  # row close - 1 yields its prefixes without a frame each
-            for row, rest in pairs:
-                yield prefix + (row,), rest
-
     need = sums[close]
-    for prefix, rem in prefixes(0, (), cols) if close else [((), cols)]:
-        for pair in _row_vectors(need, rem):
-            yield prefix + pair
+    if not close:
+        yield from _row_vectors(need, cols)
+        return
+    last = close - 1
+    rows = [()] * close
+    its = [iter(_row_vectors(sums[0], cols))] + [None] * last
+    i = 0
+    while i >= 0:
+        for row, rest in its[i]:
+            rows[i] = row
+            if i < last:  # descend; the while resumes at row i + 1
+                i += 1
+                its[i] = iter(_row_vectors(sums[i], rest))
+                break
+            prefix = tuple(rows)
+            for pair in _row_vectors(need, rest):
+                yield prefix + pair
+        else:  # row i is exhausted; resume row i - 1
+            i -= 1
 
 
 def iter_contingency(mu: Composition, lam: Composition):

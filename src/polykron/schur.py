@@ -141,6 +141,8 @@ class SchurExpansion:
         return SchurExpansion(self.degree, acc)
 
     def __sub__(self, other):
+        if not isinstance(other, SchurExpansion):
+            return NotImplemented
         return self + (-1) * other
 
     def __mul__(self, scalar: int):

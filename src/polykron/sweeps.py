@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import wraps
 from math import factorial
-from operator import mul
+from operator import add, mul
 
 from .characters import (
     class_size,
@@ -46,6 +46,7 @@ from .internal_product import (
     weyl_tensor_wedge,
 )
 from .partitions import (
+    Composition,
     Partition,
     _contingency_rows,
     enumerate_compositions,
@@ -169,28 +170,43 @@ def sweep_contingency(
     character identity holds for the divided-power product (the latter up to
     the smaller of the two degree bounds)."""
     for d in range(0, count_max_d + 1):
-        weights = _weights_up_to(d, max_parts)
         parts_d = partitions_of(d)
-        kostkas = {w: [kostka(v, w) for v in parts_d] for w in weights}
-        for mu in weights:
-            for lam in weights:
-                count = sum(1 for _ in _contingency_rows(mu.entries, lam.entries))
-                rsk = sum(map(mul, kostkas[mu], kostkas[lam]))
-                yield None if count == rsk else (
-                    f"count mu={mu.text()} lambda={lam.text()}: {count} != {rsk}"
+        # One Kostka row per weight, each weight with the index of its row;
+        # the RSK dot product is computed once per pair of distinct rows.
+        index = {}
+        weights = [
+            (w, index.setdefault(tuple(kostka(v, w) for v in parts_d), len(index)))
+            for w in _weights_up_to(d, max_parts)
+        ]
+        rsk = [[sum(map(mul, a, b)) for b in index] for a in index]
+        for mu, i in weights:
+            rsk_mu, sums = rsk[i], mu.entries
+            for lam, j in weights:
+                count = 0
+                for count, _ in enumerate(_contingency_rows(sums, lam.entries), 1):
+                    pass
+                yield None if count == rsk_mu[j] else (
+                    f"count mu={mu.text()} lambda={lam.text()}: {count} != {rsk_mu[j]}"
                 )
     for d in range(0, min(char_max_d, count_max_d) + 1):
-        weights = _weights_up_to(d, max_parts)
-        rows = {w: perm_row(w.sorted_parts()) for w in weights}
-        for mu in weights:
-            for lam in weights:
-                product = list(map(mul, rows[mu], rows[lam]))
+        # Each weight with the index of its blocks; the product of two
+        # permutation characters is computed once per pair of block tuples.
+        index = {}
+        weights = [
+            (w, index.setdefault(w.sorted_parts(), len(index)))
+            for w in _weights_up_to(d, max_parts)
+        ]
+        products = [[list(map(mul, perm_row(a), perm_row(b))) for b in index] for a in index]
+        for mu, i in weights:
+            products_mu = products[i]
+            for lam, j in weights:
+                product = products_mu[j]
                 acc = [0] * len(product)
                 # The character depends only on the block sizes, so each
                 # distinct one is added once, times its multiplicity.
                 summands = gamma_tensor_gamma(mu, lam).summands
-                for blocks, k in Counter(nu.sorted_parts() for nu in summands).items():
-                    acc = [a + k * v for a, v in zip(acc, perm_row(blocks))]
+                for blocks, k in Counter(map(Composition.sorted_parts, summands)).items():
+                    acc = list(map(add, acc, map(k.__mul__, perm_row(blocks))))
                 yield None if acc == product else (
                     f"characters mu={mu.text()} lambda={lam.text()}"
                 )

@@ -7,7 +7,8 @@ LR walk they replaced, beyond the oracle's bound, of the grouped chain sums
 against the plain fold of each chain, of every Jacobi-Trudi resolution of a
 Kronecker product against the one kronecker_general picks, of the contingency
 enumerator and its row-vector pairs against independent counts, on random
-inputs beyond the sweep bounds, and of the kernel memos."""
+inputs beyond the sweep bounds, of the contingency enumerator against the
+recursive walk it replaced, and of the kernel memos."""
 
 from collections import Counter
 from functools import lru_cache, partial
@@ -45,7 +46,7 @@ from polykron import (
 )
 from polykron._memo import MEMOS, clear_all
 from polykron.internal_product import _chain_sum, _gamma_steps, _step
-from polykron.partitions import partitions_of
+from polykron.partitions import enumerate_compositions, partitions_of
 from polykron.schur import _last_strips, _lr_tally, _product_terms, _skew_terms
 
 # Reproducible draws, and no example database written next to the tests.
@@ -697,6 +698,61 @@ def test_contingency_order_matches_brute_force_with_empty_margins(pair):
     want = _brute_force_matrices(mu, lam)
     assert [m.rows for m in iter_contingency(mu, lam)] == want
     assert list(partitions._contingency_rows(mu.entries, lam.entries)) == want
+
+
+def _recursive_contingency_rows(sums, cols):
+    """The rows tuples of every matrix with row sums `sums` and column sums
+    `cols`, from one nested generator per prefix row: the reference for
+    _contingency_rows, which walks rows 0..n-3 in one frame in
+    polykron.partitions."""
+    n = len(sums)
+    if n < 2:
+        yield (cols,) if n else ()
+        return
+    close = n - 2
+
+    def prefixes(i, prefix, rem):
+        pairs = partitions._row_vectors(sums[i], rem)
+        if i + 1 < close:
+            for row, rest in pairs:
+                yield from prefixes(i + 1, prefix + (row,), rest)
+        else:
+            for row, rest in pairs:
+                yield prefix + (row,), rest
+
+    need = sums[close]
+    for prefix, rem in prefixes(0, (), cols) if close else [((), cols)]:
+        for pair in partitions._row_vectors(need, rem):
+            yield prefix + pair
+
+
+def test_contingency_rows_match_the_recursive_walk():
+    # Every margin pair with d <= 6 and at most 5 parts, zeros and empty
+    # margins included, then a few 6- and 7-row pairs.
+    for d in range(7):
+        weights = [c.entries for n in range(6) for c in enumerate_compositions(d, n)]
+        for sums in weights:
+            for cols in weights:
+                want = list(_recursive_contingency_rows(sums, cols))
+                assert list(partitions._contingency_rows(sums, cols)) == want, (sums, cols)
+    for sums, cols in (
+        ((1,) * 6, (2, 2, 1, 1)),
+        ((2, 0, 1, 1, 1, 1), (3, 0, 2, 1)),
+        ((1,) * 7, (1,) * 7),
+        ((2, 1, 0, 1, 1, 1, 1), (3, 2, 1, 1)),
+        ((3, 2, 2, 1, 1, 1, 1), (1, 4, 0, 3, 2, 1)),
+    ):
+        want = list(_recursive_contingency_rows(sums, cols))
+        assert list(partitions._contingency_rows(sums, cols)) == want, (sums, cols)
+
+
+def test_contingency_rows_stay_lazy_at_seven_rows():
+    # (6^7) x (6^7) has far too many matrices to list; the first comes at once.
+    six = (6,) * 7
+    rows = partitions._contingency_rows(six, six)
+    diagonal = tuple(tuple(6 if i == j else 0 for j in range(7)) for i in range(7))
+    assert next(rows) == diagonal
+    assert next(rows)[:5] == diagonal[:5]
 
 
 @PROPERTY

@@ -83,6 +83,13 @@ class TestSchurExpansion:
             with pytest.raises(TypeError):
                 e - other
 
+    def test_subtracting_a_foreign_type_names_the_minus_operator(self):
+        e = SchurExpansion(3, {(3,): 1})
+        for other in ("ab", 0, P(3)):
+            with pytest.raises(TypeError, match="for -: 'SchurExpansion'"):
+                e - other
+        assert e - SchurExpansion(3, {(3,): 1}) == SchurExpansion(3, {})
+
     def test_items_descending_lex(self):
         e = S({P(1, 1, 1): 1, P(3): 1, P(2, 1): 5})
         assert [p for p, _ in e.items()] == [P(3), P(2, 1), P(1, 1, 1)]

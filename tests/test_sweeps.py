@@ -68,6 +68,15 @@ def test_contingency_count_fails_without_one_matrix(monkeypatch):
     assert result.failure == "count mu=2,1 lambda=1,2: 1 != 2"
 
 
+def test_contingency_count_fails_with_one_wrong_kostka_row(monkeypatch):
+    # Only the content (1,2) is wrong, not its permutation (2,1): the sweep
+    # must ask each weight's own Kostka row, not share one per block sizes.
+    _plant(monkeypatch, "kostka", (Partition([3]), LAM), lambda k: k + 1)
+    assert sweeps.sweep_contingency(count_max_d=4, char_max_d=4).line() == (
+        "contingency: FAIL (520 checks) first counterexample: count mu=3 lambda=1,2: 1 != 2"
+    )
+
+
 def test_jacobi_trudi_fails_with_one_sign_flipped(monkeypatch):
     real = sweeps.jacobi_trudi
 

@@ -1,6 +1,7 @@
 """Microbenchmarks of the Weyl chain and its dual read, the general Kronecker
-product, the LR product kernel and its conjugate redirect, skew Schur
-expansions, the character oracle and one
+product (and the costliest query of a kron-batch seed), the LR product
+kernel and its conjugate redirect, the partitions between two shapes, the
+Jacobi-Trudi terms, skew Schur expansions, the character oracle and one
 character row, Kostka numbers, the contingency enumerator (public matrices
 and bare rows tuples) and its divided-power product, cold and warm, and a
 cold contingency sweep.
@@ -32,7 +33,7 @@ from polykron import (
 from polykron._memo import clear_all
 from polykron.characters import character_row
 from polykron.internal_product import _chain_sum, _gamma_steps
-from polykron.partitions import _contingency_rows, partitions_of
+from polykron.partitions import _contingency_rows, _partitions_between, partitions_of
 from polykron.schur import _product_terms
 
 
@@ -82,6 +83,24 @@ def test_kronecker_general_either_order(benchmark, mode, lam, mu):
 )
 def test_product_terms(benchmark, mode, mu, nu):
     measure(benchmark, mode, _product_terms, mu, nu)
+
+
+def test_kronecker_general_costliest_batch_query(benchmark):
+    # The costliest query of the kron-batch workload's seed 1, from cold
+    # memos: most of its time is LR walks and chain steps.
+    lam, mu = Partition([5, 3, 3, 2, 2]), Partition([8, 3, 3, 1])
+    measure(benchmark, "cold", kronecker_general, lam, mu)
+
+
+def test_partitions_between(benchmark):
+    # The partitions of 9 inside (6,5,4), as a chain estimate or a skew
+    # expansion asks them.
+    measure(benchmark, "cold", _partitions_between, (), (6, 5, 4), 9)
+
+
+def test_jacobi_trudi(benchmark):
+    # The 144 terms of a six-row determinant; jacobi_trudi has no memo.
+    measure(benchmark, "cold", jacobi_trudi, Partition([6, 5, 4, 3, 2, 1]))
 
 
 def product_then_conjugate(mu, nu):

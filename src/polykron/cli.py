@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import characters, schur
@@ -46,14 +47,19 @@ class _InputError(ValueError):
     """Bad flag value; the message names the offending flag."""
 
 
+#: One comma-separated integer: ASCII digits with an optional leading minus,
+#: where int() would also read "1_0", "+1" and any Unicode decimal digit.
+_INTEGER = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+
+
 def _ints_from_text(text: str, flag: str):
     text = text.strip()
     if text in ("", "0"):
         return ()
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise _InputError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+    parts = text.split(",")
+    if not all(map(_INTEGER.fullmatch, parts)):
+        raise _InputError(f"{flag}: expected comma-separated integers, got {text!r}")
+    return tuple(map(int, parts))
 
 
 def parse_shape(kind, text: str, flag: str):

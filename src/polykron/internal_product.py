@@ -13,7 +13,8 @@ characteristic zero, with fast procedures when one factor is a hook or
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import add
 
 from ._memo import memo
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
@@ -215,7 +216,7 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
         target = [0] * width
         for gamma, acc in groups.items():
             _add_product(target, acc, degree, pieces[gamma].parts)
-        out[beta] = {i: c for i, c in enumerate(target) if c}
+        out[beta] = dict(compress(enumerate(target), target))
     return out
 
 
@@ -326,29 +327,46 @@ def jacobi_trudi(mu: Partition):
 
 
 def _jacobi_trudi_terms(mu: Partition):
-    """Yields the terms of jacobi_trudi(mu) in order, one at a time."""
+    """Yields the terms of jacobi_trudi(mu) in order, one at a time.
+
+    Row i admits columns j >= i - mu_i only; the thresholds increase with i,
+    so filling rows bottom-up never runs into a dead end.  The rows are
+    filled in this one generator frame: level k fills row n - 1 - k, sigma
+    holds each filled row's column, and inv[k] counts the inversions of
+    the rows below it.  The rows below i hold the used columns, and each
+    one left of j is an inversion.
+    """
     n = len(mu)
+    parts = mu.parts
+    shift = [parts[i] - i for i in range(n)]
+    start = [max(0, i - parts[i]) for i in range(n)]
     used = [False] * n
     sigma = [0] * n
-
-    # Row i admits columns j >= i - mu_i only; the thresholds increase with i,
-    # so filling rows bottom-up never runs into a dead end.  The rows below i
-    # hold the used columns, and each one left of j is an inversion.
-    def rec(k, inv):
+    inv = [0] * (n + 1)
+    k = 0
+    j = start[n - 1] if n else 0
+    while True:
         if k == n:
-            idxs = tuple(mu.parts[i] - i + sigma[i] for i in range(n))
-            yield (-1) ** inv, Composition._trusted(idxs, mu.size)
-            return
-        i = n - 1 - k
-        for j in range(max(0, i - mu.parts[i]), n):
-            if used[j]:
+            yield (-1) ** inv[n], Composition._trusted(tuple(map(add, shift, sigma)), mu.size)
+        else:
+            i = n - 1 - k
+            while j < n and used[j]:
+                j += 1
+            if j < n:
+                used[j] = True
+                sigma[i] = j
+                inv[k + 1] = inv[k] + sum(used[:j])
+                k += 1
+                j = start[i - 1] if i else 0
                 continue
-            used[j] = True
-            sigma[i] = j
-            yield from rec(k + 1, inv + sum(used[:j]))
-            used[j] = False
-
-    return rec(0, 0)
+        # Level k is exhausted, or k == n and its term was yielded: free the
+        # column of the row filled at level k - 1 and try the next one there.
+        k -= 1
+        if k < 0:
+            return
+        j = sigma[n - 1 - k]
+        used[j] = False
+        j += 1
 
 
 def _chain_terms(determinant, lam: Partition, budget=float("inf")):

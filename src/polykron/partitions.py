@@ -309,27 +309,55 @@ def partitions_of(d: int):
 @memo
 def _partitions_between(lower: tuple, upper: tuple, size: int) -> tuple:
     """Partitions beta with lower <= beta <= upper cell-wise and |beta| = size,
-    in descending lexicographic order, the order of partitions_of(size)."""
+    in descending lexicographic order, the order of partitions_of(size).
+
+    The rows are walked depth first in one frame: acc[r] is row r's current
+    part, tried from its largest value down to least[r], and `remaining` is
+    what rows r, r + 1, ... still have to hold.
+    """
     n = len(upper)
+    m = len(lower)
     below = [0] * (n + 1)  # below[r]: cells of upper in rows >= r
     for r in range(n - 1, -1, -1):
         below[r] = below[r + 1] + upper[r]
+    acc = [0] * n
+    least = [0] * n
     out = []
-
-    def rec(row, prev, remaining, acc):
-        if remaining == 0 and row >= len(lower):
-            out.append(tuple(acc))
-            return
-        if row == n:
-            return
-        lo = max(lower[row] if row < len(lower) else 1, remaining - below[row + 1])
-        for x in range(min(upper[row], prev, remaining), lo - 1, -1):
-            acc.append(x)
-            rec(row + 1, x, remaining - x, acc)
-            acc.pop()
-
-    rec(0, size, size, [])
-    return tuple(out)
+    row = 0
+    prev = remaining = size
+    while True:
+        # Give rows row, row + 1, ... their largest parts until beta is
+        # complete or a row has no part left.
+        while remaining or row < m:
+            if row == n:
+                break
+            lo = lower[row] if row < m else 1
+            if remaining - below[row + 1] > lo:
+                lo = remaining - below[row + 1]
+            hi = upper[row]
+            if prev < hi:
+                hi = prev
+            if remaining < hi:
+                hi = remaining
+            if hi < lo:
+                break
+            acc[row] = prev = hi
+            least[row] = lo
+            remaining -= hi
+            row += 1
+        else:
+            out.append(tuple(acc[:row]))
+        # Drop the rows at their least part; the row above them takes one
+        # cell fewer, and the walk goes on below it.
+        row -= 1
+        while row >= 0 and acc[row] == least[row]:
+            remaining += acc[row]
+            row -= 1
+        if row < 0:
+            return tuple(out)
+        acc[row] = prev = acc[row] - 1
+        remaining += 1
+        row += 1
 
 
 def enumerate_compositions(d: int, length: int):

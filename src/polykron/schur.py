@@ -9,7 +9,12 @@ for one coefficient at a time (the technique of Buch's lrcalc):
   placed strip by strip.  The last letter's strips depend only on the shape
   and on the strip of the letter before, and products of different factors
   often reach the same such state, so they come from one memo shared by all
-  products (`_last_strips`).  The tally counts each LR tableau once.
+  products (`_last_strips`).  The tally counts each LR tableau once.  The
+  walk makes no call per row and no closure or callback per strip:
+  `_strips` is a generator that walks the rows of one letter's strips in
+  its own frame and yields each strip, and `_lr_tally` keeps one such
+  generator per letter on a stack in its frame, as lrcalc keeps its
+  tableau walk on an explicit stack.
   c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}, so of the four
   orientations (mu, nu), (nu, mu), (mu', nu') and (nu', mu') only the first
   in `_walk_order` is walked: the content with the fewest letters, then the
@@ -41,6 +46,7 @@ module's memos, `_LR_CACHE` included, are registered in `_memo`.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress
 
 from ._memo import MEMOS, memo
 from .errors import DegreeMismatchError
@@ -185,8 +191,8 @@ def kostka(shape: Partition, content: Composition) -> int:
     return _h_terms(content.sorted_parts())[_positions(shape.size)[shape.parts]]
 
 
-def _strips(shape: list, prev, size: int, first: bool, visit) -> None:
-    """Call visit(cur) once per horizontal strip of `size` cells that the next
+def _strips(shape: list, prev, size: int, first: bool):
+    """Yield cur once per horizontal strip of `size` cells that the next
     letter can add to `shape` with the reverse reading word (right to left,
     top to bottom) still a lattice word.
 
@@ -196,9 +202,14 @@ def _strips(shape: list, prev, size: int, first: bool, visit) -> None:
     in row by row from the top.  With x cells in row r the word stays a
     lattice word iff, summed over rows <= r, the new letter occurs no more
     often than the one before does in rows < r; the `slack` of a row is that
-    bound less what the rows above already used.  While visit runs, shape
-    holds the grown shape and cur[r] the strip's cells in row r; both are
-    restored before the next strip.
+    bound less what the rows above already used.  While the consumer holds a
+    strip, shape holds the grown shape and cur[r] the strip's cells in row r;
+    both are restored before the next strip.
+
+    The rows are walked depth first in this one generator frame, with no
+    call per row: a placed row r keeps its count in cur[r], its least count
+    in low[r] and the `left` and `slack` it was entered with, and counts are
+    tried from high to low.
     """
     old = shape[:]
     cur = [0] * len(shape)
@@ -209,33 +220,60 @@ def _strips(shape: list, prev, size: int, first: bool, visit) -> None:
         room[r] = room[r + 1] + prev[r]
     # gap[r]: the most cells row r may take and stay below row r - 1
     gap = [size] + [old[r - 1] - old[r] for r in range(1, top + 1)]
-
-    def row(r, left, slack):
-        if left == 0:
-            visit(cur)
-            return
-        if left > slack + room[r]:
-            return
-        cap = left if left < slack else slack
-        if gap[r] < cap:
-            cap = gap[r]
-        # A horizontal strip puts at most old[r] cells below row r.
-        low = left - old[r]
-        for x in range(cap, (low if low > 0 else 0) - 1, -1):
-            shape[r] = old[r] + x
-            cur[r] = x
-            row(r + 1, left - x, slack - x + prev[r])
-        shape[r] = old[r]
-        cur[r] = 0
-
+    low = [0] * (top + 1)
+    lefts = [0] * (top + 1)
+    slacks = [0] * (top + 1)
+    r = 0
+    left = size
     # The 1s have no lattice bound; every later letter starts at slack 0.
-    row(0, size, size if first else 0)
+    slack = size if first else 0
+    while True:
+        # Fill rows r, r + 1, ... with their largest counts until the strip
+        # is placed (yield it) or a row has no count left (a dead end).
+        while left:
+            if left > slack + room[r]:
+                break
+            cap = left if left < slack else slack
+            if gap[r] < cap:
+                cap = gap[r]
+            # A horizontal strip puts at most old[r] cells below row r.
+            least = left - old[r]
+            if least < 0:
+                least = 0
+            if cap < least:
+                break
+            low[r] = least
+            lefts[r] = left
+            slacks[r] = slack
+            shape[r] = old[r] + cap
+            cur[r] = cap
+            left -= cap
+            slack += prev[r] - cap
+            r += 1
+        else:
+            yield cur
+        # Restore the rows at their least count; the row above them takes
+        # one cell fewer, and the walk goes on below it.
+        r -= 1
+        while r >= 0 and cur[r] == low[r]:
+            shape[r] = old[r]
+            cur[r] = 0
+            r -= 1
+        if r < 0:
+            return
+        x = cur[r] - 1
+        shape[r] = old[r] + x
+        cur[r] = x
+        left = lefts[r] - x
+        slack = slacks[r] + prev[r] - x
+        r += 1
 
 
 @memo
 def _last_strips(shape: tuple, prev: tuple, size: int, first: bool) -> tuple:
     """The positions in partitions_of(|shape| + size) of the shapes that the
-    last letter's strip of `size` cells reaches from `shape` (see _strips).
+    last letter's strip of `size` cells reaches from `shape`, in the order
+    that _strips yields them.
 
     prev has one entry per row of shape.  Distinct strips reach distinct
     shapes, so each position occurs once.  Products of different factors
@@ -244,11 +282,8 @@ def _last_strips(shape: tuple, prev: tuple, size: int, first: bool) -> tuple:
     grown = [*shape, 0]
     pos = _positions(sum(shape) + size)
     out = []
-
-    def reached(cur):
+    for _ in _strips(grown, [*prev, 0], size, first):
         out.append(pos[tuple(grown) if grown[-1] else tuple(grown[:-1])])
-
-    _strips(grown, [*prev, 0], size, first, reached)
     return tuple(out)
 
 
@@ -258,25 +293,36 @@ def _lr_tally(base: tuple, content: tuple) -> list:
 
     Letter k+1 goes in as a horizontal strip of content[k] cells (_strips);
     each LR tableau of shape lam/base and content `content` is one way to
-    place them all.  The last letter's strips come from the _last_strips
-    memo, keyed by the state the letters before it leave.
+    place them all.  The letters before the last are walked depth first in
+    this one frame: `walks[k]` is the _strips generator of letter k+1 on the
+    shape that the letters before it left, and it reads their last strip as
+    its prev.  The last letter's strips come from the _last_strips memo,
+    keyed by the state the letters before it leave.
     """
     tally = [0] * len(partitions_of(sum(base) + sum(content)))
     if not content:
         tally[_positions(sum(base))[base]] = 1
         return tally
-    shape = [*base] + [0] * len(content)
     last = len(content) - 1
-
-    def strip(k, prev):
-        if k == last:
+    size = content[last]
+    if not last:
+        for i in _last_strips(base, (0,) * len(base), size, True):
+            tally[i] += 1
+        return tally
+    shape = [*base] + [0] * len(content)
+    walks = [_strips(shape, [0] * len(shape), content[0], True)] + [None] * (last - 1)
+    k = 0
+    while k >= 0:
+        for cur in walks[k]:
+            if k + 1 < last:  # descend; the while resumes at letter k + 2
+                k += 1
+                walks[k] = _strips(shape, cur, content[k], False)
+                break
             top = shape.index(0)
-            for i in _last_strips(tuple(shape[:top]), tuple(prev[:top]), content[k], k == 0):
+            for i in _last_strips(tuple(shape[:top]), tuple(cur[:top]), size, False):
                 tally[i] += 1
-        else:
-            _strips(shape, prev, content[k], k == 0, lambda cur: strip(k + 1, cur))
-
-    strip(0, [0] * len(shape))
+        else:  # letter k + 1 is exhausted; resume letter k
+            k -= 1
     return tally
 
 
@@ -304,7 +350,8 @@ def _product_terms(mu: tuple, nu: tuple) -> tuple:
     if _walk_order(cmu, cnu) < _walk_order(mu, nu):
         flip = _conjugation(sum(mu) + sum(nu))
         return tuple(sorted([(flip[i], c) for i, c in _product_terms(cmu, cnu)]))
-    return tuple([(i, c) for i, c in enumerate(_lr_tally(mu, nu)) if c])
+    tally = _lr_tally(mu, nu)
+    return tuple(compress(enumerate(tally), tally))
 
 
 def _coefficient(terms: tuple, at: int) -> int:
@@ -353,7 +400,8 @@ def _h_terms(content: tuple) -> tuple:
         return (1,)
     size = content[-1]
     degree = sum(content) - size
-    left = {i: c for i, c in enumerate(_h_terms(content[:-1])) if c}
+    before = _h_terms(content[:-1])
+    left = dict(compress(enumerate(before), before))
     acc = [0] * len(partitions_of(degree + size))
     _add_product(acc, left, degree, (size,))
     return tuple(acc)

@@ -100,6 +100,37 @@ class TestInputErrors:
         code, out, err = invoke(capsys, *argv)
         assert (code, out, err) == (2, "", line + "\n")
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("kron", "--lambda", "1_0", "--mu", "10"),
+             "error: --lambda: expected comma-separated integers, got '1_0'"),
+            (("kron", "--lambda", "\u0663,2", "--mu", "5"),
+             "error: --lambda: expected comma-separated integers, got '\u0663,2'"),
+            (("kron", "--lambda", "+3,2", "--mu", "5"),
+             "error: --lambda: expected comma-separated integers, got '+3,2'"),
+            (("kron", "--lambda", "3,2", "--mu", "hook:\uff13,2"),
+             "error: --mu: expected comma-separated integers, got '\uff13,2'"),
+            (("gamma-tensor", "--mu", "2,1", "--lambda", "1,0_2"),
+             "error: --lambda: expected comma-separated integers, got '1,0_2'"),
+        ],
+        ids=["underscore", "arabic-indic-digit", "plus-sign", "fullwidth-hook", "composition"],
+    )
+    def test_only_ascii_digits_are_integers(self, capsys, argv, line):
+        # int() reads "1_0" as 10 and any Unicode decimal digit as a digit.
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", line + "\n")
+
+    def test_spaces_around_parts_are_allowed(self, capsys):
+        spaced = invoke(capsys, "kron", "--lambda", " 3 , 2 ", "--mu", "4, 1", "--json")
+        assert spaced == invoke(capsys, "kron", "--lambda", "3,2", "--mu", "4,1", "--json")
+        assert spaced[0] == 0
+
+    def test_a_negative_part_is_reported_as_not_positive(self, capsys):
+        code, out, err = invoke(capsys, "kron", "--lambda", "3, -1", "--mu", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: --lambda: partition parts must be positive, got (3, -1)\n"
+
     def test_increasing_partition(self, capsys):
         code, _, err = invoke(capsys, "kron", "--lambda", "1,2", "--mu", "2,1")
         assert code == 2

@@ -7,14 +7,17 @@ LR walk they replaced, beyond the oracle's bound, of the grouped chain sums
 against the plain fold of each chain, of every Jacobi-Trudi resolution of a
 Kronecker product against the one kronecker_general picks, of the contingency
 enumerator and its row-vector pairs against independent counts, on random
-inputs beyond the sweep bounds, of the contingency enumerator against the
-recursive walk it replaced, and of the kernel memos."""
+inputs beyond the sweep bounds, of the contingency enumerator, the LR strip
+and letter walks, the partitions between two shapes and the Jacobi-Trudi
+terms against the recursive walks they replaced, order included, and of the
+kernel memos."""
 
 from collections import Counter
 from functools import lru_cache, partial
 from importlib import import_module
 from itertools import accumulate, chain, permutations, product
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -58,8 +61,8 @@ def _sized(d):
 
 
 @st.composite
-def factor_pairs(draw, max_total=10):
-    total = draw(st.integers(0, max_total))
+def factor_pairs(draw, max_total=10, min_total=0):
+    total = draw(st.integers(min_total, max_total))
     a = draw(st.integers(0, total))
     return draw(_sized(a)), draw(_sized(total - a))
 
@@ -452,6 +455,222 @@ def test_lr_kernel_matches_the_reference_walk_at_degree_18():
         ((3, 2, 2, 1, 1), (4, 3, 1, 1)),
     ):
         _assert_kernel_matches_the_reference(mu, nu)
+
+
+def _recursive_strips(shape, prev, size, first, visit):
+    """Call visit(cur) once per strip of _strips(shape, prev, size, first),
+    from a recursive `row` closure: the reference for _strips, which walks
+    the rows in one generator frame in polykron.schur."""
+    old = shape[:]
+    cur = [0] * len(shape)
+    top = old.index(0)
+    room = [0] * (top + 2)
+    for r in range(top - 1, -1, -1):
+        room[r] = room[r + 1] + prev[r]
+    gap = [size] + [old[r - 1] - old[r] for r in range(1, top + 1)]
+
+    def row(r, left, slack):
+        if left == 0:
+            visit(cur)
+            return
+        if left > slack + room[r]:
+            return
+        cap = left if left < slack else slack
+        if gap[r] < cap:
+            cap = gap[r]
+        low = left - old[r]
+        for x in range(cap, (low if low > 0 else 0) - 1, -1):
+            shape[r] = old[r] + x
+            cur[r] = x
+            row(r + 1, left - x, slack - x + prev[r])
+        shape[r] = old[r]
+        cur[r] = 0
+
+    row(0, size, size if first else 0)
+
+
+def _recursive_last_strips(shape, prev, size, first):
+    """The tuple that _last_strips stores for the state, from
+    _recursive_strips."""
+    grown = [*shape, 0]
+    pos = {p.parts: i for i, p in enumerate(partitions_of(sum(shape) + size))}
+    out = []
+
+    def reached(cur):
+        out.append(pos[tuple(grown) if grown[-1] else tuple(grown[:-1])])
+
+    _recursive_strips(grown, [*prev, 0], size, first, reached)
+    return tuple(out)
+
+
+def _recursive_lr_tally(base, content, last_strips):
+    """The list of _lr_tally(base, content), from a closure per letter and a
+    lambda per strip: the reference for _lr_tally, which keeps one _strips
+    generator per letter in one frame in polykron.schur.  The last letter's
+    states go to last_strips(shape, prev, size, first)."""
+    shapes = partitions_of(sum(base) + sum(content))
+    tally = [0] * len(shapes)
+    if not content:
+        tally[shapes.index(Partition(base))] = 1
+        return tally
+    shape = [*base] + [0] * len(content)
+    last = len(content) - 1
+
+    def strip(k, prev):
+        if k == last:
+            top = shape.index(0)
+            for i in last_strips(tuple(shape[:top]), tuple(prev[:top]), content[k], k == 0):
+                tally[i] += 1
+        else:
+            _recursive_strips(shape, prev, content[k], k == 0, lambda cur: strip(k + 1, cur))
+
+    strip(0, [0] * len(shape))
+    return tally
+
+
+def _assert_walk_matches_the_recursive_walk(mu, nu):
+    # The tally, the last-letter states that _lr_tally asks the _last_strips
+    # memo for, in order, and the memo's tuple for each state.
+    want_states = []
+
+    def reference(*state):
+        want_states.append(state)
+        return _recursive_last_strips(*state)
+
+    want = _recursive_lr_tally(mu, nu, reference)
+    states = []
+
+    def asked(*state):
+        states.append(state)
+        return _last_strips(*state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schur, "_last_strips", asked)
+        assert _lr_tally(mu, nu) == want, (mu, nu)
+    assert states == want_states, (mu, nu)
+    for state in dict.fromkeys(states):
+        assert _last_strips(*state) == _recursive_last_strips(*state), state
+
+
+def test_lr_walk_matches_the_recursive_walk_in_order():
+    # Every factor pair with |mu| + |nu| <= 10, from a cold last-strip memo.
+    _last_strips.cache_clear()
+    for total in range(11):
+        for a in range(total + 1):
+            for mu in partitions_of(a):
+                for nu in partitions_of(total - a):
+                    _assert_walk_matches_the_recursive_walk(mu.parts, nu.parts)
+
+
+@PROPERTY
+@given(factor_pairs(max_total=15, min_total=11))
+@example((Partition([4, 3, 2, 1]), Partition([2, 2, 1, 1])))
+def test_lr_walk_matches_the_recursive_walk_in_order_beyond_degree_ten(pair):
+    _assert_walk_matches_the_recursive_walk(pair[0].parts, pair[1].parts)
+
+
+def _recursive_partitions_between(lower, upper, size):
+    """The tuple of _partitions_between(lower, upper, size), from a recursive
+    `rec` closure: the reference for _partitions_between, which walks the
+    rows in one frame in polykron.partitions."""
+    n = len(upper)
+    below = [0] * (n + 1)
+    for r in range(n - 1, -1, -1):
+        below[r] = below[r + 1] + upper[r]
+    out = []
+
+    def rec(row, prev, remaining, acc):
+        if remaining == 0 and row >= len(lower):
+            out.append(tuple(acc))
+            return
+        if row == n:
+            return
+        lo = max(lower[row] if row < len(lower) else 1, remaining - below[row + 1])
+        for x in range(min(upper[row], prev, remaining), lo - 1, -1):
+            acc.append(x)
+            rec(row + 1, x, remaining - x, acc)
+            acc.pop()
+
+    rec(0, size, size, [])
+    return tuple(out)
+
+
+def test_partitions_between_match_the_recursive_walk():
+    # Every lower inside every upper with |upper| <= 10, at every size from
+    # 0 to |upper| + 1, then the bounds that partitions_of(d) reads.
+    between = partitions._partitions_between
+    for d in range(11):
+        for upper in partitions_of(d):
+            for e in range(d + 1):
+                for lower in partitions_of(e):
+                    if upper.contains(lower):
+                        for size in range(d + 2):
+                            want = _recursive_partitions_between(lower.parts, upper.parts, size)
+                            assert between(lower.parts, upper.parts, size) == want
+    for d in range(14):
+        assert between((), (d,) * d, d) == _recursive_partitions_between((), (d,) * d, d)
+
+
+@PROPERTY
+@given(skew_shapes(max_outer=16, min_outer=11, max_skew=16), st.integers(0, 17))
+@example((Partition([6, 5, 4]), Partition([])), 9)
+def test_partitions_between_match_the_recursive_walk_beyond_degree_ten(shape, size):
+    upper, lower = shape
+    want = _recursive_partitions_between(lower.parts, upper.parts, size)
+    assert partitions._partitions_between(lower.parts, upper.parts, size) == want
+
+
+def _recursive_jacobi_trudi_terms(mu):
+    """The terms of _jacobi_trudi_terms(mu), lazily, from nested generators
+    of a recursive `rec`: the reference for _jacobi_trudi_terms, which fills
+    the rows in one generator frame in polykron.internal_product."""
+    n = len(mu)
+    used = [False] * n
+    sigma = [0] * n
+
+    def rec(k, inv):
+        if k == n:
+            idxs = tuple(mu.parts[i] - i + sigma[i] for i in range(n))
+            yield (-1) ** inv, Composition(idxs)
+            return
+        i = n - 1 - k
+        for j in range(max(0, i - mu.parts[i]), n):
+            if used[j]:
+                continue
+            used[j] = True
+            sigma[i] = j
+            yield from rec(k + 1, inv + sum(used[:j]))
+            used[j] = False
+
+    return rec(0, 0)
+
+
+def _jt_terms(terms):
+    return [(sign, nu.entries, nu.degree) for sign, nu in terms]
+
+
+def test_jacobi_trudi_terms_match_the_recursive_walk():
+    for d in range(13):
+        for mu in partitions_of(d):
+            want = _jt_terms(_recursive_jacobi_trudi_terms(mu))
+            assert _jt_terms(internal_product._jacobi_trudi_terms(mu)) == want, mu
+
+
+@PROPERTY
+@given(st.integers(13, 18).flatmap(_sized).filter(lambda mu: len(mu) <= 9))
+@example(Partition([4, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]))
+def test_jacobi_trudi_terms_match_the_recursive_walk_beyond_degree_twelve(mu):
+    want = _jt_terms(_recursive_jacobi_trudi_terms(mu))
+    assert _jt_terms(internal_product._jacobi_trudi_terms(mu)) == want
+
+
+def test_jacobi_trudi_terms_stay_lazy_at_forty_rows():
+    # (1^40) has 2^39 terms; the first ones come at once, as _chain_terms'
+    # budget needs.
+    mu = Partition([1] * 40)
+    got = internal_product._jacobi_trudi_terms(mu)
+    want = _recursive_jacobi_trudi_terms(mu)
+    assert _jt_terms(next(got) for _ in range(3)) == _jt_terms(next(want) for _ in range(3))
 
 
 @PROPERTY

@@ -18,12 +18,14 @@ times the fixed characters) once per call, and then take one dot product with
 the character row of each target.  A permutation character is the tuple
 `perm_row(blocks)` aligned with `partitions_of(d)`: the value of the
 permutation character of a weight nu at the i-th cycle type is
-`perm_row(nu.sorted_parts())[i]`.
+`perm_row(nu.sorted_parts())[i]`.  Each value is a flat count: the cycles
+go into the blocks one at a time, and a dict maps the room left in each
+block to the number of ways to reach it.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import factorial
 from operator import mul
 
 from ._memo import MEMOS, memo
@@ -134,35 +136,20 @@ def dimension(lam: Partition) -> int:
 
 
 def _perm_value(blocks: tuple, rho_parts: tuple) -> int:
-    """Ways to distribute the cycles of rho over blocks of the given sizes."""
-    mult = {}
-    for part in rho_parts:
-        mult[part] = mult.get(part, 0) + 1
-    groups = sorted(mult.items())
-    nblocks = len(blocks)
-
-    def distribute(gi, caps):
-        if gi == len(groups):
-            return 1
-        length, count = groups[gi]
-        total = 0
-
-        def place(bi, left, caps_list, ways):
-            nonlocal total
-            if bi == nblocks:
-                if left == 0:
-                    total += ways * distribute(gi + 1, tuple(caps_list))
-                return
-            limit = min(left, caps_list[bi] // length)
-            for k in range(limit + 1):
-                caps_list[bi] -= k * length
-                place(bi + 1, left - k, caps_list, ways * comb(left, k))
-                caps_list[bi] += k * length
-
-        place(0, count, list(caps), 1)
-        return total
-
-    return distribute(0, blocks)
+    """Ways to put each cycle of rho into a block so that every block of the
+    given sizes is filled exactly: the fixed tabloids of a permutation of
+    cycle type rho.  The cycles go in one at a time, and the state maps the
+    room left in each block to the number of ways to reach it."""
+    rooms = {blocks: 1}
+    for length in rho_parts:
+        after = {}
+        for room, ways in rooms.items():
+            for i, left in enumerate(room):
+                if left >= length:
+                    key = room[:i] + (left - length,) + room[i + 1:]
+                    after[key] = after.get(key, 0) + ways
+        rooms = after
+    return rooms.get((0,) * len(blocks), 0)
 
 
 @memo

@@ -119,10 +119,7 @@ def render_report(report: dict, as_json: bool) -> str:
     if not report["expansion"]:
         lines.append("  (zero)")
     else:
-        texts = [
-            (",".join(str(x) for x in e["partition"]) or "0", e["mult"])
-            for e in report["expansion"]
-        ]
+        texts = [(Composition(e["partition"]).text(), e["mult"]) for e in report["expansion"]]
         width = max(len(t) for t, _ in texts)
         lines.extend(f"  {t.ljust(width)}  {m}" for t, m in texts)
     return "\n".join(lines)
@@ -139,57 +136,47 @@ def _multiset_pairs(weights):
     return list(counts.items())
 
 
-def _cmd_kron(args) -> str:
+def _cmd_kron(args) -> dict:
     lam = parse_shape(Partition, args.lam, "--lambda")
     mu = parse_mu(args.mu, "--mu")
     expansion, method = _flagged("--lambda/--mu", kronecker, lam, mu, args.method)
-    report = expansion_report(lam.size, method, "Weyl", _schur_pairs(expansion))
-    return render_report(report, args.json)
+    return expansion_report(lam.size, method, "Weyl", _schur_pairs(expansion))
 
 
-def _cmd_gamma_tensor(args) -> str:
+def _cmd_gamma_tensor(args) -> dict:
     mu = parse_shape(Composition, args.mu, "--mu")
     lam = parse_shape(Composition, args.lam, "--lambda")
     dec = _flagged("--mu/--lambda", gamma_tensor_gamma, mu, lam)
-    report = expansion_report(
-        mu.degree, "gamma-tensor", dec.family, _multiset_pairs(dec.summands)
-    )
-    return render_report(report, args.json)
+    return expansion_report(mu.degree, "gamma-tensor", dec.family, _multiset_pairs(dec.summands))
 
 
-def _cmd_exp_tensor(args) -> str:
+def _cmd_exp_tensor(args) -> dict:
     left = parse_functor(args.left, "--left")
     right = parse_functor(args.right, "--right")
     mode = _MODE_NAMES[args.char_two]
     dec = _flagged("--left/--right", exponential_tensor, left, right, mode)
-    report = expansion_report(
-        left.degree, "exp-tensor", dec.family, _multiset_pairs(dec.summands)
-    )
-    return render_report(report, args.json)
+    return expansion_report(left.degree, "exp-tensor", dec.family, _multiset_pairs(dec.summands))
 
 
-def _cmd_weyl_gamma(args) -> str:
+def _cmd_weyl_gamma(args) -> dict:
     lam = parse_shape(Partition, args.lam, "--lambda")
     nu = parse_shape(Composition, args.nu, "--nu")
     expansion = _flagged("--lambda/--nu", weyl_tensor_gamma, lam, nu)
-    report = expansion_report(lam.size, "weyl-gamma", "Weyl", _schur_pairs(expansion))
-    return render_report(report, args.json)
+    return expansion_report(lam.size, "weyl-gamma", "Weyl", _schur_pairs(expansion))
 
 
-def _cmd_weyl_wedge(args) -> str:
+def _cmd_weyl_wedge(args) -> dict:
     lam = parse_shape(Partition, args.lam, "--lambda")
     nu = parse_shape(Composition, args.nu, "--nu")
     expansion = _flagged("--lambda/--nu", weyl_tensor_wedge, lam, nu)
-    report = expansion_report(lam.size, "weyl-wedge", "DualWeyl", _schur_pairs(expansion))
-    return render_report(report, args.json)
+    return expansion_report(lam.size, "weyl-wedge", "DualWeyl", _schur_pairs(expansion))
 
 
-def _cmd_jacobi_trudi(args) -> str:
+def _cmd_jacobi_trudi(args) -> dict:
     mu = parse_mu(args.mu, "--mu")
     terms = _flagged("--mu", jacobi_trudi, mu)
     pairs = [(nu.entries, sign) for sign, nu in terms]
-    report = expansion_report(mu.size, "jacobi-trudi", "Gamma", pairs)
-    return render_report(report, args.json)
+    return expansion_report(mu.size, "jacobi-trudi", "Gamma", pairs)
 
 
 def _cmd_oracle_check(args):
@@ -203,14 +190,6 @@ def _cmd_oracle_check(args):
     return text, code
 
 
-def _key_text(parts) -> str:
-    return ",".join(str(x) for x in parts) if parts else "0"
-
-
-def _key_parts(text: str):
-    return () if text in ("", "0") else tuple(int(x) for x in text.split(","))
-
-
 def _cache_int(key: str, val) -> int:
     if type(val) is not int:
         raise ValueError(f"entry {key!r} holds {val!r}, not an integer")
@@ -219,7 +198,7 @@ def _cache_int(key: str, val) -> int:
 
 def _check_lr(key: str, val) -> None:
     """Recompute the LR entry for key; ValueError unless val equals it."""
-    outer, left, right = (Partition(_key_parts(t)) for t in key.split("|"))
+    outer, left, right = (parse_shape(Partition, t, f"entry {key!r}") for t in key.split("|"))
     val = _cache_int(key, val)
     if outer.size != left.size + right.size:
         raise ValueError(f"entry {key!r}: the sizes of its partitions disagree")
@@ -233,7 +212,7 @@ def _check_lr(key: str, val) -> None:
 
 def _check_character(key: str, val) -> None:
     """Recompute the character entry for key; ValueError unless val equals it."""
-    lam, rho = (Partition(_key_parts(t)) for t in key.split("|"))
+    lam, rho = (parse_shape(Partition, t, f"entry {key!r}") for t in key.split("|"))
     val = _cache_int(key, val)
     if lam.size != rho.size:
         raise ValueError(f"entry {key!r}: the sizes of its partitions disagree")
@@ -280,11 +259,11 @@ def save_cache(path: str) -> None:
     data = {
         "version": CACHE_VERSION,
         "lr": {
-            "|".join(_key_text(p) for p in key): val
+            "|".join(Composition(p).text() for p in key): val
             for key, val in sorted(schur._LR_CACHE.items())
         },
         "characters": {
-            f"{_key_text(lam)}|{_key_text(rho)}": val
+            f"{Composition(lam).text()}|{Composition(rho).text()}": val
             for (lam, rho), val in sorted(characters._MN_CACHE.items())
         },
     }
@@ -387,7 +366,7 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    text, code = out if isinstance(out, tuple) else (out, EXIT_OK)
+    text, code = out if isinstance(out, tuple) else (render_report(out, args.json), EXIT_OK)
     print(text)
     return code
 

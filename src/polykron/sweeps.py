@@ -145,7 +145,9 @@ def sweep_fastpath(max_d: int = 8) -> SweepResult:
 
 @_sweep
 def sweep_fixture() -> SweepResult:
-    """The d=3 worked product (2,1) x (2,1) comes out of all four procedures."""
+    """The d=3 worked product (2,1) x (2,1) comes out under all four method
+    labels.  The `general` and `two-row` labels run one procedure,
+    `kronecker_general`, so the four labels check three procedures."""
     lam = Partition([2, 1])
     want = {
         Partition([3]): 1,

@@ -260,7 +260,7 @@ class TestPermCharacter:
 
     def test_young_rule(self):
         # the permutation character is the Kostka-weighted sum of irreducibles
-        for d in range(0, 7):
+        for d in range(0, 9):
             for nu_part in partitions_of(d):
                 nu = Composition(nu_part.parts)
                 pc = perm_values(nu)

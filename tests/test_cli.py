@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polykron import Partition, characters, kronecker_oracle_expansion, lr_coeff, schur, sweeps
 from polykron.cli import load_cache, run, save_cache
+from polykron.sweeps import SUITE_NAMES
 
 
 def invoke(capsys, *argv):
@@ -334,12 +340,16 @@ class TestCache:
             '{"version": 1, "lr": {"2,1|1|1,1": -1}, "characters": {}}',
             '{"version": 1, "lr": {"2,1|3|0": 0}, "characters": {}}',
             '{"version": 1, "lr": {"2,1|1|1,1": "1"}, "characters": {}}',
+            '{"version": 1, "lr": {}, "characters": {"+2,1|3": -1}}',
+            '{"version": 1, "lr": {}, "characters": {"2,1|\\u0663": -1}}',
+            '{"version": 1, "lr": {}, "characters": {"1_0|1_0": 1}}',
         ],
         ids=[
             "truncated", "not-an-object", "malformed-key",
             "no-version", "other-version", "boolean-version", "above-dimension",
             "identity-not-dimension", "character-sizes", "character-not-int",
             "lr-sizes", "lr-negative", "lr-not-contained", "lr-not-int",
+            "key-plus-sign", "key-unicode-digit", "key-underscore",
         ],
     )
     def test_bad_cache_file_is_an_input_error(self, tmp_path, capsys, text):
@@ -405,3 +415,105 @@ class TestCache:
             save_cache(str(path))
         assert path.read_text() == before
         assert os.listdir(tmp_path) == ["memo.json"]
+
+
+def _spellings(x):
+    """Ways to write the integer x (or -x) in a flag: the flag grammar reads
+    only the first three, and int() reads every one of them."""
+    return [
+        str(x), f" {x} ", f"-{x}", f"+{x}", f"0_{x}",
+        chr(0x660 + x),  # Arabic-Indic digit
+        chr(0xFF10 + x),  # fullwidth digit
+    ]
+
+
+@st.composite
+def _flag_values(draw):
+    """Text for a shape flag whose parts sum to at most 8, however int()
+    would read them: plain, or in drawn spellings with an optional hook:
+    prefix and stray separator."""
+    parts = draw(st.lists(st.integers(0, 8), max_size=4).filter(lambda xs: sum(xs) <= 8))
+    if draw(st.booleans()):
+        return ",".join(map(str, parts))
+    text = ",".join(draw(st.sampled_from(_spellings(x))) for x in parts)
+    prefix = draw(st.sampled_from(["", "", "hook:"]))
+    return prefix + text + draw(st.sampled_from(["", "", ",", "-", "_", " "]))
+
+
+@st.composite
+def _cache_bytes(draw):
+    """None for no cache file, else its bytes: a cache object with drawn keys
+    and values, or arbitrary bytes."""
+    kind = draw(st.sampled_from(["none", "object", "object", "bytes"]))
+    if kind == "none":
+        return None
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    values = st.integers(-3, 3)
+    data = {
+        "version": draw(st.sampled_from([1, 1, 2, True])),
+        "lr": draw(st.dictionaries(
+            st.tuples(_flag_values(), _flag_values(), _flag_values()).map("|".join),
+            values, max_size=2,
+        )),
+        "characters": draw(st.dictionaries(
+            st.tuples(_flag_values(), _flag_values()).map("|".join), values, max_size=2,
+        )),
+    }
+    return json.dumps(data, ensure_ascii=draw(st.booleans())).encode("utf-8")
+
+
+_SHAPE_FLAGS = {
+    "kron": ("--lambda", "--mu"),
+    "gamma-tensor": ("--mu", "--lambda"),
+    "weyl-gamma": ("--lambda", "--nu"),
+    "weyl-wedge": ("--lambda", "--nu"),
+    "jacobi-trudi": ("--mu",),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """argv for any subcommand, at degree 8 or less, with optional --json."""
+    command = draw(st.sampled_from(sorted(_SHAPE_FLAGS) + ["exp-tensor", "oracle-check"]))
+    argv = [command]
+    if command in _SHAPE_FLAGS:
+        for flag in _SHAPE_FLAGS[command]:
+            argv += [flag, draw(_flag_values())]
+        if command == "kron":
+            argv += ["--method", draw(st.sampled_from(
+                ["auto", "general", "two-row", "one-box", "hook"]))]
+    elif command == "exp-tensor":
+        for flag in ("--left", "--right"):
+            family = draw(st.sampled_from(["gamma", "sym", "wedge", "Wedge", "hook", ""]))
+            argv += [flag, f"{family}:{draw(_flag_values())}"]
+        argv += ["--char-two", draw(st.sampled_from(["unit", "zero", "other"]))]
+    else:
+        # argparse reads each of these as at most 3, except 9, which is
+        # refused without --force; so the sweeps stay at d <= 3.
+        max_d = draw(st.sampled_from(["-1", "0", "2", " 3 ", "+3", "0_3", "\u0663", "9"]))
+        argv += ["--suite", draw(st.sampled_from([*SUITE_NAMES, "all"])), "--max-d", max_d]
+        if max_d != "9" and draw(st.booleans()):
+            argv.append("--force")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(argv=_argvs(), cache=_cache_bytes())
+    def test_every_input_exits_0_2_or_3(self, argv, cache):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "memo.json")
+            if cache is not None:
+                with open(path, "wb") as fh:
+                    fh.write(cache)
+                argv = argv + ["--cache", path]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert out.getvalue() == ""

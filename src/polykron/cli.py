@@ -47,8 +47,8 @@ class _InputError(ValueError):
     """Bad flag value; the message names the offending flag."""
 
 
-#: One comma-separated integer: ASCII digits with an optional leading minus,
-#: where int() would also read "1_0", "+1" and any Unicode decimal digit.
+#: One integer of a list flag or --max-d: ASCII digits with an optional leading
+#: minus, where int() would also read "1_0", "+1" and any Unicode decimal digit.
 _INTEGER = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
 
 
@@ -180,11 +180,16 @@ def _cmd_jacobi_trudi(args) -> dict:
 
 
 def _cmd_oracle_check(args):
-    if args.max_d is not None and args.max_d < 0:
-        raise _InputError(f"--max-d: must be non-negative, got {args.max_d}")
-    if args.max_d is not None and args.max_d > 8 and not args.force:
-        raise _InputError("--max-d: values above 8 need --force")
-    results = run_suites(args.suite, args.max_d)
+    max_d = args.max_d
+    if max_d is not None:
+        if not _INTEGER.fullmatch(max_d):
+            raise _InputError(f"--max-d: expected an integer, got {max_d!r}")
+        max_d = int(max_d)
+        if max_d < 0:
+            raise _InputError(f"--max-d: must be non-negative, got {max_d}")
+        if max_d > 8 and not args.force:
+            raise _InputError("--max-d: values above 8 need --force")
+    results = run_suites(args.suite, max_d)
     text = "\n".join(r.line() for r in results)
     code = EXIT_OK if all(r.ok for r in results) else EXIT_INTERNAL
     return text, code
@@ -326,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", parents=[common], help="run verification sweeps")
     p.add_argument("--suite", default="all", choices=list(SUITE_NAMES) + ["all"])
-    p.add_argument("--max-d", type=int, default=None, help="degree bound (guarded at 8)")
+    p.add_argument("--max-d", default=None, help="degree bound (guarded at 8)")
     p.add_argument("--force", action="store_true", help="allow --max-d above 8")
     p.set_defaults(func=_cmd_oracle_check)
 

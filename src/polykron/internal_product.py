@@ -7,7 +7,8 @@ multiplicities are sums of products of Littlewood-Richardson coefficients,
 indexed by chains of nested partitions.  Combining that filtration with the
 Jacobi-Trudi determinant gives symmetric-group Kronecker multiplicities in
 characteristic zero, with fast procedures when one factor is a hook or
-(a, 1).  The module's memos are registered in `_memo`.
+(a, 1), whose product reads the other's `one_box_moves`.  The module's memos
+are registered in `_memo`.
 """
 
 from __future__ import annotations
@@ -416,16 +417,13 @@ def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
 
 
 def kronecker_one_box(lam: Partition, a: int) -> SchurExpansion:
-    """Kronecker product with (a, 1): corner count and one-box moves of lam."""
+    """(a, 1) x lam = Ind Res lam - lam: lam (corners - 1 times) and each one-box move once."""
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     if a + 1 != lam.size:
         raise DegreeMismatchError(f"{a} + 1 != {lam.size}")
-    corners = len(lam.outer_corners())
-    acc = SchurExpansion(lam.size, {lam: corners - 1})
-    for alpha in lam.one_box_moves():
-        acc = acc + SchurExpansion.single(alpha)
-    return acc
+    moves = dict.fromkeys(lam.one_box_moves(), 1)
+    return SchurExpansion(lam.size, {lam: len(lam.outer_corners()) - 1, **moves})
 
 
 def hook_mixed(lam: Partition, p: int, q: int) -> SchurExpansion:

@@ -5,7 +5,8 @@ threads.  Enumeration orders are deterministic (descending lexicographic for
 partitions, row-major lexicographic for matrices) so outputs are reproducible
 byte for byte.  There is one partition enumerator, `_partitions_between`,
 which lists the partitions of a size between two shapes; `partitions_of(d)`
-reads it with the bounds () and (d, ..., d).
+reads it with the bounds () and (d, ..., d), and `one_box_moves` twice.  The
+weights of `enumerate_compositions` are the rows of `_row_vectors`.
 
 Contingency matrices are enumerated row by row.  The candidates for a row are
 the descending-lex vectors that sum to its row sum and fit under what remains
@@ -127,30 +128,17 @@ class Partition:
         return corners
 
     def one_box_moves(self):
-        """All partitions != self of the same size reachable by moving one box.
-
-        A move removes one corner cell and re-adds a box at any addable
-        position of the intermediate shape.  Duplicates are collapsed; the
-        result is in descending lexicographic order.
-        """
+        """All partitions != self of the same size reachable by moving one box,
+        descending lex: self less a corner (a partition of size - 1 inside
+        self) is alpha, and alpha plus a box lies between alpha and
+        (parts_1 + 1, alpha_1, alpha_2, ...).  Raises on the empty partition."""
+        if not self.parts:
+            raise ValueError("the empty partition has no outer corners")
         moves = set()
-        for (r, _c) in self.outer_corners():
-            removed = list(self.parts)
-            removed[r - 1] -= 1
-            if removed[-1] == 0:
-                removed.pop()
-            for r2 in range(len(removed) + 1):
-                if r2 > 0 and removed[r2 - 1] == (removed[r2] if r2 < len(removed) else 0):
-                    continue  # not an addable position: row above has equal length
-                grown = list(removed)
-                if r2 == len(grown):
-                    grown.append(1)
-                else:
-                    grown[r2] += 1
-                alpha = Partition(grown)
-                if alpha != self:
-                    moves.add(alpha)
-        return sorted(moves, key=lambda p: p.parts, reverse=True)
+        for alpha in _partitions_between((), self.parts, self.size - 1):
+            moves.update(_partitions_between(alpha, (self.parts[0] + 1,) + alpha, self.size))
+        moves.discard(self.parts)
+        return [Partition(p) for p in sorted(moves, reverse=True)]
 
 
 class Composition:
@@ -313,13 +301,17 @@ def _partitions_between(lower: tuple, upper: tuple, size: int) -> tuple:
 
     The rows are walked depth first in one frame: acc[r] is row r's current
     part, tried from its largest value down to least[r], and `remaining` is
-    what rows r, r + 1, ... still have to hold.
+    what rows r, r + 1, ... still have to hold.  A row leaves the rows below
+    it at least lower's cells there: on strip bounds, such as alpha below
+    alpha plus a box, no prefix is then a dead end.
     """
     n = len(upper)
     m = len(lower)
-    below = [0] * (n + 1)  # below[r]: cells of upper in rows >= r
-    for r in range(n - 1, -1, -1):
-        below[r] = below[r + 1] + upper[r]
+    below = [0] * n  # below[r]: cells of upper in rows > r
+    floor = [0] * n  # floor[r]: cells of lower in rows > r
+    for r in range(n - 1, 0, -1):
+        below[r - 1] = below[r] + upper[r]
+        floor[r - 1] = floor[r] + (lower[r] if r < m else 0)
     acc = [0] * n
     least = [0] * n
     out = []
@@ -332,13 +324,13 @@ def _partitions_between(lower: tuple, upper: tuple, size: int) -> tuple:
             if row == n:
                 break
             lo = lower[row] if row < m else 1
-            if remaining - below[row + 1] > lo:
-                lo = remaining - below[row + 1]
-            hi = upper[row]
+            if remaining - below[row] > lo:
+                lo = remaining - below[row]
+            hi = remaining - floor[row]
+            if upper[row] < hi:
+                hi = upper[row]
             if prev < hi:
                 hi = prev
-            if remaining < hi:
-                hi = remaining
             if hi < lo:
                 break
             acc[row] = prev = hi
@@ -364,19 +356,7 @@ def enumerate_compositions(d: int, length: int):
     """All weights of degree d with exactly `length` entries, descending lex."""
     if d < 0 or length < 0:
         raise ValueError("d and length must be non-negative")
-    if length == 0:
-        return [Composition(())] if d == 0 else []
-    out = []
-
-    def rec(i, remaining, acc):
-        if i == length - 1:
-            out.append(Composition(acc + [remaining]))
-            return
-        for x in range(remaining, -1, -1):
-            rec(i + 1, remaining - x, acc + [x])
-
-    rec(0, d, [])
-    return out
+    return [Composition._trusted(x, d) for x, _ in _row_vectors(d, (d,) * length)]
 
 
 @memo

@@ -96,10 +96,7 @@ def _sweep(checks):
 
 
 def _weights_up_to(d: int, max_parts: int):
-    out = []
-    for n in range(1, max_parts + 1):
-        out.extend(enumerate_compositions(d, n))
-    return out
+    return [w for n in range(1, max_parts + 1) for w in enumerate_compositions(d, n)]
 
 
 @_sweep

@@ -293,6 +293,19 @@ class TestOracleCheckCommand:
         assert "--max-d" in err
         assert out == ""
 
+    @pytest.mark.parametrize("text", ["\u0663", "+0_3", "1_0", "+3", "3.0", "", "3,4"])
+    def test_max_d_reads_the_flag_integer_grammar(self, capsys, text):
+        # int() would read the first four as 3, 3, 10 and 3.
+        for force in ((), ("--force",)):
+            code, out, err = invoke(capsys, "oracle-check", "--suite", "jt", "--max-d", text, *force)
+            assert (code, out) == (2, "")
+            assert "--max-d" in err
+
+    def test_max_d_may_be_padded_with_spaces(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "sweep_jt", lambda max_d=8: sweeps.SweepResult("jt", max_d))
+        code, out, _ = invoke(capsys, "oracle-check", "--suite", "jt", "--max-d", " 3 ")
+        assert (code, out) == (0, "jt: PASS (3 checks)\n")
+
 
 class TestCache:
     def test_cache_file_round_trip(self, tmp_path, capsys):
@@ -489,7 +502,7 @@ def _argvs(draw):
             argv += [flag, f"{family}:{draw(_flag_values())}"]
         argv += ["--char-two", draw(st.sampled_from(["unit", "zero", "other"]))]
     else:
-        # argparse reads each of these as at most 3, except 9, which is
+        # Each of these is refused or read as at most 3, except 9, which is
         # refused without --force; so the sweeps stay at d <= 3.
         max_d = draw(st.sampled_from(["-1", "0", "2", " 3 ", "+3", "0_3", "\u0663", "9"]))
         argv += ["--suite", draw(st.sampled_from([*SUITE_NAMES, "all"])), "--max-d", max_d]

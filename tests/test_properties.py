@@ -9,8 +9,10 @@ Kronecker product against the one kronecker_general picks, of the contingency
 enumerator and its row-vector pairs against independent counts, on random
 inputs beyond the sweep bounds, of the contingency enumerator, the LR strip
 and letter walks, the partitions between two shapes and the Jacobi-Trudi
-terms against the recursive walks they replaced, order included, and of the
-kernel memos."""
+terms against the recursive walks they replaced, order included, of the
+walker on the tight bounds of one-box moves and horizontal strips, of the
+one-box moves and the compositions against brute force, and of the kernel
+memos."""
 
 from collections import Counter
 from functools import lru_cache, partial
@@ -620,6 +622,75 @@ def test_partitions_between_match_the_recursive_walk_beyond_degree_ten(shape, si
     assert partitions._partitions_between(lower.parts, upper.parts, size) == want
 
 
+def _strip_bound(alpha, width=3):
+    """alpha's rows lengthened to the row above, the first by width: every
+    horizontal strip on alpha of at most width cells, alpha plus a box
+    among them, lies between alpha and this shape."""
+    return (alpha[0] + width if alpha else width,) + alpha
+
+
+def test_partitions_between_match_the_recursive_walk_on_strip_bounds():
+    # The tight lower shapes of one_box_moves' second walk, at every size.
+    between = partitions._partitions_between
+    for d in range(11):
+        for alpha in partitions_of(d):
+            upper = _strip_bound(alpha.parts)
+            for size in range(d, sum(upper) + 2):
+                want = _recursive_partitions_between(alpha.parts, upper, size)
+                assert between(alpha.parts, upper, size) == want
+
+
+def _one_box_cases():
+    staircases = [Partition(range(k, 0, -1)) for k in range(1, 15)]
+    return staircases + [Partition([3] * 14), Partition([5, 5, 4, 4, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1])]
+
+
+@pytest.mark.parametrize("lam", _one_box_cases(), ids=Partition.text)
+def test_partitions_between_match_the_recursive_walk_on_one_box_bounds(lam):
+    # Both walks of lam.one_box_moves(): lam less a corner, then plus a box.
+    between = partitions._partitions_between
+    smaller = between((), lam.parts, lam.size - 1)
+    assert smaller == _recursive_partitions_between((), lam.parts, lam.size - 1)
+    assert len(smaller) == len(lam.outer_corners())
+    for alpha in smaller:
+        upper = (lam[0] + 1,) + alpha
+        want = _recursive_partitions_between(alpha, upper, lam.size)
+        assert between(alpha, upper, lam.size) == want
+
+
+@PROPERTY
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=14))
+def test_partitions_between_match_the_recursive_walk_on_one_box_bounds_of_up_to_14_rows(rows):
+    test_partitions_between_match_the_recursive_walk_on_one_box_bounds(
+        Partition(sorted(rows, reverse=True))
+    )
+
+
+def test_one_box_moves_match_brute_force():
+    # beta is one move from lam when they share all but one box.
+    for d in range(1, 11):
+        for lam in partitions_of(d):
+            want = [
+                beta for beta in partitions_of(d)
+                if beta != lam and sum(map(min, zip(beta, lam))) == d - 1
+            ]
+            assert lam.one_box_moves() == want
+
+
+def test_the_empty_partition_has_no_one_box_moves():
+    with pytest.raises(ValueError):
+        Partition(()).one_box_moves()
+
+
+def test_one_box_moves_finish_on_a_thirty_row_staircase():
+    lam = Partition(range(30, 0, -1))
+    moves = lam.one_box_moves()
+    # Lam less any of its 30 corners has 30 addable cells, one of which
+    # gives lam back.
+    assert len(moves) == 30 * 29
+    assert all(beta.size == lam.size for beta in moves)
+
+
 def _recursive_jacobi_trudi_terms(mu):
     """The terms of _jacobi_trudi_terms(mu), lazily, from nested generators
     of a recursive `rec`: the reference for _jacobi_trudi_terms, which fills
@@ -1008,6 +1079,15 @@ def test_row_vector_pairs_split_the_remainder_in_descending_order(need, rem):
     assert len(rows) == sum(1 for v in bounded if sum(v) == need)
 
 
+def test_compositions_match_brute_force():
+    for d in range(9):
+        for n in range(6):
+            want = sorted((v for v in product(range(d + 1), repeat=n) if sum(v) == d), reverse=True)
+            got = enumerate_compositions(d, n)
+            assert [c.entries for c in got] == want
+            assert all(c.degree == d and c == Composition(c.entries) for c in got)
+
+
 def test_row_vector_memo_stores_each_distinct_vector_once():
     # The pair memo has many more entries than distinct vectors; equal
     # vectors must be one object, or the memo grows with its entries.
@@ -1030,6 +1110,10 @@ def test_row_vector_memo_stores_each_distinct_vector_once():
         for mu in weights:
             for lam in weights:
                 walk(mu.entries, lam.entries)
+        # The keys _weights_up_to asks for: enumerate_compositions reads the
+        # rows of (d, (d,) * n).
+        for n in range(1, 5):
+            entries[d, (d,) * n] = partitions._row_vectors(d, (d,) * n)
     assert partitions._row_vectors.cache_info().misses == info.misses
     assert len(entries) == info.currsize
     stored = {}

@@ -190,7 +190,14 @@ def _cmd_oracle_check(args):
         if max_d > 8 and not args.force:
             raise _InputError("--max-d: values above 8 need --force")
     results = run_suites(args.suite, max_d)
-    text = "\n".join(r.line() for r in results)
+    if args.json:
+        suites = [
+            {"name": r.name, "ok": r.ok, "checks": r.checks, "failure": r.failure}
+            for r in results
+        ]
+        text = json.dumps({"suites": suites}, indent=2)
+    else:
+        text = "\n".join(r.line() for r in results)
     code = EXIT_OK if all(r.ok for r in results) else EXIT_INTERNAL
     return text, code
 

@@ -369,32 +369,51 @@ def _shared(vector: tuple) -> tuple:
 @memo
 def _row_vectors(need: int, rem: tuple) -> tuple:
     """All pairs (x, rem - x) with 0 <= x_j <= rem_j and sum(x) = need,
-    descending lex in x.  Both vectors of a pair are `_shared`."""
+    descending lex in x.  Both vectors of a pair are `_shared`.
+
+    The columns are walked depth first in one frame: row[j] is tried from
+    its largest value down to least[j], the value at which the columns after
+    j can just hold what is left, and the last column takes what is left.
+    """
     m = len(rem)
     if m == 0:
         return (((), ()),) if need == 0 else ()
     cap = [0] * (m + 1)  # cap[j] = rem[j] + ... + rem[m-1]
     for j in range(m - 1, -1, -1):
         cap[j] = cap[j + 1] + rem[j]
-    if need > cap[0]:
+    if not 0 <= need <= cap[0]:
         return ()
-    out = []
+    last = m - 1
     row = [0] * m
     rest = list(rem)
-
-    def fill(j, left):
-        if j == m - 1:
-            row[j] = left
-            rest[j] = rem[j] - left
-            out.append((_shared(tuple(row)), _shared(tuple(rest))))
-            return
-        for x in range(min(left, rem[j]), max(0, left - cap[j + 1]) - 1, -1):
+    least = [0] * m
+    out = []
+    j, left = 0, need
+    while True:
+        # Give columns j, j + 1, ... their largest entries; `left` is what
+        # the columns from j on still have to hold.
+        while j < last:
+            x = rem[j] if rem[j] < left else left
             row[j] = x
             rest[j] = rem[j] - x
-            fill(j + 1, left - x)
-
-    fill(0, need)
-    return tuple(out)
+            least[j] = left - cap[j + 1] if left > cap[j + 1] else 0
+            left -= x
+            j += 1
+        row[last] = left
+        rest[last] = rem[last] - left
+        out.append((_shared(tuple(row)), _shared(tuple(rest))))
+        # Drop the columns at their least entry; the column before them
+        # takes one less, and the walk goes on after it.
+        j = last - 1
+        while j >= 0 and row[j] == least[j]:
+            left += row[j]
+            j -= 1
+        if j < 0:
+            return tuple(out)
+        row[j] -= 1
+        rest[j] += 1
+        left += 1
+        j += 1
 
 
 def _margin_degree(mu: Composition, lam: Composition) -> int:

@@ -14,10 +14,9 @@ its text is formatted only when it fails.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import wraps
 from math import factorial
-from operator import add, mul
+from operator import mul
 
 from .characters import (
     class_size,
@@ -167,48 +166,47 @@ def sweep_contingency(
 ) -> SweepResult:
     """Margin enumeration has the RSK cardinality and the permutation-module
     character identity holds for the divided-power product (the latter up to
-    the smaller of the two degree bounds)."""
+    the smaller of the two degree bounds).
+
+    A pair with both checks is enumerated once: its count is the number of
+    summands of its product, and its characters check follows its count."""
     for d in range(0, count_max_d + 1):
         parts_d = partitions_of(d)
-        # One Kostka row per weight, each weight with the index of its row;
+        chars = d <= char_max_d
+        # One Kostka row per weight, each weight with the index of its row
+        # and, when its characters are checked, its permutation character;
         # the RSK dot product is computed once per pair of distinct rows.
         index = {}
         weights = [
-            (w, index.setdefault(tuple(kostka(v, w) for v in parts_d), len(index)))
+            (
+                w,
+                index.setdefault(tuple(kostka(v, w) for v in parts_d), len(index)),
+                perm_row(w.sorted_parts()) if chars else None,
+            )
             for w in _weights_up_to(d, max_parts)
         ]
         rsk = [[sum(map(mul, a, b)) for b in index] for a in index]
-        for mu, i in weights:
+        for mu, i, perm_mu in weights:
             rsk_mu, sums = rsk[i], mu.entries
-            for lam, j in weights:
-                count = 0
-                for count, _ in enumerate(_contingency_rows(sums, lam.entries), 1):
-                    pass
+            for lam, j, perm_lam in weights:
+                if chars:
+                    summands = gamma_tensor_gamma(mu, lam).summands
+                    count = len(summands)
+                else:
+                    count = 0
+                    for count, _ in enumerate(_contingency_rows(sums, lam.entries), 1):
+                        pass
                 yield None if count == rsk_mu[j] else (
                     f"count mu={mu.text()} lambda={lam.text()}: {count} != {rsk_mu[j]}"
                 )
-    for d in range(0, min(char_max_d, count_max_d) + 1):
-        # Each weight with the index of its blocks; the product of two
-        # permutation characters is computed once per pair of block tuples.
-        index = {}
-        weights = [
-            (w, index.setdefault(w.sorted_parts(), len(index)))
-            for w in _weights_up_to(d, max_parts)
-        ]
-        products = [[list(map(mul, perm_row(a), perm_row(b))) for b in index] for a in index]
-        for mu, i in weights:
-            products_mu = products[i]
-            for lam, j in weights:
-                product = products_mu[j]
-                acc = [0] * len(product)
-                # The character depends only on the block sizes, so each
-                # distinct one is added once, times its multiplicity.
-                summands = gamma_tensor_gamma(mu, lam).summands
-                for blocks, k in Counter(map(Composition.sorted_parts, summands)).items():
-                    acc = list(map(add, acc, map(k.__mul__, perm_row(blocks))))
-                yield None if acc == product else (
-                    f"characters mu={mu.text()} lambda={lam.text()}"
-                )
+                if chars:
+                    # The character of the product is the column sums of its
+                    # summands' permutation characters.
+                    rows = map(perm_row, map(Composition.sorted_parts, summands))
+                    got = list(map(sum, zip(*rows)))
+                    yield None if got == list(map(mul, perm_mu, perm_lam)) else (
+                        f"characters mu={mu.text()} lambda={lam.text()}"
+                    )
 
 
 @_sweep

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, exact tolerances, stated bounds.
 
 Every comparison is exact-integer; a single coefficient mismatch fails the
-criterion.  Each test prints its own pass/fail line (visible with -s or -rA).
+criterion, and so does a sweep that runs any other number of checks than its
+stated count at its stated bounds.  Each test prints its own pass/fail line
+(visible with -s or -rA).
 Run with:  pytest tests/test_acceptance.py -v -s
 """
 
@@ -21,15 +23,17 @@ from polykron.sweeps import (
 )
 
 
-def _finish(label, results, elapsed, limit=None):
+def _finish(label, results, counts, elapsed, limit=None):
+    """Report the sweeps and assert that each passed with its count of checks."""
     ok = all(r.ok for r in results)
-    checks = sum(r.checks for r in results)
-    status = "PASS" if ok else "FAIL"
-    line = f"{status} {label}: {checks} checks in {elapsed:.1f}s"
+    checks = [r.checks for r in results]
+    status = "PASS" if ok and checks == counts else "FAIL"
+    line = f"{status} {label}: {sum(checks)} checks in {elapsed:.1f}s"
     if not ok:
         line += " | " + "; ".join(r.failure for r in results if not r.ok)
     print(line)
     assert ok, line
+    assert checks == counts, f"{label} ran {checks} checks, not {counts}"
     if limit is not None:
         assert elapsed <= limit, f"{label} exceeded {limit}s ({elapsed:.1f}s)"
 
@@ -38,53 +42,53 @@ def test_criterion_1_kronecker_oracle_equivalence():
     t0 = time.time()
     result = sweep_kron(max_d=6)
     _finish("criterion 1 (kronecker vs character oracle, d<=6)",
-            [result], time.time() - t0, limit=60)
+            [result], [210], time.time() - t0, limit=60)
 
 
 def test_criterion_2_fast_path_agreement():
     t0 = time.time()
     result = sweep_fastpath(max_d=8)
     _finish("criterion 2 (two-row/hook/one-box vs character oracle, d<=8)",
-            [result], time.time() - t0, limit=120)
+            [result], [610], time.time() - t0, limit=120)
 
 
 def test_criterion_3_worked_d3_fixture():
     t0 = time.time()
     result = sweep_fixture()
     _finish("criterion 3 ((2,1) x (2,1) by all four paths)",
-            [result], time.time() - t0)
+            [result], [4], time.time() - t0)
 
 
 def test_criterion_4_contingency_identities():
     t0 = time.time()
     result = sweep_contingency(count_max_d=8, char_max_d=6, max_parts=4)
     _finish("criterion 4 (margin counts d<=8, permutation characters d<=6)",
-            [result], time.time() - t0)
+            [result], [128291], time.time() - t0)
 
 
 def test_criterion_5_weyl_filtration_oracle_match():
     t0 = time.time()
     result = sweep_weyl(max_d=7, max_parts=4)
     _finish("criterion 5 (weyl filtration positivity and oracle, d<=7)",
-            [result], time.time() - t0)
+            [result], [4822], time.time() - t0)
 
 
 def test_criterion_6_exponential_table():
     t0 = time.time()
     result = sweep_exptable(max_d=6)
     _finish("criterion 6 (nine-family table and undefined mode, d<=6)",
-            [result], time.time() - t0)
+            [result], [31801], time.time() - t0)
 
 
 def test_criterion_7_jacobi_trudi_roundtrip():
     t0 = time.time()
     result = sweep_jt(max_d=8)
     _finish("criterion 7 (signed determinant re-expansion, d<=8)",
-            [result], time.time() - t0)
+            [result], [67], time.time() - t0)
 
 
 def test_criterion_8_character_self_consistency():
     t0 = time.time()
     results = [sweep_chars(max_d=8), sweep_dims(max_d=8), sweep_lr(max_d=7)]
     _finish("criterion 8 (orthogonality d<=8, dimensions d<=8, LR double path d<=7)",
-            results, time.time() - t0)
+            results, [493, 493, 2760], time.time() - t0)

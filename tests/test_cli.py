@@ -287,6 +287,27 @@ class TestOracleCheckCommand:
         code, out, _ = invoke(capsys, "oracle-check", "--suite", "jt", "--max-d", "3")
         assert (code, out) == (0, "jt: PASS (3 checks)\n")
 
+    def test_json_report_lists_each_suite(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "sweep_jt", lambda max_d=8: sweeps.SweepResult("jt", max_d))
+        code, out, _ = invoke(capsys, "oracle-check", "--suite", "fixture", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "suites": [{"name": "fixture", "ok": True, "checks": 4, "failure": None}]
+        }
+        monkeypatch.setattr(
+            sweeps, "sweep_fixture", lambda: sweeps.SweepResult("fixture", 2, "planted")
+        )
+        code, out, _ = invoke(capsys, "oracle-check", "--max-d", "3", "--json")
+        assert code == 3
+        suites = json.loads(out)["suites"]
+        assert [s["name"] for s in suites] == list(SUITE_NAMES)
+        assert suites[2] == {"name": "fixture", "ok": False, "checks": 2, "failure": "planted"}
+        assert suites[6] == {"name": "jt", "ok": True, "checks": 3, "failure": None}
+        assert all(s["ok"] and s["failure"] is None for i, s in enumerate(suites) if i != 2)
+        # Without --json the report stays one line per suite.
+        code, out, _ = invoke(capsys, "oracle-check", "--suite", "fixture")
+        assert (code, out) == (3, "fixture: FAIL (2 checks) first counterexample: planted\n")
+
     def test_negative_max_d_is_rejected(self, capsys):
         code, out, err = invoke(capsys, "oracle-check", "--suite", "kron", "--max-d", "-1")
         assert code == 2

@@ -7,12 +7,12 @@ LR walk they replaced, beyond the oracle's bound, of the grouped chain sums
 against the plain fold of each chain, of every Jacobi-Trudi resolution of a
 Kronecker product against the one kronecker_general picks, of the contingency
 enumerator and its row-vector pairs against independent counts, on random
-inputs beyond the sweep bounds, of the contingency enumerator, the LR strip
-and letter walks, the partitions between two shapes and the Jacobi-Trudi
-terms against the recursive walks they replaced, order included, of the
-walker on the tight bounds of one-box moves and horizontal strips, of the
-one-box moves and the compositions against brute force, and of the kernel
-memos."""
+inputs beyond the sweep bounds, of the contingency enumerator, its row-vector
+pairs, the LR strip and letter walks, the partitions between two shapes and
+the Jacobi-Trudi terms against the recursive walks they replaced, order
+included, of the walker on the tight bounds of one-box moves and horizontal
+strips, of the one-box moves and the compositions against brute force, and
+of the kernel memos."""
 
 from collections import Counter
 from functools import lru_cache, partial
@@ -1077,6 +1077,51 @@ def test_row_vector_pairs_split_the_remainder_in_descending_order(need, rem):
     assert all(a > b for a, b in zip(rows, rows[1:]))
     bounded = product(*(range(c + 1) for c in rem))
     assert len(rows) == sum(1 for v in bounded if sum(v) == need)
+
+
+def _recursive_row_vectors(need, rem):
+    """The tuple of _row_vectors(need, rem), from a recursive `fill` closure:
+    the reference for _row_vectors, which walks the columns in one frame in
+    polykron.partitions."""
+    m = len(rem)
+    if m == 0:
+        return (((), ()),) if need == 0 else ()
+    cap = [0] * (m + 1)  # cap[j] = rem[j] + ... + rem[m-1]
+    for j in range(m - 1, -1, -1):
+        cap[j] = cap[j + 1] + rem[j]
+    if need > cap[0]:
+        return ()
+    out = []
+    row = [0] * m
+    rest = list(rem)
+
+    def fill(j, left):
+        if j == m - 1:
+            row[j] = left
+            rest[j] = rem[j] - left
+            out.append((tuple(row), tuple(rest)))
+            return
+        for x in range(min(left, rem[j]), max(0, left - cap[j + 1]) - 1, -1):
+            row[j] = x
+            rest[j] = rem[j] - x
+            fill(j + 1, left - x)
+
+    fill(0, need)
+    return tuple(out)
+
+
+def test_row_vectors_match_the_recursive_walk():
+    # Every remainder with entries <= 3 and at most 5 columns, at every need
+    # from 0 to its sum + 1: 12,288 cases.  Each vector is the `_shared` one.
+    cases = 0
+    for m in range(6):
+        for rem in product(range(4), repeat=m):
+            for need in range(sum(rem) + 2):
+                got = partitions._row_vectors(need, rem)
+                assert got == _recursive_row_vectors(need, rem), (need, rem)
+                assert all(partitions._shared(v) is v for v in chain.from_iterable(got))
+                cases += 1
+    assert cases == 12288
 
 
 def test_compositions_match_brute_force():

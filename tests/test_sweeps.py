@@ -38,22 +38,38 @@ def _plus_one_row(expansion):
     return expansion + SchurExpansion.single(Partition([expansion.degree]))
 
 
-def test_contingency_characters_fail_without_one_summand(monkeypatch):
+def _plant_summands(monkeypatch, wrong):
+    """Replace the gamma_tensor_gamma that `sweeps` imported by one whose
+    summands are wrong(real summands) at (MU, LAM)."""
     real = sweeps.gamma_tensor_gamma
 
-    def drop_one(mu, lam):
+    def planted(mu, lam):
         got = real(mu, lam)
         if (mu, lam) == (MU, LAM):
-            return ExpDecomposition(GAMMA, got.summands[:-1])
+            return ExpDecomposition(GAMMA, wrong(got.summands))
         return got
 
-    monkeypatch.setattr(sweeps, "gamma_tensor_gamma", drop_one)
+    monkeypatch.setattr(sweeps, "gamma_tensor_gamma", planted)
+
+
+def test_contingency_count_fails_without_one_summand(monkeypatch):
+    # A pair whose characters are checked is counted by its summands.
+    _plant_summands(monkeypatch, lambda summands: summands[:-1])
+    result = sweeps.sweep_contingency(count_max_d=4, char_max_d=4)
+    assert not result.ok
+    assert result.failure == "count mu=2,1 lambda=1,2: 1 != 2"
+
+
+def test_contingency_characters_fail_with_one_summand_repeated(monkeypatch):
+    # The count stays right, so only the characters can tell.
+    _plant_summands(monkeypatch, lambda summands: (summands[0], summands[0]))
     result = sweeps.sweep_contingency(count_max_d=4, char_max_d=4)
     assert not result.ok
     assert result.failure == "characters mu=2,1 lambda=1,2"
 
 
 def test_contingency_count_fails_without_one_matrix(monkeypatch):
+    # Above char_max_d the count reads the bare enumerator.
     real = sweeps._contingency_rows
 
     def skip_one(sums, cols):
@@ -63,7 +79,7 @@ def test_contingency_count_fails_without_one_matrix(monkeypatch):
         return matrices
 
     monkeypatch.setattr(sweeps, "_contingency_rows", skip_one)
-    result = sweeps.sweep_contingency(count_max_d=4, char_max_d=4)
+    result = sweeps.sweep_contingency(count_max_d=4, char_max_d=2)
     assert not result.ok
     assert result.failure == "count mu=2,1 lambda=1,2: 1 != 2"
 
@@ -71,9 +87,10 @@ def test_contingency_count_fails_without_one_matrix(monkeypatch):
 def test_contingency_count_fails_with_one_wrong_kostka_row(monkeypatch):
     # Only the content (1,2) is wrong, not its permutation (2,1): the sweep
     # must ask each weight's own Kostka row, not share one per block sizes.
+    # Each pair before it ran its count and its characters checks.
     _plant(monkeypatch, "kostka", (Partition([3]), LAM), lambda k: k + 1)
     assert sweeps.sweep_contingency(count_max_d=4, char_max_d=4).line() == (
-        "contingency: FAIL (520 checks) first counterexample: count mu=3 lambda=1,2: 1 != 2"
+        "contingency: FAIL (1039 checks) first counterexample: count mu=3 lambda=1,2: 1 != 2"
     )
 
 

@@ -4,11 +4,17 @@ Every comparison is exact-integer; a single coefficient mismatch fails the
 criterion, and so does a sweep that runs any other number of checks than its
 stated count at its stated bounds.  Each test prints its own pass/fail line
 (visible with -s or -rA).
+The last test holds the engine to every expansion that the character oracle
+stored in perfbench/reference.json.
 Run with:  pytest tests/test_acceptance.py -v -s
 """
 
+import json
 import time
+from pathlib import Path
 
+from polykron import Partition, kronecker
+from polykron._memo import clear_all
 from polykron.sweeps import (
     sweep_chars,
     sweep_contingency,
@@ -21,6 +27,8 @@ from polykron.sweeps import (
     sweep_lr,
     sweep_weyl,
 )
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def _finish(label, results, counts, elapsed, limit=None):
@@ -92,3 +100,21 @@ def test_criterion_8_character_self_consistency():
     results = [sweep_chars(max_d=8), sweep_dims(max_d=8), sweep_lr(max_d=7)]
     _finish("criterion 8 (orthogonality d<=8, dimensions d<=8, LR double path d<=7)",
             results, [493, 493, 2760], time.time() - t0)
+
+
+def test_every_reference_expansion_by_auto_and_general():
+    # All 1,310 pairs at d = 9-11 and 13-15, unsampled, from cold memos; the
+    # general pass reads the memo entries that the auto pass checked.
+    rows = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    assert len(rows) == 1310
+    t0 = time.time()
+    clear_all()
+    wrong = []
+    for method in ("auto", "general"):
+        for lam, mu, terms in rows:
+            got, _ = kronecker(Partition(lam), Partition(mu), method)
+            if {p.parts: c for p, c in got.terms.items()} != {tuple(p): c for p, c in terms}:
+                wrong.append(f"{method} {tuple(lam)} x {tuple(mu)}")
+    status = "FAIL" if wrong else "PASS"
+    print(f"{status} reference expansions: {2 * len(rows)} checks in {time.time() - t0:.1f}s")
+    assert not wrong, f"{len(wrong)} wrong, first {wrong[0]}"

@@ -32,7 +32,7 @@ from polykron import (
 )
 from polykron._memo import clear_all
 from polykron.characters import character_row
-from polykron.internal_product import _chain_sum, _gamma_steps
+from polykron.internal_product import _chain_sum, _gamma_steps, _sign_class
 from polykron.partitions import _contingency_rows, _partitions_between, partitions_of
 from polykron.schur import _product_terms
 
@@ -52,8 +52,8 @@ MODES = pytest.mark.parametrize("mode", ["cold", "warm"])
 def test_chain(benchmark, mode, parts):
     # The chain of the leading Jacobi-Trudi term h_mu of mu = lam, a single
     # term of the one memoised chain sum.
-    terms = ((1, _gamma_steps(Partition(parts))),)
-    measure(benchmark, mode, _chain_sum, parts, terms)
+    _, key = _sign_class(((1, _gamma_steps(Partition(parts))),))
+    measure(benchmark, mode, _chain_sum, parts, key)
 
 
 @MODES

@@ -2,15 +2,18 @@
 as "schur._product_terms".  The two dicts that the CLI's --cache file saves
 are registered where they are defined.  `clear_all()` empties every table."""
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 MEMOS: dict = {}
 
 
-def memo(fn):
-    """lru_cache(maxsize=None)(fn), recorded in MEMOS and returned unwrapped."""
+def memo(fn=None, *, maxsize=None):
+    """lru_cache(maxsize)(fn), recorded in MEMOS and returned unwrapped; used
+    as @memo, or as @memo(maxsize=n) for a table of at most n entries."""
+    if fn is None:
+        return partial(memo, maxsize=maxsize)
     module = fn.__module__.rpartition(".")[2]
-    MEMOS[f"{module}.{fn.__qualname__}"] = cached = lru_cache(maxsize=None)(fn)
+    MEMOS[f"{module}.{fn.__qualname__}"] = cached = lru_cache(maxsize=maxsize)(fn)
     return cached
 
 

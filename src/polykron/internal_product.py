@@ -114,18 +114,25 @@ class ExpDecomposition:
         return f"ExpDecomposition({self.family}, [{body}])"
 
 
-def _contingency_weights(mu: Composition, lam: Composition) -> tuple:
-    """The row-major flattening of every matrix with margins mu and lam, in
-    the order of iter_contingency, built from the rows tuples alone."""
-    d = _margin_degree(mu, lam)
-    rows = _contingency_rows(mu.entries, lam.entries)
-    return tuple(map(Composition._trusted, map(tuple, map(chain.from_iterable, rows)), repeat(d)))
+@memo(maxsize=1)
+def _contingency_weights(sums: tuple, cols: tuple) -> tuple:
+    """The row-major flattening of every matrix with row sums `sums` and
+    column sums `cols`, in the order of iter_contingency, built from the rows
+    tuples alone; the caller checks that the margins have one degree.
+
+    Every product of two exponential functors has these summands, and the
+    products of one margin pair are asked one after another, so the memo
+    keeps the last pair only.  The returned tuple is the memo's own.
+    """
+    flat = map(tuple, map(chain.from_iterable, _contingency_rows(sums, cols)))
+    return tuple(map(Composition._trusted, flat, repeat(sum(sums))))
 
 
 def gamma_tensor_gamma(mu: Composition, lam: Composition) -> ExpDecomposition:
     """Product of two divided-power weights: one Gamma summand per matrix
     with row sums mu and column sums lam, flattened row-major."""
-    return ExpDecomposition._trusted(GAMMA, _contingency_weights(mu, lam))
+    _margin_degree(mu, lam)
+    return ExpDecomposition._trusted(GAMMA, _contingency_weights(mu.entries, lam.entries))
 
 
 # Output family for each unordered pair of input families.  The Sym/Wedge
@@ -137,6 +144,7 @@ _FAMILY_TABLE = {
     frozenset([WEDGE]): SYM,
     frozenset([SYM]): SYM,
 }
+_SYM_WEDGE = frozenset([SYM, WEDGE])
 
 
 def exponential_tensor(
@@ -150,7 +158,7 @@ def exponential_tensor(
     two input weights; only the output family depends on the family pair.
     """
     pair = frozenset([left.family, right.family])
-    if pair == frozenset([SYM, WEDGE]):
+    if pair == _SYM_WEDGE:
         if mode is CharTwoMode.TWO_INVERTIBLE:
             family = WEDGE
         elif mode is CharTwoMode.TWO_ZERO:
@@ -162,7 +170,10 @@ def exponential_tensor(
             )
     else:
         family = _FAMILY_TABLE[pair]
-    return ExpDecomposition._trusted(family, _contingency_weights(left.weight, right.weight))
+    _margin_degree(left.weight, right.weight)
+    return ExpDecomposition._trusted(
+        family, _contingency_weights(left.weight.entries, right.weight.entries)
+    )
 
 
 @memo
@@ -221,32 +232,55 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
     return out
 
 
+def _sign_class(signed) -> tuple:
+    """(sign, key) for a sum of (sign, steps) terms: the key merges the terms
+    with equal steps, drops those that cancel, orders the rest by their
+    steps read from the last, and scales them by `sign` so that the first
+    coefficient is positive.  The sum is sign * _chain_sum(lam, key), so a
+    term list and its negation share one key."""
+    merged = {}
+    for sign, steps in signed:
+        merged[steps] = merged.get(steps, 0) + sign
+    key = sorted((item for item in merged.items() if item[1]), key=lambda item: item[0][::-1])
+    if key and key[0][1] < 0:
+        return -1, tuple([(steps, -c) for steps, c in key])
+    return 1, tuple(key)
+
+
 @memo
-def _chain_sum(lam: tuple, terms: tuple) -> dict:
-    """The sum of sign * (the table that _step folded over steps makes of
-    {(): s_()}) over the (sign, steps) terms, zeros dropped.
+def _chain_sum(lam: tuple, key: tuple) -> dict:
+    """The sum of c * (the table that _step folded over steps makes of
+    {(): s_()}) over the (steps, c) terms of a _sign_class key, zeros
+    dropped.
 
     Each term's steps add up to one size.  At |lam| the table holds lam
     alone, and its entry there is the Kronecker product of s_lam with the
     product of the steps' h_size and e_size.  Terms that end in the same step
-    sum their prefix tables first, by this function on the sorted prefixes,
-    and take that step once, after their cancellations.  So every prefix
-    level is a memo entry, and a single chain is the term ((1, steps),).
+    sum their prefix tables first, by this function on the prefixes, and take
+    that step once, after their cancellations.  The terms are ordered by
+    their steps read from the last, so those with one last step come
+    together, and their prefixes come in the order of a key; a group whose
+    first coefficient is negative asks the negated prefixes, and its table
+    is subtracted.  So every prefix level is a memo entry, shared by a term
+    list and its negation, and a single chain is the key ((steps, 1),).
     The returned dict is the memo's own and must not be changed.
     """
     groups = {}
-    for sign, steps in terms:
-        groups.setdefault(steps[-1:], []).append((sign, steps[:-1]))
+    for steps, c in key:
+        groups.setdefault(steps[-1:], []).append((steps[:-1], c))
     out = {}
     for last, prefixes in groups.items():
-        if last:
-            table = _step(lam, _chain_sum(lam, tuple(sorted(prefixes))), *last[0])
+        sign = -1 if prefixes[0][1] < 0 else 1
+        if not last:  # the one term with no steps
+            table = {(): {0: sign * prefixes[0][1]}}
+        elif sign < 0:
+            table = _step(lam, _chain_sum(lam, tuple([(p, -c) for p, c in prefixes])), *last[0])
         else:
-            table = {(): {0: sum(sign for sign, _ in prefixes)}}
+            table = _step(lam, _chain_sum(lam, tuple(prefixes)), *last[0])
         for beta, expn in table.items():
             acc = out.setdefault(beta, {})
             for mu, x in expn.items():
-                acc[mu] = acc.get(mu, 0) + x
+                acc[mu] = acc.get(mu, 0) + sign * x
     return {
         beta: nonzero
         for beta, expn in out.items()
@@ -254,13 +288,15 @@ def _chain_sum(lam: tuple, terms: tuple) -> dict:
     }
 
 
-def _chain_expansion(lam: Partition, terms: tuple, flip=None) -> SchurExpansion:
-    """The entry of _chain_sum(lam.parts, terms) at lam, as a fresh expansion;
-    with a `flip` from _conjugation, its omega image."""
-    entry = _chain_sum(lam.parts, terms).get(lam.parts, {}).items()
-    if flip:
-        entry = [(flip[i], c) for i, c in entry]
-    return SchurExpansion._from_index(lam.size, entry)
+def _chain_expansion(lam: Partition, signed, flip=None) -> SchurExpansion:
+    """The sum of the (sign, steps) chains' tables at lam, read from the
+    _chain_sum entry of their sign class, as a fresh expansion; with a `flip`
+    from _conjugation, its omega image."""
+    sign, key = _sign_class(signed)
+    entry = _chain_sum(lam.parts, key).get(lam.parts, {})
+    return SchurExpansion._from_index(
+        lam.size, [(flip[i] if flip else i, sign * c) for i, c in entry.items()]
+    )
 
 
 def _gamma_steps(nu: Composition) -> tuple:
@@ -292,10 +328,10 @@ def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
     """The Kronecker product of lam and `other` as a signed sum of chain sums;
     the cancellations must leave every coefficient >= 0.
 
-    The sum is taken by _chain_sum, keyed by lam and the sorted terms, so
-    terms that share their last steps apply each shared step once.
+    The sum is taken by _chain_sum, keyed by lam and the terms' sign class,
+    so terms that share their last steps apply each shared step once.
     """
-    result = _chain_expansion(lam, tuple(sorted(signed_steps)))
+    result = _chain_expansion(lam, signed_steps)
     if not result.is_nonnegative():
         raise ConsistencyError(
             f"negative coefficient in kronecker product of {lam.text()} and {other}: {result!r}"

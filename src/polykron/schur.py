@@ -18,9 +18,12 @@ for one coefficient at a time (the technique of Buch's lrcalc):
   c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}, so of the four
   orientations (mu, nu), (nu, mu), (mu', nu') and (nu', mu') only the first
   in `_walk_order` is walked: the content with the fewest letters, then the
-  fewest rows to grow.  The swapped pair returns the same tuple, and the
-  conjugate pair reads it through `_conjugation(d)`, the permutation of
-  positions in partitions_of(d) that conjugates each partition.
+  fewest rows to grow.  An entry holds the walk's nonzero coefficients as
+  two flat tuples, their positions in ascending order and the coefficients.
+  The swapped pair returns the same entry, and the conjugate pair an entry
+  that shares both tuples and reads them through `_conjugation(d)`, the
+  permutation of positions in partitions_of(d) that conjugates each
+  partition; nothing is copied.
 - `_skew_terms(outer, inner)` reads each c^outer_{inner,beta} from the
   memoised product s_inner * s_beta, so skew Schur functions and products
   share one LR walker and one memo of products.  The Weyl chain's Wedge
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import compress
+from operator import sub
 
 from ._memo import MEMOS, memo
 from .errors import DegreeMismatchError
@@ -191,14 +195,15 @@ def kostka(shape: Partition, content: Composition) -> int:
     return _h_terms(content.sorted_parts())[_positions(shape.size)[shape.parts]]
 
 
-def _strips(shape: list, prev, size: int, first: bool):
+def _strips(shape: list, prev, size: int, first: bool, top: int):
     """Yield cur once per horizontal strip of `size` cells that the next
     letter can add to `shape` with the reverse reading word (right to left,
     top to bottom) still a lattice word.
 
-    shape ends in at least one zero row, prev[r] is the number of cells the
-    letter before filled in row r, with an entry for every row up to shape's
-    first zero row, and `first` says whether this is the letter 1.  Cells go
+    shape ends in at least one zero row, and `top` is its first zero row,
+    the one row a strip may open.  prev[r] is the number of cells the letter
+    before filled in row r, with an entry for every row up to `top`, and
+    `first` says whether this is the letter 1.  Cells go
     in row by row from the top.  With x cells in row r the word stays a
     lattice word iff, summed over rows <= r, the new letter occurs no more
     often than the one before does in rows < r; the `slack` of a row is that
@@ -213,13 +218,12 @@ def _strips(shape: list, prev, size: int, first: bool):
     """
     old = shape[:]
     cur = [0] * len(shape)
-    top = old.index(0)  # the one row this strip may open
     # room[r]: how many more cells rows >= r may take than row r's slack
     room = [0] * (top + 2)
     for r in range(top - 1, -1, -1):
         room[r] = room[r + 1] + prev[r]
     # gap[r]: the most cells row r may take and stay below row r - 1
-    gap = [size] + [old[r - 1] - old[r] for r in range(1, top + 1)]
+    gap = [size, *map(sub, old, old[1 : top + 1])]
     low = [0] * (top + 1)
     lefts = [0] * (top + 1)
     slacks = [0] * (top + 1)
@@ -282,7 +286,7 @@ def _last_strips(shape: tuple, prev: tuple, size: int, first: bool) -> tuple:
     grown = [*shape, 0]
     pos = _positions(sum(shape) + size)
     out = []
-    for _ in _strips(grown, [*prev, 0], size, first):
+    for _ in _strips(grown, [*prev, 0], size, first, len(shape)):
         out.append(pos[tuple(grown) if grown[-1] else tuple(grown[:-1])])
     return tuple(out)
 
@@ -297,7 +301,9 @@ def _lr_tally(base: tuple, content: tuple) -> list:
     this one frame: `walks[k]` is the _strips generator of letter k+1 on the
     shape that the letters before it left, and it reads their last strip as
     its prev.  The last letter's strips come from the _last_strips memo,
-    keyed by the state the letters before it leave.
+    keyed by the state the letters before it leave.  A strip opens at most
+    one row, so `tops[k]`, the row count of the shape that letter k+1 grows,
+    is carried down the stack rather than searched for.
     """
     tally = [0] * len(partitions_of(sum(base) + sum(content)))
     if not content:
@@ -310,16 +316,19 @@ def _lr_tally(base: tuple, content: tuple) -> list:
             tally[i] += 1
         return tally
     shape = [*base] + [0] * len(content)
-    walks = [_strips(shape, [0] * len(shape), content[0], True)] + [None] * (last - 1)
+    tops = [len(base)] + [0] * (last - 1)
+    walks = [_strips(shape, [0] * len(shape), content[0], True, len(base))] + [None] * (last - 1)
     k = 0
     while k >= 0:
+        top = tops[k]
         for cur in walks[k]:
+            grown = top + 1 if cur[top] else top
             if k + 1 < last:  # descend; the while resumes at letter k + 2
                 k += 1
-                walks[k] = _strips(shape, cur, content[k], False)
+                tops[k] = grown
+                walks[k] = _strips(shape, cur, content[k], False, grown)
                 break
-            top = shape.index(0)
-            for i in _last_strips(tuple(shape[:top]), tuple(cur[:top]), size, False):
+            for i in _last_strips(tuple(shape[:grown]), tuple(cur[:grown]), size, False):
                 tally[i] += 1
         else:  # letter k + 1 is exhausted; resume letter k
             k -= 1
@@ -334,13 +343,18 @@ def _walk_order(mu: tuple, nu: tuple) -> tuple:
 
 @memo
 def _product_terms(mu: tuple, nu: tuple) -> tuple:
-    """(i, c^lam_{mu,nu}) pairs, i ascending, over the positions i in
-    partitions_of(|mu| + |nu|) of the lam with a nonzero coefficient.
+    """(positions, coefficients, flip): the nonzero c^lam_{mu,nu} of the
+    walked orientation as two flat tuples, the positions in
+    partitions_of(|mu| + |nu|) of its lam in ascending order and their
+    coefficients, and the permutation that carries those positions to this
+    orientation's, or None.
 
     c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}, so of the four
-    orientations only the one first in _walk_order is walked.  s_nu*s_mu
-    returns the tuple of s_mu*s_nu, and the conjugate pair's tuple is read
-    through _conjugation and re-sorted by position.
+    orientations only the one first in _walk_order is walked, and its entry
+    has flip None.  s_nu*s_mu returns the entry of s_mu*s_nu, and the
+    conjugate pair's entry shares the walked tuples, with flip the
+    _conjugation of its degree.  Read an entry through _coefficient or
+    _add_product.
     """
     if _walk_order(nu, mu) < _walk_order(mu, nu):
         return _product_terms(nu, mu)
@@ -348,16 +362,21 @@ def _product_terms(mu: tuple, nu: tuple) -> tuple:
     if _walk_order(cnu, cmu) < _walk_order(cmu, cnu):
         cmu, cnu = cnu, cmu
     if _walk_order(cmu, cnu) < _walk_order(mu, nu):
-        flip = _conjugation(sum(mu) + sum(nu))
-        return tuple(sorted([(flip[i], c) for i, c in _product_terms(cmu, cnu)]))
+        positions, coefficients, _ = _product_terms(cmu, cnu)
+        return positions, coefficients, _conjugation(sum(mu) + sum(nu))
     tally = _lr_tally(mu, nu)
-    return tuple(compress(enumerate(tally), tally))
+    return tuple(compress(range(len(tally)), tally)), tuple(compress(tally, tally)), None
 
 
-def _coefficient(terms: tuple, at: int) -> int:
-    """The coefficient at position `at` in a _product_terms tuple, or 0."""
-    k = bisect_left(terms, (at,))
-    return terms[k][1] if k < len(terms) and terms[k][0] == at else 0
+def _coefficient(entry: tuple, at: int) -> int:
+    """The coefficient at position `at` in a _product_terms entry, or 0.
+    Conjugation is an involution, so flip carries `at` to the walked
+    orientation's position."""
+    positions, coefficients, flip = entry
+    if flip:
+        at = flip[at]
+    k = bisect_left(positions, at)
+    return coefficients[k] if k < len(positions) and positions[k] == at else 0
 
 
 @memo
@@ -387,7 +406,10 @@ def _add_product(acc: list, left: dict, degree: int, nu: tuple, weight: int = 1)
     shapes = partitions_of(degree)
     for mu, x in left.items():
         w = weight * x
-        for i, c in _product_terms(shapes[mu].parts, nu):
+        positions, coefficients, flip = _product_terms(shapes[mu].parts, nu)
+        if flip:
+            positions = map(flip.__getitem__, positions)
+        for i, c in zip(positions, coefficients):
             acc[i] += w * c
 
 

@@ -25,12 +25,17 @@ from hypothesis import strategies as st
 
 from polykron import (
     GAMMA,
+    SYM,
     WEDGE,
+    CharTwoMode,
     Composition,
+    ExpFunctor,
     Partition,
     SchurExpansion,
     characters,
     dimension,
+    exponential_tensor,
+    gamma_tensor_gamma,
     hook_mixed,
     internal_h_oracle,
     internal_product,
@@ -50,7 +55,14 @@ from polykron import (
     weyl_tensor_wedge,
 )
 from polykron._memo import MEMOS, clear_all
-from polykron.internal_product import _chain_sum, _gamma_steps, _step
+from polykron.internal_product import (
+    _chain_expansion,
+    _chain_sum,
+    _contingency_weights,
+    _gamma_steps,
+    _sign_class,
+    _step,
+)
 from polykron.partitions import enumerate_compositions, partitions_of
 from polykron.schur import _last_strips, _lr_tally, _product_terms, _skew_terms
 
@@ -310,6 +322,16 @@ def _fold(lam, steps):
     return dp[lam]
 
 
+def _signed_table(lam, terms):
+    """The sum of the (sign, steps) terms' tables, read from the _chain_sum
+    entry of their _sign_class with the sign applied."""
+    sign, key = _sign_class(terms)
+    return {
+        beta: {mu: sign * x for mu, x in expn.items()}
+        for beta, expn in _chain_sum(lam, key).items()
+    }
+
+
 def _fill_cells(shape, content):
     """Semistandard fillings of the shape with the given content, one cell at
     a time: the reference for kostka, which reads them from the product of
@@ -372,6 +394,24 @@ def _row_order_product_terms(mu, nu):
     return tuple([(i, c) for i, c in enumerate(schur._lr_tally(mu, nu)) if c])
 
 
+def _pairs(entry):
+    """A _product_terms entry, (positions, coefficients, flip), as the
+    (i, c) pairs of _row_order_product_terms."""
+    positions, coefficients, flip = entry
+    if flip:
+        positions = [flip[i] for i in positions]
+    return tuple(sorted(zip(positions, coefficients)))
+
+
+def _row_order_flat_terms(mu, nu):
+    """_row_order_product_terms in the layout of a walked _product_terms
+    entry, with the memo of _row_order_product_terms."""
+    return (*zip(*_row_order_product_terms(mu, nu)), None)
+
+
+_row_order_flat_terms.cache_clear = _row_order_product_terms.cache_clear
+
+
 def _orientations(mu, nu):
     """The four argument pairs with one product up to conjugation."""
     cmu, cnu = mu.conjugate().parts, nu.conjugate().parts
@@ -389,9 +429,9 @@ def test_product_terms_match_the_row_order_walk_cold_and_warm(pair):
     cases = _orientations(*pair)
     for mu, nu in cases:
         _product_terms.cache_clear()
-        assert _product_terms(mu, nu) == _row_order_product_terms(mu, nu)
+        assert _pairs(_product_terms(mu, nu)) == _row_order_product_terms(mu, nu)
     for mu, nu in cases:
-        assert _product_terms(mu, nu) == _row_order_product_terms(mu, nu)
+        assert _pairs(_product_terms(mu, nu)) == _row_order_product_terms(mu, nu)
     assert _product_terms(*cases[0]) is _product_terms(*cases[1])
 
 
@@ -417,7 +457,7 @@ def test_a_cold_square_walks_each_conjugate_class_of_products_once(monkeypatch):
     # this square; one walk per conjugate class of pairs takes 31.
     lam = Partition([3, 3, 2])
     square = partial(kronecker_general, lam, lam)
-    assert len(_walks(monkeypatch, _row_order_product_terms, square)) == 54
+    assert len(_walks(monkeypatch, _row_order_flat_terms, square)) == 54
     assert len(_walks(monkeypatch, _product_terms, square)) == 31
 
 
@@ -440,7 +480,7 @@ def test_product_terms_match_the_oracle(pair):
         c = lr_oracle(lam, mu, nu)
         if c:
             want.append((i, c))
-    assert _product_terms(mu.parts, nu.parts) == tuple(want)
+    assert _pairs(_product_terms(mu.parts, nu.parts)) == tuple(want)
 
 
 @PROPERTY
@@ -778,6 +818,30 @@ def test_kostka_matches_the_cell_by_cell_count_from_a_shared_product_memo():
     assert shared < _product_terms.cache_info().misses
 
 
+def test_flat_product_entries_match_the_pair_layout_and_share_the_walked_tuples():
+    # Every (mu, nu) with |mu| + |nu| <= 10, from a cold product memo: the
+    # swapped pair returns the same entry, and of a pair and its conjugate
+    # one entry is walked (flip None) and the other reads its two tuples
+    # through the conjugation permutation.
+    _product_terms.cache_clear()
+    for total in range(11):
+        flip = schur._conjugation(total)
+        for a in range(total + 1):
+            for mu, nu in product(partitions_of(a), partitions_of(total - a)):
+                entry = _product_terms(mu.parts, nu.parts)
+                assert _pairs(entry) == _row_order_product_terms(mu.parts, nu.parts)
+                assert _product_terms(nu.parts, mu.parts) is entry
+                conj = _product_terms(mu.conjugate().parts, nu.conjugate().parts)
+                walked, read = (entry, conj) if entry[2] is None else (conj, entry)
+                positions, coefficients, none = walked
+                assert none is None and all(coefficients)
+                assert list(positions) == sorted(set(positions))
+                if read is not walked:
+                    assert read[0] is positions and read[1] is coefficients
+                    assert read[2] is flip
+                assert _pairs(conj) == tuple(sorted((flip[i], c) for i, c in _pairs(entry)))
+
+
 @PROPERTY
 @given(lr_triples())
 def test_lr_is_symmetric_and_both_orders_share_one_memo_entry(triple):
@@ -859,7 +923,34 @@ def test_grouped_chain_sum_equals_the_chains_one_by_one(case):
         for beta, c in _fold(lam.parts, steps).items():
             want[beta] += sign * c
     want = {beta: c for beta, c in want.items() if c}
-    assert _chain_sum(lam.parts, terms) == ({lam.parts: want} if want else {})
+    assert _signed_table(lam.parts, terms) == ({lam.parts: want} if want else {})
+
+
+@PROPERTY
+@given(signed_chain_terms())
+@example(
+    (
+        Partition([4, 3, 2, 1]),
+        tuple((sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(Partition([3, 3, 2, 1, 1]))),
+    )
+)
+def test_a_term_list_and_its_negation_share_one_chain_table(case):
+    lam, terms = case
+    negated = tuple((-sign, steps) for sign, steps in terms)
+    sign, key = _sign_class(terms)
+    # Terms that cancel altogether leave the empty key, whose sign is moot.
+    assert _sign_class(negated) == (-sign if key else sign, key)
+    want = Counter()
+    for s, steps in terms:
+        for beta, c in _fold(lam.parts, steps).items():
+            want[beta] += s * c
+    want = SchurExpansion._from_index(lam.size, want.items())
+    _chain_sum.cache_clear()
+    assert _chain_expansion(lam, terms) == want
+    info = _chain_sum.cache_info()
+    # The negation is one hit on the same table, read with the other sign.
+    assert _chain_expansion(lam, negated) == -want
+    assert _chain_sum.cache_info()[:2] == (info.hits + 1, info.misses)
 
 
 @settings(PROPERTY, max_examples=20)
@@ -919,6 +1010,7 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
         "schur._LR_CACHE", "characters.class_size", "characters.perm_row",
         "characters.character_row", "characters._strip_removals", "characters._MN_CACHE",
         "internal_product._steps", "internal_product._chain_sum",
+        "internal_product._contingency_weights",
     }
     lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
     before, _ = kronecker(lam, mu)
@@ -934,6 +1026,28 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
     hits = internal_product._chain_sum.cache_info().hits
     assert kronecker(lam, mu)[0] == before
     assert internal_product._chain_sum.cache_info().hits > hits
+
+
+def test_the_exponential_products_of_one_margin_pair_flatten_it_once():
+    # The exptable sweep asks ten products of each margin pair in turn (the
+    # ninth family pair and the Sym x Wedge product with 2 = 0); a one-entry
+    # memo builds their summands once, and the next pair replaces them.
+    wl, wr = Composition([2, 1, 1]), Composition([1, 3])
+    want = tuple(m.flatten() for m in iter_contingency(wl, wr))
+    clear_all()
+    got = [
+        exponential_tensor(ExpFunctor(fl, wl), ExpFunctor(fr, wr))
+        for fl in (GAMMA, SYM, WEDGE)
+        for fr in (GAMMA, SYM, WEDGE)
+    ]
+    got.append(exponential_tensor(ExpFunctor(SYM, wl), ExpFunctor(WEDGE, wr), CharTwoMode.TWO_ZERO))
+    info = _contingency_weights.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (9, 1, 1, 1)
+    assert all(g.summands is got[0].summands for g in got) and got[0].summands == want
+    assert gamma_tensor_gamma(wr, wl).summands != want
+    assert _contingency_weights.cache_info()[1:] == (2, 1, 1)
+    clear_all()
+    assert _contingency_weights.cache_info().currsize == 0
 
 
 def test_every_kernel_memo_is_a_registered_bare_lru_cache(monkeypatch):

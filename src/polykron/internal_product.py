@@ -271,12 +271,12 @@ def _chain_sum(lam: tuple, key: tuple) -> dict:
     out = {}
     for last, prefixes in groups.items():
         sign = -1 if prefixes[0][1] < 0 else 1
-        if not last:  # the one term with no steps
-            table = {(): {0: sign * prefixes[0][1]}}
-        elif sign < 0:
-            table = _step(lam, _chain_sum(lam, tuple([(p, -c) for p, c in prefixes])), *last[0])
-        else:
+        if sign < 0:
+            prefixes = [(p, -c) for p, c in prefixes]
+        if last:
             table = _step(lam, _chain_sum(lam, tuple(prefixes)), *last[0])
+        else:  # the one term with no steps
+            table = {(): {0: prefixes[0][1]}}
         for beta, expn in table.items():
             acc = out.setdefault(beta, {})
             for mu, x in expn.items():

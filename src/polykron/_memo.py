@@ -1,6 +1,6 @@
-"""The one registry of memo tables, each under its module-qualified name such
-as "schur._product_terms".  The two dicts that the CLI's --cache file saves
-are registered where they are defined.  `clear_all()` empties every table."""
+"""The one registry of memo tables, each an lru_cache under its
+module-qualified name such as "schur._product_terms".  `clear_all()` empties
+every table."""
 
 from functools import lru_cache, partial
 
@@ -19,4 +19,4 @@ def memo(fn=None, *, maxsize=None):
 
 def clear_all() -> None:
     for table in MEMOS.values():
-        (table.clear if isinstance(table, dict) else table.cache_clear)()
+        table.cache_clear()

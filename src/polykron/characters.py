@@ -9,7 +9,7 @@ raises instead of rounding.
 The recursion runs on `parts` tuples and builds no Partition.
 `character_row(parts)` is one irreducible character as a tuple aligned with
 `partitions_of(d)`; `mn_character` is the public query and reads the same
-values.  The module's memos, `_MN_CACHE` included, are registered in `_memo`.
+values.  The module's memos, `_chi` included, are registered in `_memo`.
 
 A decomposition needs one class sum per target partition, and all of them
 share the same factors.  So `kronecker_oracle_expansion` and
@@ -28,13 +28,10 @@ from __future__ import annotations
 from math import factorial
 from operator import mul
 
-from ._memo import MEMOS, memo
+from ._memo import memo
 from .errors import ConsistencyError, DegreeMismatchError
 from .partitions import Composition, Partition, partitions_of
 from .schur import SchurExpansion
-
-# A dict rather than an lru_cache because the CLI's --cache file saves it.
-_MN_CACHE: dict[tuple, int] = MEMOS.setdefault("characters._MN_CACHE", {})
 
 
 def centralizer_order(rho: Partition) -> int:
@@ -90,19 +87,16 @@ def _strip_removals(parts: tuple, length: int) -> tuple:
     return tuple(out)
 
 
+@memo
 def _chi(lam: tuple, rho: tuple) -> int:
     """chi_lam(rho) for the parts tuples of two partitions of one size."""
     if not rho:
         return 1
-    key = (lam, rho)
-    hit = _MN_CACHE.get(key)
-    if hit is None:
-        rest = rho[1:]
-        hit = 0
-        for sign, smaller in _strip_removals(lam, rho[0]):
-            hit += sign * _chi(smaller, rest)
-        _MN_CACHE[key] = hit
-    return hit
+    rest = rho[1:]
+    value = 0
+    for sign, smaller in _strip_removals(lam, rho[0]):
+        value += sign * _chi(smaller, rest)
+    return value
 
 
 def mn_character(lam: Partition, rho: Partition) -> int:

@@ -1,4 +1,4 @@
-"""Command-line front-end: parse weights, dispatch, report, manage the cache.
+"""Command-line front-end: parse weights, dispatch, report.
 
 Exit codes: 0 on success, 2 on input errors, 3 on internal-consistency
 failures (oracle disagreement, non-integer division, negative coefficient).
@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
-from . import characters, schur
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError
 from .internal_product import (
     GAMMA,
@@ -35,9 +33,6 @@ from .sweeps import SUITE_NAMES, run_suites
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-#: Format version of the --cache file; load_cache rejects any other.
-CACHE_VERSION = 1
 
 _FAMILY_NAMES = {"gamma": GAMMA, "sym": SYM, "wedge": WEDGE}
 _MODE_NAMES = {m.value: m for m in CharTwoMode}
@@ -202,94 +197,6 @@ def _cmd_oracle_check(args):
     return text, code
 
 
-def _cache_int(key: str, val) -> int:
-    if type(val) is not int:
-        raise ValueError(f"entry {key!r} holds {val!r}, not an integer")
-    return val
-
-
-def _check_lr(key: str, val) -> None:
-    """Recompute the LR entry for key; ValueError unless val equals it."""
-    outer, left, right = (parse_shape(Partition, t, f"entry {key!r}") for t in key.split("|"))
-    val = _cache_int(key, val)
-    if outer.size != left.size + right.size:
-        raise ValueError(f"entry {key!r}: the sizes of its partitions disagree")
-    # The true value is then 0, but save_cache never writes such a key.
-    if not outer.contains(left):
-        raise ValueError(f"entry {key!r}: the inner partition does not fit in the outer one")
-    want = schur.lr_coeff(outer, left, right)
-    if val != want:
-        raise ValueError(f"entry {key!r} holds {val}, not the coefficient {want}")
-
-
-def _check_character(key: str, val) -> None:
-    """Recompute the character entry for key; ValueError unless val equals it."""
-    lam, rho = (parse_shape(Partition, t, f"entry {key!r}") for t in key.split("|"))
-    val = _cache_int(key, val)
-    if lam.size != rho.size:
-        raise ValueError(f"entry {key!r}: the sizes of its partitions disagree")
-    want = characters.mn_character(lam, rho)
-    if val != want:
-        raise ValueError(f"entry {key!r} holds {val}, not the character value {want}")
-
-
-def load_cache(path: str) -> None:
-    """Recompute every entry of a cache file, if it exists, which warms the
-    memo tables of `lr_coeff` and `mn_character`.
-
-    Raises ValueError when the file is not a JSON object in the format
-    save_cache writes, has another format version, or holds a malformed or
-    non-integer entry, partitions whose sizes disagree, an LR key whose inner
-    partition does not fit in the outer one, or a value other than the one
-    recomputed.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        return
-    if not isinstance(data, dict):
-        raise ValueError("the cache file does not hold a JSON object")
-    version = data.get("version")
-    if type(version) is not int or version != CACHE_VERSION:
-        raise ValueError(f"cache format version {version!r} is not {CACHE_VERSION}")
-    try:
-        for key, val in data.get("lr", {}).items():
-            _check_lr(key, val)
-        for key, val in data.get("characters", {}).items():
-            _check_character(key, val)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad cache entry: {exc}") from None
-
-
-def save_cache(path: str) -> None:
-    """Persist the LR and character memo tables as a single JSON file.
-
-    The tables go to a temporary file in the same directory, which then
-    replaces `path`, so an interrupted save leaves the old file intact.
-    """
-    data = {
-        "version": CACHE_VERSION,
-        "lr": {
-            "|".join(Composition(p).text() for p in key): val
-            for key, val in sorted(schur._LR_CACHE.items())
-        },
-        "characters": {
-            f"{Composition(lam).text()}|{Composition(rho).text()}": val
-            for (lam, rho), val in sorted(characters._MN_CACHE.items())
-        },
-    }
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polykron",
@@ -297,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    common.add_argument("--cache", metavar="PATH", help="persist LR/character memo tables to PATH")
+    # Deprecated and inert: run() only warns that it was given.
+    common.add_argument("--cache", metavar="PATH", help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kron", parents=[common], help="Kronecker product of two Specht/Weyl labels")
@@ -345,20 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cache_flag(path: str) -> None:
-    try:
-        load_cache(path)
-    except (OSError, ValueError) as exc:
-        raise _InputError(f"--cache: cannot load {path}: {exc}") from None
-
-
-def _save_cache_flag(path: str) -> None:
-    try:
-        save_cache(path)
-    except OSError as exc:
-        raise _InputError(f"--cache: cannot save {path}: {exc}") from None
-
-
 def run(argv) -> int:
     """Parse argv, dispatch, print the report; returns the exit code."""
     parser = build_parser()
@@ -367,11 +261,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.cache:
-            _load_cache_flag(args.cache)
         out = args.func(args)
-        if args.cache:
-            _save_cache_flag(args.cache)
+        if args.cache is not None:
+            print("warning: --cache has no effect and will be removed", file=sys.stderr)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

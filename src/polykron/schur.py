@@ -43,7 +43,7 @@ coefficient of s_lam in h_nu = s_(nu_1) * s_(nu_2) * ... (Pieri), which
 `_h_terms` multiplies out one row at a time.  A Kostka number does not change
 when the content is permuted, so `kostka` passes the nonzero entries in
 descending order and contents with one multiset share a memo entry.  The
-module's memos, `_LR_CACHE` included, are registered in `_memo`.
+module's memos are registered in `_memo`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from bisect import bisect_left
 from itertools import compress
 from operator import sub
 
-from ._memo import MEMOS, memo
+from ._memo import memo
 from .errors import DegreeMismatchError
 from .partitions import (
     Composition,
@@ -63,9 +63,6 @@ from .partitions import (
     _partitions_between,
     partitions_of,
 )
-
-# A dict rather than an lru_cache because the CLI's --cache file saves it.
-_LR_CACHE: dict[tuple, int] = MEMOS.setdefault("schur._LR_CACHE", {})
 
 
 @memo
@@ -436,13 +433,8 @@ def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:
     """
     if outer.size != left.size + right.size or not outer.contains(left):
         return 0
-    key = (outer.parts, left.parts, right.parts)
-    hit = _LR_CACHE.get(key)
-    if hit is None:
-        at = _positions(outer.size)[outer.parts]
-        hit = _coefficient(_product_terms(left.parts, right.parts), at)
-        _LR_CACHE[key] = hit
-    return hit
+    at = _positions(outer.size)[outer.parts]
+    return _coefficient(_product_terms(left.parts, right.parts), at)
 
 
 def skew_schur_expansion(shape: SkewShape) -> SchurExpansion:

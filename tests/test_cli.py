@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polykron import Partition, characters, kronecker_oracle_expansion, lr_coeff, schur, sweeps
-from polykron.cli import load_cache, run, save_cache
+from polykron import Partition, kronecker_oracle_expansion, sweeps
+from polykron.cli import run
 from polykron.sweeps import SUITE_NAMES
 
 
@@ -328,127 +328,21 @@ class TestOracleCheckCommand:
         assert (code, out) == (0, "jt: PASS (3 checks)\n")
 
 
-class TestCache:
-    def test_cache_file_round_trip(self, tmp_path, capsys):
-        path = tmp_path / "memo.json"
-        code, _, _ = invoke(
-            capsys, "oracle-check", "--suite", "lr", "--max-d", "3", "--cache", str(path)
-        )
-        assert code == 0
-        data = json.loads(path.read_text())
-        assert set(data) == {"version", "lr", "characters"}
-        assert data["version"] == 1
-        assert all(isinstance(v, int) for v in data["lr"].values())
-        assert data["lr"]["2,1|1|1,1"] == 1
-        # loading recomputes each entry, which puts it back in the memo table
-        schur._LR_CACHE.pop(((2, 1), (1,), (1, 1)), None)
-        load_cache(str(path))
-        assert schur._LR_CACHE[((2, 1), (1,), (1, 1))] == 1
-        assert json.loads(path.read_text()) == data
-
-    def test_save_and_load_known_value(self, tmp_path):
-        path = tmp_path / "memo.json"
-        schur._LR_CACHE[((4, 2), (2, 1), (2, 1))] = lr_coeff(
-            Partition([4, 2]), Partition([2, 1]), Partition([2, 1])
-        )
-        characters._MN_CACHE[((2, 1), (3,))] = -1
-        save_cache(str(path))
-        data = json.loads(path.read_text())
-        assert data["characters"]["2,1|3"] == -1
-        assert "4,2|2,1|2,1" in data["lr"]
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"lr": {"2,1|1|1,1": 1}, "charac',
-            "[1, 2]",
-            '{"version": 1, "lr": {"2,1|1": 1}}',
-            '{"lr": {}, "characters": {"2,1|3": 5}}',
-            '{"version": 2, "lr": {}, "characters": {}}',
-            '{"version": true, "lr": {}, "characters": {}}',
-            '{"version": 1, "lr": {}, "characters": {"2,1|3": 5}}',
-            '{"version": 1, "lr": {}, "characters": {"2,1|1,1,1": 1}}',
-            '{"version": 1, "lr": {}, "characters": {"2,1|2": -1}}',
-            '{"version": 1, "lr": {}, "characters": {"2,1|2,1": 0.5}}',
-            '{"version": 1, "lr": {"2,1|1|1": 1}, "characters": {}}',
-            '{"version": 1, "lr": {"2,1|1|1,1": -1}, "characters": {}}',
-            '{"version": 1, "lr": {"2,1|3|0": 0}, "characters": {}}',
-            '{"version": 1, "lr": {"2,1|1|1,1": "1"}, "characters": {}}',
-            '{"version": 1, "lr": {}, "characters": {"+2,1|3": -1}}',
-            '{"version": 1, "lr": {}, "characters": {"2,1|\\u0663": -1}}',
-            '{"version": 1, "lr": {}, "characters": {"1_0|1_0": 1}}',
-        ],
-        ids=[
-            "truncated", "not-an-object", "malformed-key",
-            "no-version", "other-version", "boolean-version", "above-dimension",
-            "identity-not-dimension", "character-sizes", "character-not-int",
-            "lr-sizes", "lr-negative", "lr-not-contained", "lr-not-int",
-            "key-plus-sign", "key-unicode-digit", "key-underscore",
-        ],
-    )
-    def test_bad_cache_file_is_an_input_error(self, tmp_path, capsys, text):
-        path = tmp_path / "memo.json"
-        path.write_text(text)
-        code, out, err = invoke(
-            capsys, "kron", "--lambda", "2,1", "--mu", "2,1", "--cache", str(path)
-        )
-        assert code == 2
-        assert "--cache" in err
-        assert out == ""
-        assert path.read_text() == text
-
-    def test_plausible_wrong_cache_value_is_an_input_error(self, tmp_path, capsys):
-        # chi_(2,1) at a 3-cycle is -1; 1 is within the dimension bound.
-        text = '{"version": 1, "lr": {}, "characters": {"2,1|3": 1}}'
-        path = tmp_path / "memo.json"
-        path.write_text(text)
-        code, out, err = invoke(
-            capsys, "oracle-check", "--suite", "chars", "--max-d", "3", "--cache", str(path)
-        )
-        assert code == 2
-        assert "--cache" in err and "2,1|3" in err
-        assert out == ""
-        assert path.read_text() == text
-        assert characters.mn_character(Partition([2, 1]), Partition([3])) == -1
-
-    def test_saved_tables_pass_validation(self, tmp_path, capsys):
-        path = tmp_path / "memo.json"
-        code, _, _ = invoke(
-            capsys, "oracle-check", "--suite", "lr", "--max-d", "5", "--cache", str(path)
-        )
-        assert code == 0
-        data = json.loads(path.read_text())
-        assert data["lr"] and data["characters"]
-        code, out, _ = invoke(
-            capsys, "oracle-check", "--suite", "chars", "--max-d", "5", "--cache", str(path)
-        )
-        assert code == 0
-        assert out == "chars: PASS (54 checks)\n"
-
-    def test_unwritable_cache_path_is_an_input_error(self, tmp_path, capsys):
-        path = tmp_path / "missing-dir" / "memo.json"
-        code, out, err = invoke(
-            capsys, "kron", "--lambda", "2,1", "--mu", "2,1", "--cache", str(path)
-        )
-        assert code == 2
-        assert "--cache" in err
-        assert out == ""
-        assert not path.parent.exists()
-
-    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "memo.json"
-        save_cache(str(path))
-        before = path.read_text()
-
-        def dump_then_fail(data, fh, **kwargs):
-            fh.write('{"lr": {')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(json, "dump", dump_then_fail)
-        with pytest.raises(OSError):
-            save_cache(str(path))
-        assert path.read_text() == before
-        assert os.listdir(tmp_path) == ["memo.json"]
+class TestDeprecatedCacheFlag:
+    def test_cache_flag_only_warns(self, tmp_path, capsys):
+        argv = ["kron", "--lambda", "3,2,1", "--mu", "3,2,1", "--json"]
+        want = invoke(capsys, *argv)
+        assert want[0] == 0 and want[2] == ""
+        missing = tmp_path / "memo.json"
+        refused = tmp_path / "old.json"  # a file that --cache once refused with exit 2
+        refused.write_bytes(b"[1, 2]")
+        for path in (missing, refused):
+            code, out, err = invoke(capsys, *argv, "--cache", str(path))
+            assert (code, out) == want[:2]
+            assert err == "warning: --cache has no effect and will be removed\n"
+        assert not missing.exists()
+        assert refused.read_bytes() == b"[1, 2]"
+        assert os.listdir(tmp_path) == ["old.json"]
 
 
 def _spellings(x):
@@ -476,8 +370,8 @@ def _flag_values(draw):
 
 @st.composite
 def _cache_bytes(draw):
-    """None for no cache file, else its bytes: a cache object with drawn keys
-    and values, or arbitrary bytes."""
+    """None for no --cache file, else its bytes: an object in the format the
+    retired cache file had, with drawn keys and values, or arbitrary bytes."""
     kind = draw(st.sampled_from(["none", "object", "object", "bytes"]))
     if kind == "none":
         return None
@@ -547,6 +441,13 @@ class TestExitCodeContract:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run(argv)
+            # --cache reads and writes nothing.
+            if cache is None:
+                assert os.listdir(tmp) == []
+            else:
+                assert os.listdir(tmp) == ["memo.json"]
+                with open(path, "rb") as fh:
+                    assert fh.read() == cache
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
         if code != 0:

@@ -14,6 +14,10 @@ RETIRED = {
     "conjugate_expansion": "SchurExpansion.conjugate()",
     "kronecker_two_row": 'kronecker(lam, Partition((a, b)), "two-row")[0]',
     "enumerate_partitions": "list(partitions_of(d))",
+    # The --cache file: loading recomputed every entry, so it saved no time.
+    "load_cache": "nothing; every memo table lives in polykron._memo.MEMOS",
+    "save_cache": "nothing; every memo table lives in polykron._memo.MEMOS",
+    "CACHE_VERSION": "nothing; --cache reads and writes no file",
 }
 MODULES = ("partitions", "schur", "characters", "internal_product", "sweeps", "cli")
 

@@ -1007,20 +1007,16 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
         "partitions.partitions_of", "partitions._row_vectors", "partitions._shared",
         "partitions._partitions_between", "schur._positions", "schur._conjugation",
         "schur._h_terms", "schur._last_strips", "schur._product_terms", "schur._skew_terms",
-        "schur._LR_CACHE", "characters.class_size", "characters.perm_row",
-        "characters.character_row", "characters._strip_removals", "characters._MN_CACHE",
+        "characters.class_size", "characters.perm_row", "characters.character_row",
+        "characters._strip_removals", "characters._chi",
         "internal_product._steps", "internal_product._chain_sum",
         "internal_product._contingency_weights",
     }
     lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
     before, _ = kronecker(lam, mu)
-    # Only these queries fill the two tables that --cache saves.
-    lr_coeff(Partition([2, 1]), Partition([1]), Partition([1, 1]))
     characters.mn_character(Partition([2, 1]), Partition([3]))
-    assert schur._LR_CACHE and characters._MN_CACHE
     clear_all()
-    assert not schur._LR_CACHE and not characters._MN_CACHE
-    assert all(t.cache_info().currsize == 0 for t in MEMOS.values() if not isinstance(t, dict))
+    assert all(t.cache_info().currsize == 0 for t in MEMOS.values())
     assert kronecker(lam, mu)[0] == before
     # A repeated call is answered from the memo of grouped chain sums.
     hits = internal_product._chain_sum.cache_info().hits
@@ -1062,7 +1058,7 @@ def test_every_kernel_memo_is_a_registered_bare_lru_cache(monkeypatch):
     for name, table in MEMOS.items():
         module, attr = name.split(".")
         assert getattr(import_module(f"polykron.{module}"), attr) is table, name
-        assert isinstance(table, dict) or type(table) is bare, name
+        assert type(table) is bare, name
     # A memo that skips the registry is caught.
     stray = lru_cache(maxsize=None)(lambda: 0)
     monkeypatch.setattr(schur, "_stray", stray, raising=False)

@@ -9,7 +9,7 @@ raises instead of rounding.
 The recursion runs on `parts` tuples and builds no Partition.
 `character_row(parts)` is one irreducible character as a tuple aligned with
 `partitions_of(d)`; `mn_character` is the public query and reads the same
-values.  The module's memos, `_chi` included, are registered in `_memo`.
+values.  The module's memos are registered in `_memo`.
 
 A decomposition needs one class sum per target partition, and all of them
 share the same factors.  So `kronecker_oracle_expansion` and

@@ -156,7 +156,10 @@ def exponential_tensor(
 
     The summand weights are always the flattened contingency matrices of the
     two input weights; only the output family depends on the family pair.
+    mode must be a CharTwoMode member, whatever the pair.
     """
+    if not isinstance(mode, CharTwoMode):
+        raise ValueError(f"unknown characteristic-two mode {mode!r}")
     pair = frozenset([left.family, right.family])
     if pair == _SYM_WEDGE:
         if mode is CharTwoMode.TWO_INVERTIBLE:

@@ -192,15 +192,16 @@ def kostka(shape: Partition, content: Composition) -> int:
     return _h_terms(content.sorted_parts())[_positions(shape.size)[shape.parts]]
 
 
-def _strips(shape: list, prev, size: int, first: bool, top: int):
+def _strips(shape: list, prev, size: int, top: int):
     """Yield cur once per horizontal strip of `size` cells that the next
     letter can add to `shape` with the reverse reading word (right to left,
     top to bottom) still a lattice word.
 
     shape ends in at least one zero row, and `top` is its first zero row,
     the one row a strip may open.  prev[r] is the number of cells the letter
-    before filled in row r, with an entry for every row up to `top`, and
-    `first` says whether this is the letter 1.  Cells go
+    before filled in row r, with an entry for every row up to `top`; prev is
+    all zero for the letter 1, and otherwise a horizontal strip of shape
+    with at least `size` cells, as the content is a partition.  Cells go
     in row by row from the top.  With x cells in row r the word stays a
     lattice word iff, summed over rows <= r, the new letter occurs no more
     often than the one before does in rows < r; the `slack` of a row is that
@@ -212,13 +213,24 @@ def _strips(shape: list, prev, size: int, first: bool, top: int):
     call per row: a placed row r keeps its count in cur[r], its least count
     in low[r] and the `left` and `slack` it was entered with, and counts are
     tried from high to low.
+
+    The walk is exact: row r takes from least = max(0, left - old[r]) to
+    cap = min(left, slack, gap[r]) cells, and cap >= least in every row, so
+    every count tried completes a strip.
+
+    1. With room(r) the sum of prev[j] over j >= r, left <= slack + room(r)
+       holds at row 0 (slack = size for the letter 1; size <= |prev| for a
+       later one), and x cells in row r keep it: left falls by x, slack
+       changes by prev[r] - x and room falls by prev[r].
+    2. prev is a horizontal strip of shape, so room(r) <= old[r] and
+       slack >= left - old[r]; slack >= 0, as no row takes more than it.
+    3. Row r - 1 left at most old[r - 1] cells below it, so
+       gap[r] = old[r - 1] - old[r] >= least; gap[0] = size = left.
+    4. Row `top` has old = 0, so it takes all that is left: the walk never
+       passes `top`.
     """
     old = shape[:]
     cur = [0] * len(shape)
-    # room[r]: how many more cells rows >= r may take than row r's slack
-    room = [0] * (top + 2)
-    for r in range(top - 1, -1, -1):
-        room[r] = room[r + 1] + prev[r]
     # gap[r]: the most cells row r may take and stay below row r - 1
     gap = [size, *map(sub, old, old[1 : top + 1])]
     low = [0] * (top + 1)
@@ -226,14 +238,13 @@ def _strips(shape: list, prev, size: int, first: bool, top: int):
     slacks = [0] * (top + 1)
     r = 0
     left = size
-    # The 1s have no lattice bound; every later letter starts at slack 0.
-    slack = size if first else 0
+    # Only the letter 1 has an all-zero prev, and the 1s have no lattice
+    # bound; every later letter starts at slack 0.
+    slack = 0 if any(prev) else size
     while True:
         # Fill rows r, r + 1, ... with their largest counts until the strip
-        # is placed (yield it) or a row has no count left (a dead end).
+        # is placed, and yield it.
         while left:
-            if left > slack + room[r]:
-                break
             cap = left if left < slack else slack
             if gap[r] < cap:
                 cap = gap[r]
@@ -241,8 +252,6 @@ def _strips(shape: list, prev, size: int, first: bool, top: int):
             least = left - old[r]
             if least < 0:
                 least = 0
-            if cap < least:
-                break
             low[r] = least
             lefts[r] = left
             slacks[r] = slack
@@ -251,8 +260,7 @@ def _strips(shape: list, prev, size: int, first: bool, top: int):
             left -= cap
             slack += prev[r] - cap
             r += 1
-        else:
-            yield cur
+        yield cur
         # Restore the rows at their least count; the row above them takes
         # one cell fewer, and the walk goes on below it.
         r -= 1
@@ -271,19 +279,20 @@ def _strips(shape: list, prev, size: int, first: bool, top: int):
 
 
 @memo
-def _last_strips(shape: tuple, prev: tuple, size: int, first: bool) -> tuple:
+def _last_strips(shape: tuple, prev: tuple, size: int) -> tuple:
     """The positions in partitions_of(|shape| + size) of the shapes that the
     last letter's strip of `size` cells reaches from `shape`, in the order
     that _strips yields them.
 
-    prev has one entry per row of shape.  Distinct strips reach distinct
-    shapes, so each position occurs once.  Products of different factors
-    often end in the same state, and this memo serves them all.
+    prev has one entry per row of shape, all zero for the letter 1, so the
+    key needs no flag for it.  Distinct strips reach distinct shapes, so
+    each position occurs once.  Products of different factors often end in
+    the same state, and this memo serves them all.
     """
     grown = [*shape, 0]
     pos = _positions(sum(shape) + size)
     out = []
-    for _ in _strips(grown, [*prev, 0], size, first, len(shape)):
+    for _ in _strips(grown, [*prev, 0], size, len(shape)):
         out.append(pos[tuple(grown) if grown[-1] else tuple(grown[:-1])])
     return tuple(out)
 
@@ -309,12 +318,12 @@ def _lr_tally(base: tuple, content: tuple) -> list:
     last = len(content) - 1
     size = content[last]
     if not last:
-        for i in _last_strips(base, (0,) * len(base), size, True):
+        for i in _last_strips(base, (0,) * len(base), size):
             tally[i] += 1
         return tally
     shape = [*base] + [0] * len(content)
     tops = [len(base)] + [0] * (last - 1)
-    walks = [_strips(shape, [0] * len(shape), content[0], True, len(base))] + [None] * (last - 1)
+    walks = [_strips(shape, [0] * len(shape), content[0], len(base))] + [None] * (last - 1)
     k = 0
     while k >= 0:
         top = tops[k]
@@ -323,9 +332,9 @@ def _lr_tally(base: tuple, content: tuple) -> list:
             if k + 1 < last:  # descend; the while resumes at letter k + 2
                 k += 1
                 tops[k] = grown
-                walks[k] = _strips(shape, cur, content[k], False, grown)
+                walks[k] = _strips(shape, cur, content[k], grown)
                 break
-            for i in _last_strips(tuple(shape[:grown]), tuple(cur[:grown]), size, False):
+            for i in _last_strips(tuple(shape[:grown]), tuple(cur[:grown]), size):
                 tally[i] += 1
         else:  # letter k + 1 is exhausted; resume letter k
             k -= 1

@@ -128,6 +128,13 @@ class TestExponentialTensor:
                 CharTwoMode.TWO_NONZERO_NONUNIT,
             )
 
+    def test_a_mode_that_is_no_member_raises_for_every_pair(self):
+        # The CLI's spelling "unit" is a member's value, not the member.
+        for mode in ("unit", None):
+            for fl, fr in [(SYM, WEDGE), (WEDGE, SYM), (GAMMA, GAMMA)]:
+                with pytest.raises(ValueError, match="characteristic-two mode"):
+                    exponential_tensor(ExpFunctor(fl, C(2)), ExpFunctor(fr, C(2)), mode)
+
     def test_summands_are_contingency_flattenings(self):
         wl, wr = C(2, 1), C(1, 2)
         dec = exponential_tensor(ExpFunctor(WEDGE, wl), ExpFunctor(GAMMA, wr))

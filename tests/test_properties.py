@@ -500,9 +500,11 @@ def test_lr_kernel_matches_the_reference_walk_at_degree_18():
 
 
 def _recursive_strips(shape, prev, size, first, visit):
-    """Call visit(cur) once per strip of _strips(shape, prev, size, first),
-    from a recursive `row` closure: the reference for _strips, which walks
-    the rows in one generator frame in polykron.schur."""
+    """Call visit(cur) once per strip that _strips(shape, prev, size, top)
+    yields, `first` saying whether this is the letter 1, from a recursive
+    `row` closure: the reference for _strips, which walks the rows in one
+    generator frame in polykron.schur.  It keeps the dead-end exits that
+    _strips proves unreachable."""
     old = shape[:]
     cur = [0] * len(shape)
     top = old.index(0)
@@ -531,9 +533,9 @@ def _recursive_strips(shape, prev, size, first, visit):
     row(0, size, size if first else 0)
 
 
-def _recursive_last_strips(shape, prev, size, first):
+def _recursive_last_strips(shape, prev, size):
     """The tuple that _last_strips stores for the state, from
-    _recursive_strips."""
+    _recursive_strips; an all-zero prev is the letter 1's."""
     grown = [*shape, 0]
     pos = {p.parts: i for i, p in enumerate(partitions_of(sum(shape) + size))}
     out = []
@@ -541,7 +543,7 @@ def _recursive_last_strips(shape, prev, size, first):
     def reached(cur):
         out.append(pos[tuple(grown) if grown[-1] else tuple(grown[:-1])])
 
-    _recursive_strips(grown, [*prev, 0], size, first, reached)
+    _recursive_strips(grown, [*prev, 0], size, not any(prev), reached)
     return tuple(out)
 
 
@@ -549,7 +551,7 @@ def _recursive_lr_tally(base, content, last_strips):
     """The list of _lr_tally(base, content), from a closure per letter and a
     lambda per strip: the reference for _lr_tally, which keeps one _strips
     generator per letter in one frame in polykron.schur.  The last letter's
-    states go to last_strips(shape, prev, size, first)."""
+    states go to last_strips(shape, prev, size)."""
     shapes = partitions_of(sum(base) + sum(content))
     tally = [0] * len(shapes)
     if not content:
@@ -561,7 +563,7 @@ def _recursive_lr_tally(base, content, last_strips):
     def strip(k, prev):
         if k == last:
             top = shape.index(0)
-            for i in last_strips(tuple(shape[:top]), tuple(prev[:top]), content[k], k == 0):
+            for i in last_strips(tuple(shape[:top]), tuple(prev[:top]), content[k]):
                 tally[i] += 1
         else:
             _recursive_strips(shape, prev, content[k], k == 0, lambda cur: strip(k + 1, cur))
@@ -609,6 +611,39 @@ def test_lr_walk_matches_the_recursive_walk_in_order():
 @example((Partition([4, 3, 2, 1]), Partition([2, 2, 1, 1])))
 def test_lr_walk_matches_the_recursive_walk_in_order_beyond_degree_ten(pair):
     _assert_walk_matches_the_recursive_walk(pair[0].parts, pair[1].parts)
+
+
+@st.composite
+def strip_states(draw, max_degree=14):
+    """(shape, prev, size, pad): any partition shape, any horizontal strip
+    of it as the letter before's cells prev (none for the letter 1), a size
+    from 1 to |prev| (any size for the letter 1), and 1-3 zero rows to pad
+    both with."""
+    shape = draw(st.integers(0, max_degree).flatmap(_sized)).parts
+    prev = tuple(draw(st.integers(0, a - b)) for a, b in zip(shape, (*shape[1:], 0)))
+    size = draw(st.integers(1, sum(prev) or max_degree))
+    return shape, prev, size, draw(st.integers(1, 3))
+
+
+@PROPERTY
+@given(strip_states())
+@example(((3, 1), (2, 1), 3, 1))
+@example(((), (), 4, 2))
+def test_strips_match_the_guarded_walk_on_any_strip_state(state):
+    # States the kernel never asks for included: prev need not be the strip
+    # of any LR tableau's letter.
+    shape, prev, size, pad = state
+    zeros = [0] * pad
+    want = []
+    grown = [*shape, *zeros]
+    _recursive_strips(
+        grown, [*prev, *zeros], size, not any(prev), lambda cur: want.append((*cur, *grown))
+    )
+    grown = [*shape, *zeros]
+    got = [(*cur, *grown) for cur in schur._strips(grown, [*prev, *zeros], size, len(shape))]
+    assert got == want
+    assert got
+    assert grown == [*shape, *zeros]
 
 
 def _recursive_partitions_between(lower, upper, size):

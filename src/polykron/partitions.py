@@ -1,7 +1,10 @@
 """Partitions, compositions, skew shapes, and contingency-matrix enumeration.
 
 All objects are immutable after construction and safe to share across
-threads.  Enumeration orders are deterministic (descending lexicographic for
+threads.  The one exception is internal: a slot of a `_need_table` row table
+is filled on first use, and only ever with the `_row_node` memo's entry for
+its key, so what a slot holds never depends on which walk filled it.
+Enumeration orders are deterministic (descending lexicographic for
 partitions, row-major lexicographic for matrices) so outputs are reproducible
 byte for byte.  There is one partition enumerator, `_partitions_between`,
 which lists the partitions of a size between two shapes; `partitions_of(d)`
@@ -10,14 +13,18 @@ weights of `enumerate_compositions` are the rows of `_row_vectors`.
 
 Contingency matrices are enumerated row by row.  The candidates for a row are
 the descending-lex vectors that sum to its row sum and fit under what remains
-of the column sums; `_row_vectors` builds them once per (row sum, remainder)
+of the column sums; `_row_node` builds them once per (row sum, remainder)
 and memoises each with what remains after it, so no remainder is computed
-per matrix.  The last row is the remainder itself, so only rows 0..n-3 are
-walked, depth first in one generator frame with an iterator of pairs per row
-and one prefix list, and row n-2 closes each prefix in a flat loop.  That
-core, `_contingency_rows`, works on plain tuples and yields each matrix as
-its rows tuple; `iter_contingency` wraps each one in a ContingencyMatrix,
-and callers that only flatten or count the matrices read the tuples.  The
+per matrix.  Each remainder also has a row table indexed by row sum, and
+each candidate carries the table of what remains after it: the walk reads
+the first row's candidates from the memo, once per margin pair, and every
+later row's from a table slot, by one list index.  The last row is the
+remainder itself, so only rows 0..n-3 are walked: rows n-4 and n-3 in two
+plain nested loops, the rows above them depth first in one generator frame,
+and row n-2 closes each prefix in a flat loop.  That core,
+`_contingency_rows`, works on plain tuples and yields each matrix as its
+rows tuple; `iter_contingency` wraps each one in a ContingencyMatrix, and
+callers that only flatten or count the matrices read the tuples.  The
 module's memos are registered in `_memo`.
 """
 
@@ -366,10 +373,32 @@ def _shared(vector: tuple) -> tuple:
     return vector
 
 
-@memo
 def _row_vectors(need: int, rem: tuple) -> tuple:
     """All pairs (x, rem - x) with 0 <= x_j <= rem_j and sum(x) = need,
-    descending lex in x.  Both vectors of a pair are `_shared`.
+    descending lex in x, as stored in the `_row_node` memo."""
+    return _row_node(need, rem)[0]
+
+
+@memo
+def _row_node(need: int, rem: tuple) -> tuple:
+    """(pairs, steps): the pairs of `_row_vectors(need, rem)`, and for each
+    pair (x, rest) in the same order the triple (x, rest, _need_table(rest)),
+    which `_contingency_rows` descends through."""
+    pairs = _walk_columns(need, rem)
+    return pairs, tuple((x, rest, _need_table(rest)) for x, rest in pairs)
+
+
+@memo
+def _need_table(rest: tuple) -> list:
+    """The row table of a remainder: a list of sum(rest) + 1 slots, where
+    slot k is None until a walk first needs a row of sum k under `rest`,
+    and then holds the `_row_node(k, rest)` entry."""
+    return [None] * (sum(rest) + 1)
+
+
+def _walk_columns(need: int, rem: tuple) -> tuple:
+    """The pairs of `_row_vectors(need, rem)`, built.  Both vectors of a
+    pair are `_shared`.
 
     The columns are walked depth first in one frame: row[j] is tried from
     its largest value down to least[j], the value at which the columns after
@@ -430,12 +459,15 @@ def _contingency_rows(sums: tuple, cols: tuple):
     sums `cols`, in descending row-major lexicographic order; the caller
     guarantees that both margins have one degree.
 
-    Rows 0..n-3 are walked depth first in this one frame: `its[i]` iterates
-    the memoised `_row_vectors` pairs of row i under what rows 0..i-1 left,
-    and `rows` holds the current prefix.  Each prefix is then closed in one
-    flat loop by a pair of its remainder, whose row is row n-2 and whose
-    remainder is row n-1.  Depth first keeps the generator lazy, with O(n)
-    state: a list of all prefixes of (6^5) x (6^5) would hold millions.
+    Rows n-4 and n-3 are walked in two plain nested loops under each prefix
+    of rows 0..n-5 from `_prefixes`, and each prefix of rows 0..n-3 is then
+    closed in one flat loop by a pair of its remainder, whose row is row n-2
+    and whose remainder is row n-1 (three rows have one walked row, two
+    none).  Row 0's `_row_node` comes from the memo, once per call, and
+    row i's from slot sums[i] of the table that row i - 1 carries; the
+    margins have one degree, so that slot is never past the table's end.
+    The walk stays lazy, with O(n) state: a list of all prefixes of
+    (6^5) x (6^5) would hold millions.
     """
     n = len(sums)
     if n < 2:
@@ -446,20 +478,56 @@ def _contingency_rows(sums: tuple, cols: tuple):
     if not close:
         yield from _row_vectors(need, cols)
         return
-    last = close - 1
-    rows = [()] * close
-    its = [iter(_row_vectors(sums[0], cols))] + [None] * last
+    if close == 1:
+        for row, rest, table in _row_node(sums[0], cols)[1]:
+            node = table[need] or _fill(table, need, rest)
+            prefix = (row,)
+            for pair in node[0]:
+                yield prefix + pair
+        return
+    mid = sums[close - 1]
+    for head, node in _prefixes(sums, cols, close - 2):
+        for x, rest, table in node[1]:
+            sub = table[mid] or _fill(table, mid, rest)
+            for y, below, slots in sub[1]:
+                end = slots[need] or _fill(slots, need, below)
+                prefix = head + (x, y)
+                for pair in end[0]:
+                    yield prefix + pair
+
+
+def _fill(table: list, need: int, rest: tuple) -> tuple:
+    """Fill slot `need` of the row table of `rest` with the memo's entry."""
+    node = table[need] = _row_node(need, rest)
+    return node
+
+
+def _prefixes(sums: tuple, cols: tuple, depth: int):
+    """Yield (rows, node) for every choice of rows 0..depth-1 under the
+    margins, in descending lex order: `rows` is the tuple of those rows and
+    `node` the `_row_node` of row `depth` under what they leave.
+
+    The rows are walked depth first in this one frame: `its[i]` iterates
+    the steps (row, rest, table) of row i, and `rows` holds the prefix.
+    """
+    node = _row_node(sums[0], cols)
+    if not depth:
+        yield (), node
+        return
+    last = depth - 1
+    rows = [()] * depth
+    its = [iter(node[1])] + [None] * last
     i = 0
     while i >= 0:
-        for row, rest in its[i]:
+        for row, rest, table in its[i]:
             rows[i] = row
+            need = sums[i + 1]
+            node = table[need] or _fill(table, need, rest)
             if i < last:  # descend; the while resumes at row i + 1
                 i += 1
-                its[i] = iter(_row_vectors(sums[i], rest))
+                its[i] = iter(node[1])
                 break
-            prefix = tuple(rows)
-            for pair in _row_vectors(need, rest):
-                yield prefix + pair
+            yield tuple(rows), node
         else:  # row i is exhausted; resume row i - 1
             i -= 1
 

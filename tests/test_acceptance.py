@@ -4,8 +4,9 @@ Every comparison is exact-integer; a single coefficient mismatch fails the
 criterion, and so does a sweep that runs any other number of checks than its
 stated count at its stated bounds.  Each test prints its own pass/fail line
 (visible with -s or -rA).
-The last test holds the engine to every expansion that the character oracle
-stored in perfbench/reference.json.
+The last two tests hold the engine to every expansion that the character
+oracle stored in perfbench/reference.json, and to the oracle itself on
+seeded pairs at d = 16, 17 and 18.
 Run with:  pytest tests/test_acceptance.py -v -s
 """
 
@@ -13,7 +14,7 @@ import json
 import time
 from pathlib import Path
 
-from polykron import Partition, kronecker
+from polykron import Partition, kronecker, kronecker_oracle_expansion
 from polykron._memo import clear_all
 from polykron.sweeps import (
     sweep_chars,
@@ -117,4 +118,81 @@ def test_every_reference_expansion_by_auto_and_general():
                 wrong.append(f"{method} {tuple(lam)} x {tuple(mu)}")
     status = "FAIL" if wrong else "PASS"
     print(f"{status} reference expansions: {2 * len(rows)} checks in {time.time() - t0:.1f}s")
+    assert not wrong, f"{len(wrong)} wrong, first {wrong[0]}"
+
+
+# Seeded pairs above the reference degrees: for each d, 15 draws of two
+# partitions of d with 3-6 rows each, uniform among those shapes
+# (random.Random(1617)).
+HIGH_DEGREE_PAIRS = {
+    16: (
+        ((5, 4, 3, 2, 2), (7, 4, 3, 2)),
+        ((6, 4, 3, 2, 1), (6, 4, 4, 1, 1)),
+        ((9, 3, 1, 1, 1, 1), (4, 4, 3, 2, 2, 1)),
+        ((5, 5, 2, 2, 1, 1), (8, 7, 1)),
+        ((9, 3, 1, 1, 1, 1), (6, 4, 3, 2, 1)),
+        ((6, 4, 4, 1, 1), (5, 3, 3, 3, 2)),
+        ((5, 3, 2, 2, 2, 2), (5, 3, 2, 2, 2, 2)),
+        ((9, 4, 3), (8, 4, 2, 1, 1)),
+        ((6, 3, 3, 2, 1, 1), (4, 4, 4, 3, 1)),
+        ((6, 4, 3, 3), (5, 3, 3, 3, 1, 1)),
+        ((4, 4, 3, 3, 1, 1), (4, 3, 3, 3, 2, 1)),
+        ((10, 2, 2, 1, 1), (9, 5, 1, 1)),
+        ((5, 3, 3, 3, 1, 1), (6, 3, 3, 2, 1, 1)),
+        ((7, 3, 3, 1, 1, 1), (5, 5, 4, 2)),
+        ((7, 3, 3, 3), (7, 4, 2, 1, 1, 1)),
+    ),
+    17: (
+        ((7, 6, 4), (5, 5, 5, 1, 1)),
+        ((9, 3, 3, 1, 1), (8, 3, 2, 2, 1, 1)),
+        ((6, 5, 2, 2, 2), (7, 5, 5)),
+        ((5, 4, 3, 3, 2), (5, 4, 3, 2, 2, 1)),
+        ((8, 6, 2, 1), (6, 5, 2, 2, 2)),
+        ((5, 5, 4, 3), (4, 3, 3, 3, 3, 1)),
+        ((7, 6, 4), (6, 4, 4, 3)),
+        ((8, 6, 3), (7, 5, 2, 2, 1)),
+        ((4, 4, 4, 4, 1), (5, 3, 3, 2, 2, 2)),
+        ((5, 3, 3, 3, 2, 1), (8, 5, 3, 1)),
+        ((12, 1, 1, 1, 1, 1), (6, 4, 4, 2, 1)),
+        ((4, 4, 4, 3, 1, 1), (5, 5, 5, 2)),
+        ((7, 6, 2, 1, 1), (6, 3, 3, 2, 2, 1)),
+        ((11, 2, 1, 1, 1, 1), (9, 5, 3)),
+        ((7, 5, 2, 2, 1), (11, 3, 3)),
+    ),
+    18: (
+        ((9, 4, 4, 1), (6, 4, 4, 2, 1, 1)),
+        ((4, 3, 3, 3, 3, 2), (7, 4, 4, 2, 1)),
+        ((5, 5, 5, 1, 1, 1), (12, 5, 1)),
+        ((11, 6, 1), (9, 6, 1, 1, 1)),
+        ((6, 5, 3, 2, 1, 1), (14, 1, 1, 1, 1)),
+        ((8, 4, 2, 2, 2), (9, 7, 1, 1)),
+        ((8, 4, 2, 2, 1, 1), (7, 5, 4, 1, 1)),
+        ((8, 4, 2, 2, 1, 1), (15, 1, 1, 1)),
+        ((7, 5, 4, 2), (5, 5, 3, 3, 2)),
+        ((7, 4, 4, 1, 1, 1), (5, 5, 3, 3, 2)),
+        ((7, 7, 2, 2), (5, 4, 4, 3, 1, 1)),
+        ((12, 3, 3), (6, 6, 2, 2, 1, 1)),
+        ((14, 2, 1, 1), (6, 5, 2, 2, 2, 1)),
+        ((10, 4, 1, 1, 1, 1), (10, 4, 1, 1, 1, 1)),
+        ((7, 7, 4), (8, 3, 3, 2, 2)),
+    ),
+}
+
+
+def test_high_degree_pairs_by_auto_and_general_match_the_oracle():
+    # The reference pairs stop at d = 15; these hold both methods to the
+    # character oracle at d = 16, 17 and 18, in one process.
+    assert [len(pairs) for pairs in HIGH_DEGREE_PAIRS.values()] == [15, 15, 15]
+    t0 = time.time()
+    wrong = []
+    for d, pairs in HIGH_DEGREE_PAIRS.items():
+        for lam, mu in pairs:
+            lam, mu = Partition(lam), Partition(mu)
+            assert lam.size == mu.size == d and 3 <= len(lam) <= 6 and 3 <= len(mu) <= 6
+            want = kronecker_oracle_expansion(lam, mu)
+            for method in ("auto", "general"):
+                if kronecker(lam, mu, method)[0] != want:
+                    wrong.append(f"{method} {lam.parts} x {mu.parts}")
+    status = "FAIL" if wrong else "PASS"
+    print(f"{status} d = 16-18 expansions: 90 checks in {time.time() - t0:.1f}s")
     assert not wrong, f"{len(wrong)} wrong, first {wrong[0]}"

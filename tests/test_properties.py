@@ -11,9 +11,12 @@ inputs beyond the sweep bounds, of the contingency enumerator, its row-vector
 pairs, the LR strip and letter walks, the partitions between two shapes and
 the Jacobi-Trudi terms against the recursive walks they replaced, order
 included, of the walker on the tight bounds of one-box moves and horizontal
-strips, of the one-box moves and the compositions against brute force, and
-of the kernel memos."""
+strips, of the one-box moves and the compositions against brute force, of
+the contingency enumerator on cold, warm, stale and concurrently filled row
+tables, and of the kernel memos."""
 
+import sys
+import threading
 from collections import Counter
 from functools import lru_cache, partial
 from importlib import import_module
@@ -1039,7 +1042,8 @@ def test_every_resolution_agrees_with_kronecker_general(pair):
 
 def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
     assert set(MEMOS) == {
-        "partitions.partitions_of", "partitions._row_vectors", "partitions._shared",
+        "partitions.partitions_of", "partitions._row_node", "partitions._need_table",
+        "partitions._shared",
         "partitions._partitions_between", "schur._positions", "schur._conjugation",
         "schur._h_terms", "schur._last_strips", "schur._product_terms", "schur._skew_terms",
         "characters.class_size", "characters.perm_row", "characters.character_row",
@@ -1181,6 +1185,36 @@ def test_contingency_rows_match_the_recursive_walk():
         assert list(partitions._contingency_rows(sums, cols)) == want, (sums, cols)
 
 
+def test_threads_that_race_to_fill_the_row_tables_get_the_reference_rows():
+    # Walks in several threads, from empty tables and with a short switch
+    # interval, check and fill the same slots at once.  A slot written twice
+    # gets the memo's entry both times, so every walk gives the reference.
+    weights = [c.entries for n in (3, 4) for c in enumerate_compositions(7, n)][::4]
+    cases = [(sums, cols) for sums in weights for cols in weights]
+    want = [list(_recursive_contingency_rows(*case)) for case in cases]
+    got = {}
+
+    def walk(k):
+        order = cases[k:] + cases[:k]
+        got[k] = [list(partitions._contingency_rows(*case)) for case in order]
+
+    clear_all()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got) == list(range(6))
+    for k, rows in got.items():
+        assert rows == want[k:] + want[:k]
+
+
 def test_contingency_rows_stay_lazy_at_seven_rows():
     # (6^7) x (6^7) has far too many matrices to list; the first comes at once.
     six = (6,) * 7
@@ -1188,6 +1222,30 @@ def test_contingency_rows_stay_lazy_at_seven_rows():
     diagonal = tuple(tuple(6 if i == j else 0 for j in range(7)) for i in range(7))
     assert next(rows) == diagonal
     assert next(rows)[:5] == diagonal[:5]
+
+
+@PROPERTY
+@given(st.lists(margin_pairs(max_d=6, min_parts=0), min_size=1, max_size=4))
+@example([(Composition([]), Composition([0, 0]))])
+@example([(Composition([2, 0, 1, 1, 2]), Composition([1, 3, 0, 2]))])
+@example([(Composition([1, 2, 1, 2]), Composition([2, 2, 2])),
+          (Composition([2, 1, 1, 2]), Composition([3, 1, 2]))])
+def test_contingency_rows_match_the_recursive_walk_on_cold_warm_and_stale_tables(pairs):
+    # The walk fills each remainder's row table as it asks for its slots,
+    # and a table is shared by every walk that reaches its remainder.  The
+    # rows must not depend on what the tables hold: none filled, filled by
+    # the walks before (each pair also runs with its row sums reversed, so
+    # one remainder is read at other row sums), filled by a whole first
+    # pass, or filled before the `_row_node` memo was cleared, so that their
+    # slots hold entries that the memo no longer has.
+    cases = [(mu.entries, lam.entries) for mu, lam in pairs]
+    cases += [(sums[::-1], cols) for sums, cols in cases]
+    want = [list(_recursive_contingency_rows(sums, cols)) for sums, cols in cases]
+    clear_all()
+    assert [list(partitions._contingency_rows(*case)) for case in cases] == want
+    assert [list(partitions._contingency_rows(*case)) for case in cases] == want
+    partitions._row_node.cache_clear()
+    assert [list(partitions._contingency_rows(*case)) for case in cases] == want
 
 
 @PROPERTY
@@ -1280,11 +1338,13 @@ def test_compositions_match_brute_force():
 
 def test_row_vector_memo_stores_each_distinct_vector_once():
     # The pair memo has many more entries than distinct vectors; equal
-    # vectors must be one object, or the memo grows with its entries.
-    partitions._row_vectors.cache_clear()
-    partitions._shared.cache_clear()
+    # vectors must be one object, or the memo grows with its entries.  Each
+    # (need, rem) entry is built once, whether the walk reaches it through
+    # the memo or through a slot of a row table.
+    clear_all()
     assert sweeps.sweep_contingency(count_max_d=6).ok
-    info = partitions._row_vectors.cache_info()
+    info = partitions._row_node.cache_info()
+    tables = partitions._need_table.cache_info()
     entries = {}
 
     def walk(sums, rem):
@@ -1304,13 +1364,25 @@ def test_row_vector_memo_stores_each_distinct_vector_once():
         # rows of (d, (d,) * n).
         for n in range(1, 5):
             entries[d, (d,) * n] = partitions._row_vectors(d, (d,) * n)
-    assert partitions._row_vectors.cache_info().misses == info.misses
+    assert partitions._row_node.cache_info().misses == info.misses
     assert len(entries) == info.currsize
     stored = {}
     for pairs in entries.values():
         for vector in chain.from_iterable(pairs):
             assert stored.setdefault(vector, vector) is vector
     assert len(stored) < sum(map(len, entries.values()))
+    # One table per distinct remainder, and a filled slot holds the memo's
+    # own entry.
+    rests = {rest for pairs in entries.values() for _, rest in pairs}
+    assert partitions._need_table.cache_info().misses == tables.misses == len(rests)
+    for key in entries:
+        pairs, steps = partitions._row_node(*key)
+        assert [(x, rest) for x, rest, _ in steps] == list(pairs)
+        for _, rest, table in steps:
+            assert table is partitions._need_table(rest)
+            assert len(table) == sum(rest) + 1
+            for need, node in enumerate(table):
+                assert node is None or node is partitions._row_node(need, rest)
 
 
 def test_the_oracle_never_runs_the_tableau_engine(monkeypatch):

@@ -1,9 +1,9 @@
 """Partitions, compositions, skew shapes, and contingency-matrix enumeration.
 
 All objects are immutable after construction and safe to share across
-threads.  The one exception is internal: a slot of a `_need_table` row table
-is filled on first use, and only ever with the `_row_node` memo's entry for
-its key, so what a slot holds never depends on which walk filled it.
+threads.  The one exception is internal: the slots of a row table are
+filled on first read, each with a value that depends on its key alone, so
+what a slot holds never depends on which walk filled it.
 Enumeration orders are deterministic (descending lexicographic for
 partitions, row-major lexicographic for matrices) so outputs are reproducible
 byte for byte.  There is one partition enumerator, `_partitions_between`,
@@ -13,15 +13,18 @@ weights of `enumerate_compositions` are the rows of `_row_vectors`.
 
 Contingency matrices are enumerated row by row.  The candidates for a row are
 the descending-lex vectors that sum to its row sum and fit under what remains
-of the column sums; `_row_node` builds them once per (row sum, remainder)
-and memoises each with what remains after it, so no remainder is computed
-per matrix.  Each remainder also has a row table indexed by row sum, and
-each candidate carries the table of what remains after it: the walk reads
-the first row's candidates from the memo, once per margin pair, and every
-later row's from a table slot, by one list index.  The last row is the
-remainder itself, so only rows 0..n-3 are walked: rows n-4 and n-3 in two
-plain nested loops, the rows above them depth first in one generator frame,
-and row n-2 closes each prefix in a flat loop.  That core,
+of the column sums, each paired with what remains after it, so no remainder
+is computed per matrix.  Each remainder has two row tables, made by the
+memo `_row_tables` and filled slot by slot as walks read them: slot k of its
+pair table holds the candidate pairs of a row of sum k, built once, and
+slot k of its step table holds the same candidates, each with the tables of
+what it leaves.  The walk reads row 0 from the tables of the column sums,
+once per margin pair, and every later row from a slot of the tables that
+the row above it carries, by one dict read.  The last row is the remainder
+itself, so only rows 0..n-3 are walked: rows n-4 and n-3 in two plain
+nested loops, the rows above them depth first in one generator frame, and
+row n-2 closes each prefix from a pair table in a flat loop; a walk of two
+rows reads one pair table slot and builds no steps.  That core,
 `_contingency_rows`, works on plain tuples and yields each matrix as its
 rows tuple; `iter_contingency` wraps each one in a ContingencyMatrix, and
 callers that only flatten or count the matrices read the tuples.  The
@@ -368,32 +371,15 @@ def enumerate_compositions(d: int, length: int):
 
 @memo
 def _shared(vector: tuple) -> tuple:
-    """The one stored copy of a row or remainder vector: the pair memo holds
-    thousands of entries but only hundreds of distinct vectors."""
+    """The one stored copy of a row or remainder vector: the pair tables
+    hold thousands of pairs but only hundreds of distinct vectors."""
     return vector
 
 
 def _row_vectors(need: int, rem: tuple) -> tuple:
     """All pairs (x, rem - x) with 0 <= x_j <= rem_j and sum(x) = need,
-    descending lex in x, as stored in the `_row_node` memo."""
-    return _row_node(need, rem)[0]
-
-
-@memo
-def _row_node(need: int, rem: tuple) -> tuple:
-    """(pairs, steps): the pairs of `_row_vectors(need, rem)`, and for each
-    pair (x, rest) in the same order the triple (x, rest, _need_table(rest)),
-    which `_contingency_rows` descends through."""
-    pairs = _walk_columns(need, rem)
-    return pairs, tuple((x, rest, _need_table(rest)) for x, rest in pairs)
-
-
-@memo
-def _need_table(rest: tuple) -> list:
-    """The row table of a remainder: a list of sum(rest) + 1 slots, where
-    slot k is None until a walk first needs a row of sum k under `rest`,
-    and then holds the `_row_node(k, rest)` entry."""
-    return [None] * (sum(rest) + 1)
+    descending lex in x: slot `need` of the pair table of `rem`."""
+    return _row_tables(rem)[0][need]
 
 
 def _walk_columns(need: int, rem: tuple) -> tuple:
@@ -445,6 +431,57 @@ def _walk_columns(need: int, rem: tuple) -> tuple:
         j += 1
 
 
+class _PairTable(dict):
+    """The pair table of a remainder `rest`: slot `need` holds the pairs
+    `_walk_columns(need, rest)`, built when the slot is first read.  What a
+    slot holds is a function of its key alone, so it never depends on
+    which walk filled it."""
+
+    __slots__ = ("rest",)
+
+    def __init__(self, rest: tuple) -> None:
+        self.rest = rest
+
+    def __missing__(self, need: int) -> tuple:
+        pairs = self[need] = _walk_columns(need, self.rest)
+        return pairs
+
+
+class _StepTable(_PairTable):
+    """The step table of a remainder `rest`: slot `need` holds, for each
+    pair (x, r) of `_row_vectors(need, rest)` in its order, the step
+    (x, pairs, steps), where (pairs, steps) = `_row_tables(r)`.  Only the
+    memo's own step table builds its slots; any other, such as one that a
+    walk still holds after a clear, copies them from the memo's.
+
+    A zero row leaves `rest` as it is, so the one step of slot 0 would
+    carry this table, a reference cycle.  It carries a new step table of
+    `rest` instead."""
+
+    __slots__ = ()
+
+    def __missing__(self, need: int) -> tuple:
+        pairs, steps = _row_tables(self.rest)
+        if not need:
+            ((zero, _),) = pairs[0]
+            entry = ((zero, pairs, _StepTable(self.rest)),)
+        elif steps is self:
+            entry = tuple((x,) + _row_tables(r) for x, r in pairs[need])
+        else:
+            entry = steps[need]
+        self[need] = entry
+        return entry
+
+
+@memo
+def _row_tables(rest: tuple) -> tuple:
+    """(pairs, steps): the pair table and the step table of a remainder.
+    They are the memo of the contingency walk: a walk reads row 0 from the
+    tables of the column sums, and each later row from the tables that the
+    step of the row above it carries."""
+    return _PairTable(rest), _StepTable(rest)
+
+
 def _margin_degree(mu: Composition, lam: Composition) -> int:
     """The common degree of two margins; DegreeMismatchError if they differ."""
     if mu.degree != lam.degree:
@@ -463,10 +500,9 @@ def _contingency_rows(sums: tuple, cols: tuple):
     of rows 0..n-5 from `_prefixes`, and each prefix of rows 0..n-3 is then
     closed in one flat loop by a pair of its remainder, whose row is row n-2
     and whose remainder is row n-1 (three rows have one walked row, two
-    none).  Row 0's `_row_node` comes from the memo, once per call, and
-    row i's from slot sums[i] of the table that row i - 1 carries; the
-    margins have one degree, so that slot is never past the table's end.
-    The walk stays lazy, with O(n) state: a list of all prefixes of
+    none).  Row 0 is read from the tables of the column sums, by one memo
+    lookup per call, and every later row from a slot of the tables that
+    the row above it carries, by one dict read.  The walk stays lazy, with O(n) state: a list of all prefixes of
     (6^5) x (6^5) would hold millions.
     """
     n = len(sums)
@@ -479,55 +515,43 @@ def _contingency_rows(sums: tuple, cols: tuple):
         yield from _row_vectors(need, cols)
         return
     if close == 1:
-        for row, rest, table in _row_node(sums[0], cols)[1]:
-            node = table[need] or _fill(table, need, rest)
-            prefix = (row,)
-            for pair in node[0]:
-                yield prefix + pair
+        for row, pairs, _ in _row_tables(cols)[1][sums[0]]:
+            head = (row,)
+            for pair in pairs[need]:
+                yield head + pair
         return
-    mid = sums[close - 1]
-    for head, node in _prefixes(sums, cols, close - 2):
-        for x, rest, table in node[1]:
-            sub = table[mid] or _fill(table, mid, rest)
-            for y, below, slots in sub[1]:
-                end = slots[need] or _fill(slots, need, below)
+    upper, mid = sums[close - 2], sums[close - 1]
+    for head, _, steps in _prefixes(sums, cols, close - 2):
+        for x, _, below in steps[upper]:
+            for y, pairs, _ in below[mid]:
                 prefix = head + (x, y)
-                for pair in end[0]:
+                for pair in pairs[need]:
                     yield prefix + pair
 
 
-def _fill(table: list, need: int, rest: tuple) -> tuple:
-    """Fill slot `need` of the row table of `rest` with the memo's entry."""
-    node = table[need] = _row_node(need, rest)
-    return node
-
-
 def _prefixes(sums: tuple, cols: tuple, depth: int):
-    """Yield (rows, node) for every choice of rows 0..depth-1 under the
-    margins, in descending lex order: `rows` is the tuple of those rows and
-    `node` the `_row_node` of row `depth` under what they leave.
+    """Yield (rows, pairs, steps) for every choice of rows 0..depth-1 under
+    the margins, in descending lex order: `rows` is the tuple of those rows,
+    and `pairs` and `steps` are the row tables of what they leave.
 
     The rows are walked depth first in this one frame: `its[i]` iterates
-    the steps (row, rest, table) of row i, and `rows` holds the prefix.
+    the steps (row, pairs, steps) of row i, and `rows` holds the prefix.
     """
-    node = _row_node(sums[0], cols)
     if not depth:
-        yield (), node
+        yield ((),) + _row_tables(cols)
         return
     last = depth - 1
     rows = [()] * depth
-    its = [iter(node[1])] + [None] * last
+    its = [iter(_row_tables(cols)[1][sums[0]])] + [None] * last
     i = 0
     while i >= 0:
-        for row, rest, table in its[i]:
+        for row, pairs, steps in its[i]:
             rows[i] = row
-            need = sums[i + 1]
-            node = table[need] or _fill(table, need, rest)
             if i < last:  # descend; the while resumes at row i + 1
                 i += 1
-                its[i] = iter(node[1])
+                its[i] = iter(steps[sums[i]])
                 break
-            yield tuple(rows), node
+            yield tuple(rows), pairs, steps
         else:  # row i is exhausted; resume row i - 1
             i -= 1
 

@@ -15,12 +15,13 @@ strips, of the one-box moves and the compositions against brute force, of
 the contingency enumerator on cold, warm, stale and concurrently filled row
 tables, and of the kernel memos."""
 
+import gc
 import sys
 import threading
 from collections import Counter
 from functools import lru_cache, partial
 from importlib import import_module
-from itertools import accumulate, chain, permutations, product
+from itertools import accumulate, chain, islice, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -1042,8 +1043,7 @@ def test_every_resolution_agrees_with_kronecker_general(pair):
 
 def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
     assert set(MEMOS) == {
-        "partitions.partitions_of", "partitions._row_node", "partitions._need_table",
-        "partitions._shared",
+        "partitions.partitions_of", "partitions._row_tables", "partitions._shared",
         "partitions._partitions_between", "schur._positions", "schur._conjugation",
         "schur._h_terms", "schur._last_strips", "schur._product_terms", "schur._skew_terms",
         "characters.class_size", "characters.perm_row", "characters.character_row",
@@ -1231,21 +1231,25 @@ def test_contingency_rows_stay_lazy_at_seven_rows():
 @example([(Composition([1, 2, 1, 2]), Composition([2, 2, 2])),
           (Composition([2, 1, 1, 2]), Composition([3, 1, 2]))])
 def test_contingency_rows_match_the_recursive_walk_on_cold_warm_and_stale_tables(pairs):
-    # The walk fills each remainder's row table as it asks for its slots,
-    # and a table is shared by every walk that reaches its remainder.  The
-    # rows must not depend on what the tables hold: none filled, filled by
-    # the walks before (each pair also runs with its row sums reversed, so
-    # one remainder is read at other row sums), filled by a whole first
-    # pass, or filled before the `_row_node` memo was cleared, so that their
-    # slots hold entries that the memo no longer has.
+    # The walk fills each remainder's row tables as it asks for their slots,
+    # and the tables are shared by every walk that reaches the remainder.
+    # The rows must not depend on what the tables hold: none filled, filled
+    # by the walks before (each pair also runs with its row sums reversed,
+    # so one remainder is read at other row sums), filled by a whole first
+    # pass, or left behind by a `_row_tables` clear in the middle of the
+    # walks, so that the suspended walks go on through tables that the memo
+    # no longer has.
     cases = [(mu.entries, lam.entries) for mu, lam in pairs]
     cases += [(sums[::-1], cols) for sums, cols in cases]
     want = [list(_recursive_contingency_rows(sums, cols)) for sums, cols in cases]
     clear_all()
     assert [list(partitions._contingency_rows(*case)) for case in cases] == want
     assert [list(partitions._contingency_rows(*case)) for case in cases] == want
-    partitions._row_node.cache_clear()
-    assert [list(partitions._contingency_rows(*case)) for case in cases] == want
+    clear_all()
+    walks = [partitions._contingency_rows(*case) for case in cases]
+    heads = [list(islice(walk, 1)) for walk in walks]
+    partitions._row_tables.cache_clear()
+    assert [head + list(walk) for head, walk in zip(heads, walks)] == want
 
 
 @PROPERTY
@@ -1336,15 +1340,22 @@ def test_compositions_match_brute_force():
             assert all(c.degree == d and c == Composition(c.entries) for c in got)
 
 
-def test_row_vector_memo_stores_each_distinct_vector_once():
-    # The pair memo has many more entries than distinct vectors; equal
-    # vectors must be one object, or the memo grows with its entries.  Each
-    # (need, rem) entry is built once, whether the walk reaches it through
-    # the memo or through a slot of a row table.
+def test_row_vector_memo_stores_each_distinct_vector_once(monkeypatch):
+    # The pair tables hold many more pairs than distinct vectors; equal
+    # vectors must be one object, or the tables grow with their entries.
+    # Each (need, rem) entry is built once, whether a walk reaches it from
+    # the tables of its column sums or through a step.
+    built = Counter()
+    walk_columns = partitions._walk_columns
+
+    def counted(need, rem):
+        built[need, rem] += 1
+        return walk_columns(need, rem)
+
+    monkeypatch.setattr(partitions, "_walk_columns", counted)
     clear_all()
     assert sweeps.sweep_contingency(count_max_d=6).ok
-    info = partitions._row_node.cache_info()
-    tables = partitions._need_table.cache_info()
+    tables = partitions._row_tables.cache_info()
     entries = {}
 
     def walk(sums, rem):
@@ -1364,25 +1375,73 @@ def test_row_vector_memo_stores_each_distinct_vector_once():
         # rows of (d, (d,) * n).
         for n in range(1, 5):
             entries[d, (d,) * n] = partitions._row_vectors(d, (d,) * n)
-    assert partitions._row_node.cache_info().misses == info.misses
-    assert len(entries) == info.currsize
+    assert partitions._row_tables.cache_info().misses == tables.misses
+    assert set(built) == set(entries)
+    assert set(built.values()) == {1}
     stored = {}
     for pairs in entries.values():
         for vector in chain.from_iterable(pairs):
             assert stored.setdefault(vector, vector) is vector
     assert len(stored) < sum(map(len, entries.values()))
-    # One table per distinct remainder, and a filled slot holds the memo's
-    # own entry.
-    rests = {rest for pairs in entries.values() for _, rest in pairs}
-    assert partitions._need_table.cache_info().misses == tables.misses == len(rests)
-    for key in entries:
-        pairs, steps = partitions._row_node(*key)
-        assert [(x, rest) for x, rest, _ in steps] == list(pairs)
-        for _, rest, table in steps:
-            assert table is partitions._need_table(rest)
-            assert len(table) == sum(rest) + 1
-            for need, node in enumerate(table):
-                assert node is None or node is partitions._row_node(need, rest)
+    # A filled step slot holds one step per pair, in order, each carrying
+    # the memo's tables of its remainder; the step of a zero row carries
+    # the memo's pair table and a step table of its own.
+    for need, rem in entries:
+        pairs, steps = partitions._row_tables(rem)
+        assert pairs[need] is entries[need, rem]
+        if need not in steps:
+            continue
+        assert len(steps[need]) == len(pairs[need])
+        for (x, rest), (row, below, after) in zip(pairs[need], steps[need]):
+            assert row is x
+            assert below is partitions._row_tables(rest)[0]
+            if need:
+                assert after is partitions._row_tables(rest)[1]
+            else:
+                assert type(after) is type(steps) and after is not steps
+                assert after.rest == rem
+
+
+def test_two_row_walks_and_compositions_fill_no_step_tables():
+    # A walk of two rows reads one slot of the pair table of its column
+    # sums, and so does enumerate_compositions: no step is built, so no
+    # table of any remainder is made, whatever the degree.
+    clear_all()
+    big = Composition([2000, 2000])
+    assert next(iter_contingency(big, big)).rows == ((2000, 0), (0, 2000))
+    assert len(enumerate_compositions(12, 4)) == 455
+    assert len(list(partitions._contingency_rows((3, 4), (2, 0, 5)))) == 3
+    rems = [(2000, 2000), (12, 12, 12, 12), (2, 0, 5)]
+    assert partitions._row_tables.cache_info().currsize == len(rems)
+    for rem in rems:
+        pairs, steps = partitions._row_tables(rem)
+        assert len(pairs) == 1 and len(steps) == 0
+
+
+def test_clear_all_frees_every_row_table_without_the_cycle_collector():
+    # A zero row leaves its remainder as it is, so its step must not lead
+    # back to the table that holds it: clear_all() would then leave the
+    # tables to the cycle collector.  Row sums with zeros in every place
+    # reach zero rows at the root, in the nested rows and in the prefixes.
+    weights = [c.entries for n in range(3, 7) for c in enumerate_compositions(3, n)][::3]
+
+    def live_tables():
+        return sum(isinstance(o, partitions._PairTable) for o in gc.get_objects())
+
+    clear_all()
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_tables()
+        for sums in weights:
+            for cols in weights[::5]:
+                for _ in partitions._contingency_rows(sums, cols):
+                    pass
+        assert live_tables() > before + 100
+        clear_all()
+        assert live_tables() == before
+    finally:
+        gc.enable()
 
 
 def test_the_oracle_never_runs_the_tableau_engine(monkeypatch):

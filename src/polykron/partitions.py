@@ -9,7 +9,7 @@ partitions, row-major lexicographic for matrices) so outputs are reproducible
 byte for byte.  There is one partition enumerator, `_partitions_between`,
 which lists the partitions of a size between two shapes; `partitions_of(d)`
 reads it with the bounds () and (d, ..., d), and `one_box_moves` twice.  The
-weights of `enumerate_compositions` are the rows of `_row_vectors`.
+weights of `enumerate_compositions` are the rows of one `_walk_columns` call.
 
 Contingency matrices are enumerated row by row.  The candidates for a row are
 the descending-lex vectors that sum to its row sum and fit under what remains
@@ -366,7 +366,7 @@ def enumerate_compositions(d: int, length: int):
     """All weights of degree d with exactly `length` entries, descending lex."""
     if d < 0 or length < 0:
         raise ValueError("d and length must be non-negative")
-    return [Composition._trusted(x, d) for x, _ in _row_vectors(d, (d,) * length)]
+    return [Composition._trusted(x, d) for x, _ in _walk_columns(d, (d,) * length)]
 
 
 @memo
@@ -383,8 +383,8 @@ def _row_vectors(need: int, rem: tuple) -> tuple:
 
 
 def _walk_columns(need: int, rem: tuple) -> tuple:
-    """The pairs of `_row_vectors(need, rem)`, built.  Both vectors of a
-    pair are `_shared`.
+    """The pairs (x, rem - x) of `_row_vectors(need, rem)`, built as plain
+    tuples; the walk touches no memo.
 
     The columns are walked depth first in one frame: row[j] is tried from
     its largest value down to least[j], the value at which the columns after
@@ -416,7 +416,7 @@ def _walk_columns(need: int, rem: tuple) -> tuple:
             j += 1
         row[last] = left
         rest[last] = rem[last] - left
-        out.append((_shared(tuple(row)), _shared(tuple(rest))))
+        out.append((tuple(row), tuple(rest)))
         # Drop the columns at their least entry; the column before them
         # takes one less, and the walk goes on after it.
         j = last - 1
@@ -433,9 +433,10 @@ def _walk_columns(need: int, rem: tuple) -> tuple:
 
 class _PairTable(dict):
     """The pair table of a remainder `rest`: slot `need` holds the pairs
-    `_walk_columns(need, rest)`, built when the slot is first read.  What a
-    slot holds is a function of its key alone, so it never depends on
-    which walk filled it."""
+    `_walk_columns(need, rest)`, built when the slot is first read, with
+    both vectors of each pair `_shared`.  This is the one place that keeps
+    a vector.  What a slot holds is a function of its key alone, so it
+    never depends on which walk filled it."""
 
     __slots__ = ("rest",)
 
@@ -443,7 +444,8 @@ class _PairTable(dict):
         self.rest = rest
 
     def __missing__(self, need: int) -> tuple:
-        pairs = self[need] = _walk_columns(need, self.rest)
+        walk = _walk_columns(need, self.rest)
+        pairs = self[need] = tuple((_shared(x), _shared(r)) for x, r in walk)
         return pairs
 
 

@@ -183,6 +183,14 @@ class TestGammaTensorCommand:
             "  0,1,1,0  1",
         ]
 
+    def test_three_thousand_rows_exit_zero(self, capsys):
+        # The contingency walk keeps its prefix rows in one frame, so a deep
+        # margin gives a result and not a RecursionError with exit code 1.
+        ones = ",".join(["1"] * 3000)
+        code, out, err = invoke(capsys, "gamma-tensor", "--mu", ones, "--lambda", "3000", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["expansion"] == [{"partition": [1] * 3000, "mult": 1}]
+
 
 class TestExpTensorCommand:
     def test_wedge_wedge(self, capsys):

@@ -13,7 +13,8 @@ the Jacobi-Trudi terms against the recursive walks they replaced, order
 included, of the walker on the tight bounds of one-box moves and horizontal
 strips, of the one-box moves and the compositions against brute force, of
 the contingency enumerator on cold, warm, stale and concurrently filled row
-tables, and of the kernel memos."""
+tables and at 3,000 rows, and of the kernel memos and what a call leaves in
+them."""
 
 import gc
 import sys
@@ -1224,6 +1225,17 @@ def test_contingency_rows_stay_lazy_at_seven_rows():
     assert next(rows)[:5] == diagonal[:5]
 
 
+def test_the_prefix_walk_keeps_one_frame_at_three_thousand_rows():
+    # The prefix rows are walked in one generator frame, so the depth of the
+    # walk is not bounded by the recursion limit: a nested generator per row
+    # raises RecursionError at about a thousand rows.
+    ones = Composition([1] * 3000)
+    first = next(iter_contingency(ones, Composition([2998, 2])))
+    assert first.rows == ((1, 0),) * 2998 + ((0, 1),) * 2
+    got = gamma_tensor_gamma(ones, Composition([3000]))
+    assert got.summands == (ones,)
+
+
 @PROPERTY
 @given(st.lists(margin_pairs(max_d=6, min_parts=0), min_size=1, max_size=4))
 @example([(Composition([]), Composition([0, 0]))])
@@ -1343,16 +1355,18 @@ def test_compositions_match_brute_force():
 def test_row_vector_memo_stores_each_distinct_vector_once(monkeypatch):
     # The pair tables hold many more pairs than distinct vectors; equal
     # vectors must be one object, or the tables grow with their entries.
-    # Each (need, rem) entry is built once, whether a walk reaches it from
-    # the tables of its column sums or through a step.
+    # Each (need, rem) slot is built once, whether a walk reaches it from
+    # the tables of its column sums or through a step.  Only the builds of
+    # table slots are counted: enumerate_compositions walks its columns
+    # directly and fills no slot.
     built = Counter()
-    walk_columns = partitions._walk_columns
+    missing = partitions._PairTable.__missing__
 
-    def counted(need, rem):
-        built[need, rem] += 1
-        return walk_columns(need, rem)
+    def counted(table, need):
+        built[need, table.rest] += 1
+        return missing(table, need)
 
-    monkeypatch.setattr(partitions, "_walk_columns", counted)
+    monkeypatch.setattr(partitions._PairTable, "__missing__", counted)
     clear_all()
     assert sweeps.sweep_contingency(count_max_d=6).ok
     tables = partitions._row_tables.cache_info()
@@ -1371,10 +1385,6 @@ def test_row_vector_memo_stores_each_distinct_vector_once(monkeypatch):
         for mu in weights:
             for lam in weights:
                 walk(mu.entries, lam.entries)
-        # The keys _weights_up_to asks for: enumerate_compositions reads the
-        # rows of (d, (d,) * n).
-        for n in range(1, 5):
-            entries[d, (d,) * n] = partitions._row_vectors(d, (d,) * n)
     assert partitions._row_tables.cache_info().misses == tables.misses
     assert set(built) == set(entries)
     assert set(built.values()) == {1}
@@ -1404,18 +1414,34 @@ def test_row_vector_memo_stores_each_distinct_vector_once(monkeypatch):
 
 def test_two_row_walks_and_compositions_fill_no_step_tables():
     # A walk of two rows reads one slot of the pair table of its column
-    # sums, and so does enumerate_compositions: no step is built, so no
-    # table of any remainder is made, whatever the degree.
+    # sums: no step is built, so no table of any remainder is made, whatever
+    # the degree.  enumerate_compositions walks its columns directly and
+    # fills no table at all.
     clear_all()
     big = Composition([2000, 2000])
     assert next(iter_contingency(big, big)).rows == ((2000, 0), (0, 2000))
     assert len(enumerate_compositions(12, 4)) == 455
+    assert partitions._row_tables.cache_info().currsize == 1
     assert len(list(partitions._contingency_rows((3, 4), (2, 0, 5)))) == 3
-    rems = [(2000, 2000), (12, 12, 12, 12), (2, 0, 5)]
+    rems = [(2000, 2000), (2, 0, 5)]
     assert partitions._row_tables.cache_info().currsize == len(rems)
     for rem in rems:
         pairs, steps = partitions._row_tables(rem)
         assert len(pairs) == 1 and len(steps) == 0
+
+
+def test_compositions_and_the_column_walk_keep_nothing():
+    # The pair table is the one owner of the vectors: a one-off
+    # enumerate_compositions call, however large, leaves no table and no
+    # shared vector behind, and a bare column walk reads and fills no memo.
+    clear_all()
+    assert len(enumerate_compositions(30, 5)) == 46376
+    assert partitions._row_tables.cache_info().currsize == 0
+    assert partitions._shared.cache_info().currsize == 0
+    before = {name: table.cache_info() for name, table in MEMOS.items()}
+    got = partitions._walk_columns(4, (2, 0, 3, 1))
+    assert got == _recursive_row_vectors(4, (2, 0, 3, 1))
+    assert {name: table.cache_info() for name, table in MEMOS.items()} == before
 
 
 def test_clear_all_frees_every_row_table_without_the_cycle_collector():

@@ -175,7 +175,8 @@ MARGINS = pytest.mark.parametrize(
         ((2, 2, 2, 2), (3, 2, 2, 1)),
         # Two rows: no prefix, the closing loop does all the work.
         ((10, 10), (4, 4, 3, 3, 2, 2, 1, 1)),
-        # Five rows: the prefixes of rows 0..2 recurse three levels.
+        # Five rows: row 0 is walked in _prefixes' one frame, rows 1-2 in
+        # the nested loops, and rows 3-4 are closed from a pair table.
         ((2, 2, 2, 2, 2), (2, 2, 2, 2, 2)),
     ],
     ids=["d8", "d20-2rows", "d10-5rows"],
@@ -197,11 +198,8 @@ def test_contingency_rows_count(benchmark, mode, mu, lam):
 
 def test_sweep_contingency(benchmark):
     # Cold, a smaller contingency sweep: count pairs up to d = 7, character
-    # pairs up to d = 5, with the Kostka rows and row-vector pairs rebuilt.
-    result = benchmark.pedantic(
-        sweeps.sweep_contingency, kwargs={"count_max_d": 7, "char_max_d": 5},
-        setup=clear_all, rounds=3,
-    )
+    # pairs up to d = 6, with the Kostka rows and row-vector pairs rebuilt.
+    result = benchmark.pedantic(sweeps.sweep_contingency, args=(7,), setup=clear_all, rounds=3)
     assert result.ok
 
 

@@ -198,13 +198,9 @@ class Composition:
         return ",".join(str(x) for x in self.entries) if self.entries else "0"
 
     def sorted_parts(self) -> tuple:
-        """The nonzero entries, sorted decreasingly: the parts of
-        sorted_partition(), without building the Partition."""
+        """The nonzero entries, sorted decreasingly: the parts of the
+        partition that the composition permutes."""
         return tuple(sorted(filter(None, self.entries), reverse=True))
-
-    def sorted_partition(self) -> Partition:
-        """The nonzero entries, sorted decreasingly."""
-        return Partition(self.sorted_parts())
 
 
 class SkewShape:
@@ -504,8 +500,8 @@ def _contingency_rows(sums: tuple, cols: tuple):
     and whose remainder is row n-1 (three rows have one walked row, two
     none).  Row 0 is read from the tables of the column sums, by one memo
     lookup per call, and every later row from a slot of the tables that
-    the row above it carries, by one dict read.  The walk stays lazy, with O(n) state: a list of all prefixes of
-    (6^5) x (6^5) would hold millions.
+    the row above it carries, by one dict read.  The walk stays lazy, with
+    O(n) state: a list of all prefixes of (6^5) x (6^5) would hold millions.
     """
     n = len(sums)
     if n < 2:

@@ -115,10 +115,6 @@ class SchurExpansion:
         return self
 
     @classmethod
-    def zero(cls, degree: int) -> "SchurExpansion":
-        return cls(degree, {})
-
-    @classmethod
     def single(cls, part: Partition, coeff: int = 1) -> "SchurExpansion":
         return cls(part.size, {part: coeff})
 

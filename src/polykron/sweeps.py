@@ -161,18 +161,16 @@ def sweep_fixture() -> SweepResult:
 
 
 @_sweep
-def sweep_contingency(
-    count_max_d: int = 8, char_max_d: int = 6, max_parts: int = 4
-) -> SweepResult:
-    """Margin enumeration has the RSK cardinality and the permutation-module
-    character identity holds for the divided-power product (the latter up to
-    the smaller of the two degree bounds).
+def sweep_contingency(max_d: int = 8) -> SweepResult:
+    """Margin enumeration has the RSK cardinality up to max_d, and the
+    permutation-module character identity holds for the divided-power product
+    up to d = 6, for weights of up to 4 entries.
 
     A pair with both checks is enumerated once: its count is the number of
     summands of its product, and its characters check follows its count."""
-    for d in range(0, count_max_d + 1):
+    for d in range(0, max_d + 1):
         parts_d = partitions_of(d)
-        chars = d <= char_max_d
+        chars = d <= 6
         # One Kostka row per weight, each weight with the index of its row
         # and, when its characters are checked, its permutation character;
         # the RSK dot product is computed once per pair of distinct rows.
@@ -183,7 +181,7 @@ def sweep_contingency(
                 index.setdefault(tuple(kostka(v, w) for v in parts_d), len(index)),
                 perm_row(w.sorted_parts()) if chars else None,
             )
-            for w in _weights_up_to(d, max_parts)
+            for w in _weights_up_to(d, 4)
         ]
         rsk = [[sum(map(mul, a, b)) for b in index] for a in index]
         for mu, i, perm_mu in weights:
@@ -210,11 +208,12 @@ def sweep_contingency(
 
 
 @_sweep
-def sweep_weyl(max_d: int = 7, max_parts: int = 4) -> SweepResult:
+def sweep_weyl(max_d: int = 7) -> SweepResult:
     """Weyl filtrations are non-negative and match the class-sum oracle, and
-    the dual Weyl filtration of lam x Wedge^nu matches the oracle at lam'."""
+    the dual Weyl filtration of lam x Wedge^nu matches the oracle at lam',
+    for weights nu of up to 4 entries."""
     for d in range(0, max_d + 1):
-        weights = _weights_up_to(d, max_parts)
+        weights = _weights_up_to(d, 4)
         # The oracle reads nu only through its block sizes, so each value is
         # computed once per (shape, blocks) and shared by lam, lam' and every
         # weight that permutes nu.
@@ -258,11 +257,11 @@ _EXPECTED_FAMILY = {
 
 
 @_sweep
-def sweep_exptable(max_d: int = 6, max_parts: int = 3) -> SweepResult:
+def sweep_exptable(max_d: int = 6) -> SweepResult:
     """All nine exponential products have the stated family and summands,
-    and the undefined Sym/Wedge case raises."""
+    and the undefined Sym/Wedge case raises, for weights of up to 3 entries."""
     for d in range(0, max_d + 1):
-        weights = _weights_up_to(d, max_parts)
+        weights = _weights_up_to(d, 3)
         for wl in weights:
             for wr in weights:
                 summands = tuple(m.flatten() for m in iter_contingency(wl, wr))
@@ -367,20 +366,16 @@ SUITE_NAMES = ("kron", "fastpath", "fixture", "contingency", "weyl", "exptable",
                "chars", "dims", "lr")
 
 
-def run_suites(names, max_d: int | None = None):
-    """Run the selected suites (or all of them) and return their results."""
-    if names == "all" or names == ["all"]:
-        names = list(SUITE_NAMES)
-    elif isinstance(names, str):
-        names = [names]
-    for name in names:
-        if name not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
+def run_suites(name: str, max_d: int | None = None):
+    """Run the suite `name`, or every suite in order for "all", and return the
+    list of results.  With max_d every sweep but the fixture runs up to that
+    degree; without it, each runs at the default of its signature."""
+    if name != "all" and name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or all")
     results = []
-    for name in names:
+    for suite in SUITE_NAMES if name == "all" else (name,):
         # Looked up when called, so a sweep replaced on this module (wrapped
-        # for timing, or patched in a test) is the one that runs.  Without
-        # max_d each sweep runs at the defaults of its signature.
-        sweep = globals()[f"sweep_{name}"]
-        results.append(sweep() if max_d is None or name == "fixture" else sweep(max_d))
+        # for timing, or patched in a test) is the one that runs.
+        sweep = globals()[f"sweep_{suite}"]
+        results.append(sweep() if max_d is None or suite == "fixture" else sweep(max_d))
     return results

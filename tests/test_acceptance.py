@@ -70,14 +70,14 @@ def test_criterion_3_worked_d3_fixture():
 
 def test_criterion_4_contingency_identities():
     t0 = time.time()
-    result = sweep_contingency(count_max_d=8, char_max_d=6, max_parts=4)
+    result = sweep_contingency(max_d=8)
     _finish("criterion 4 (margin counts d<=8, permutation characters d<=6)",
             [result], [128291], time.time() - t0)
 
 
 def test_criterion_5_weyl_filtration_oracle_match():
     t0 = time.time()
-    result = sweep_weyl(max_d=7, max_parts=4)
+    result = sweep_weyl(max_d=7)
     _finish("criterion 5 (weyl filtration positivity and oracle, d<=7)",
             [result], [4822], time.time() - t0)
 

@@ -19,6 +19,11 @@ RETIRED = {
     "save_cache": "nothing; every memo table lives in polykron._memo.MEMOS",
     "CACHE_VERSION": "nothing; --cache reads and writes no file",
 }
+# Alternate spellings on the value classes, each with the spelling that stays.
+RETIRED_METHODS = {
+    ("SchurExpansion", "zero"): "SchurExpansion(d)",
+    ("Composition", "sorted_partition"): "Partition(c.sorted_parts())",
+}
 MODULES = ("partitions", "schur", "characters", "internal_product", "sweeps", "cli")
 
 
@@ -40,3 +45,8 @@ def test_retired_wrapper_is_gone(name):
     assert not hasattr(polykron, name)
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"polykron.{module}"), name)
+
+
+@pytest.mark.parametrize("cls, name", sorted(RETIRED_METHODS))
+def test_retired_method_is_gone(cls, name):
+    assert not hasattr(getattr(polykron, cls), name)

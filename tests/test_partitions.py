@@ -188,7 +188,7 @@ class TestComposition:
                 Composition(entries)
 
     def test_sorted_partition(self):
-        assert C(0, 3, 1, 3).sorted_partition() == P(3, 3, 1)
+        assert Partition(C(0, 3, 1, 3).sorted_parts()) == P(3, 3, 1)
         assert C(0, 3, 1, 3).sorted_parts() == (3, 3, 1)
 
     def test_text(self):

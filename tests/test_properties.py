@@ -1368,7 +1368,7 @@ def test_row_vector_memo_stores_each_distinct_vector_once(monkeypatch):
 
     monkeypatch.setattr(partitions._PairTable, "__missing__", counted)
     clear_all()
-    assert sweeps.sweep_contingency(count_max_d=6).ok
+    assert sweeps.sweep_contingency(6).ok
     tables = partitions._row_tables.cache_info()
     entries = {}
 

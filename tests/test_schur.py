@@ -114,7 +114,7 @@ class TestSchurExpansion:
         with pytest.raises(ValueError):
             scalar * e
         with pytest.raises(ValueError):
-            SchurExpansion.zero(3) * scalar
+            SchurExpansion(3) * scalar
 
 
 class TestKostka:

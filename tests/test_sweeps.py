@@ -1,6 +1,9 @@
 """The sweeps can fail: each one, fed a computation with one planted error,
 reports that error as its first counterexample, with the number of the check
-that failed; and `run_suites` rejects an unknown name before any sweep runs."""
+that failed.  Each sweep takes its degree bound alone, and `run_suites` takes
+one suite name or "all" and rejects any other before a sweep runs."""
+
+import inspect
 
 import pytest
 
@@ -19,6 +22,9 @@ from polykron import (
 
 MU, LAM = Composition([2, 1]), Composition([1, 2])
 P21, P211 = Partition([2, 1]), Partition([2, 1, 1])
+# The degree bound each sweep runs at by default, as in `oracle-check`.
+DEFAULT_MAX_D = {"kron": 6, "fastpath": 8, "contingency": 8, "weyl": 7, "exptable": 6,
+                 "jt": 8, "chars": 8, "dims": 8, "lr": 7}
 
 
 def _plant(monkeypatch, name, at, wrong):
@@ -55,7 +61,7 @@ def _plant_summands(monkeypatch, wrong):
 def test_contingency_count_fails_without_one_summand(monkeypatch):
     # A pair whose characters are checked is counted by its summands.
     _plant_summands(monkeypatch, lambda summands: summands[:-1])
-    result = sweeps.sweep_contingency(count_max_d=4, char_max_d=4)
+    result = sweeps.sweep_contingency(4)
     assert not result.ok
     assert result.failure == "count mu=2,1 lambda=1,2: 1 != 2"
 
@@ -63,25 +69,26 @@ def test_contingency_count_fails_without_one_summand(monkeypatch):
 def test_contingency_characters_fail_with_one_summand_repeated(monkeypatch):
     # The count stays right, so only the characters can tell.
     _plant_summands(monkeypatch, lambda summands: (summands[0], summands[0]))
-    result = sweeps.sweep_contingency(count_max_d=4, char_max_d=4)
+    result = sweeps.sweep_contingency(4)
     assert not result.ok
     assert result.failure == "characters mu=2,1 lambda=1,2"
 
 
 def test_contingency_count_fails_without_one_matrix(monkeypatch):
-    # Above char_max_d the count reads the bare enumerator.
+    # Above d = 6 the count reads the bare enumerator; (7) x (7) is the
+    # first pair there, after every pair of d <= 6 ran both its checks.
     real = sweeps._contingency_rows
 
     def skip_one(sums, cols):
         matrices = real(sums, cols)
-        if (sums, cols) == (MU.entries, LAM.entries):
+        if (sums, cols) == ((7,), (7,)):
             next(matrices)
         return matrices
 
     monkeypatch.setattr(sweeps, "_contingency_rows", skip_one)
-    result = sweeps.sweep_contingency(count_max_d=4, char_max_d=2)
-    assert not result.ok
-    assert result.failure == "count mu=2,1 lambda=1,2: 1 != 2"
+    assert sweeps.sweep_contingency(7).line() == (
+        "contingency: FAIL (52667 checks) first counterexample: count mu=7 lambda=7: 0 != 1"
+    )
 
 
 def test_contingency_count_fails_with_one_wrong_kostka_row(monkeypatch):
@@ -89,7 +96,7 @@ def test_contingency_count_fails_with_one_wrong_kostka_row(monkeypatch):
     # must ask each weight's own Kostka row, not share one per block sizes.
     # Each pair before it ran its count and its characters checks.
     _plant(monkeypatch, "kostka", (Partition([3]), LAM), lambda k: k + 1)
-    assert sweeps.sweep_contingency(count_max_d=4, char_max_d=4).line() == (
+    assert sweeps.sweep_contingency(4).line() == (
         "contingency: FAIL (1039 checks) first counterexample: count mu=3 lambda=1,2: 1 != 2"
     )
 
@@ -186,8 +193,8 @@ def test_exptable_fails_without_one_summand(monkeypatch):
     wl, wr = Composition([1, 1]), Composition([2])
     _plant(monkeypatch, "exponential_tensor", (ExpFunctor(GAMMA, wl), ExpFunctor(SYM, wr)),
            lambda got: ExpDecomposition(got.family, got.summands[:-1]))
-    assert sweeps.sweep_exptable(2, 2).line() == (
-        "exptable: FAIL (233 checks) first counterexample: Gamma^1,1 x Sym^2 gave "
+    assert sweeps.sweep_exptable(2).line() == (
+        "exptable: FAIL (717 checks) first counterexample: Gamma^1,1 x Sym^2 gave "
         "ExpDecomposition(Sym, [])"
     )
 
@@ -197,8 +204,8 @@ def test_exptable_fails_with_one_wrong_family_when_two_is_zero(monkeypatch):
     at = (ExpFunctor(SYM, wl), ExpFunctor(WEDGE, wr), CharTwoMode.TWO_ZERO)
     _plant(monkeypatch, "exponential_tensor", at,
            lambda got: ExpDecomposition(WEDGE, got.summands))
-    assert sweeps.sweep_exptable(2, 2).line() == (
-        "exptable: FAIL (241 checks) first counterexample: Sym^1,1 x Wedge^2 with 2=0 gave "
+    assert sweeps.sweep_exptable(2).line() == (
+        "exptable: FAIL (725 checks) first counterexample: Sym^1,1 x Wedge^2 with 2=0 gave "
         "ExpDecomposition(Wedge, [1,1])"
     )
 
@@ -216,8 +223,8 @@ def test_exptable_fails_when_one_undefined_product_does_not_raise(monkeypatch):
 
     monkeypatch.setattr(sweeps, "exponential_tensor", no_raise)
     # The failing check is counted, one after the 2=0 check of this pair.
-    assert sweeps.sweep_exptable(2, 2).line() == (
-        "exptable: FAIL (242 checks) first counterexample: Sym^1,1 x Wedge^2 "
+    assert sweeps.sweep_exptable(2).line() == (
+        "exptable: FAIL (726 checks) first counterexample: Sym^1,1 x Wedge^2 "
         "did not raise for nonzero nonunit 2"
     )
 
@@ -244,9 +251,31 @@ def test_lr_fails_with_one_wrong_coefficient(monkeypatch):
     )
 
 
-def test_run_suites_checks_every_name_before_it_runs_any(monkeypatch):
+@pytest.mark.parametrize("suite", sweeps.SUITE_NAMES)
+def test_every_sweep_takes_only_its_degree_bound(suite):
+    # The part and character bounds are fixed in each sweep's body; the
+    # degree is the one bound that run_suites and oracle-check set.
+    params = inspect.signature(getattr(sweeps, f"sweep_{suite}")).parameters.values()
+    want = [] if suite == "fixture" else [("max_d", DEFAULT_MAX_D[suite])]
+    assert [(p.name, p.default) for p in params] == want
+
+
+def test_run_suites_takes_one_name_and_checks_it_before_it_runs_a_sweep(monkeypatch):
     ran = []
-    monkeypatch.setattr(sweeps, "sweep_fixture", lambda: ran.append("fixture"))
+    for suite in sweeps.SUITE_NAMES:
+        monkeypatch.setattr(sweeps, f"sweep_{suite}", lambda *a, s=suite: ran.append((s, a)))
     with pytest.raises(ValueError, match="unknown suite 'bogus'"):
-        sweeps.run_suites(["fixture", "bogus"])
+        sweeps.run_suites("bogus")
+    # The list form is gone: a list names no suite, even a list of one.
+    with pytest.raises(ValueError, match=r"unknown suite \['fixture'\]"):
+        sweeps.run_suites(["fixture"])
+    with pytest.raises(ValueError):
+        sweeps.run_suites(["all"])
     assert ran == []
+    # max_d reaches every sweep but the fixture, which takes no bound.
+    sweeps.run_suites("fixture", 3)
+    sweeps.run_suites("contingency", 3)
+    assert ran == [("fixture", ()), ("contingency", (3,))]
+    ran.clear()
+    sweeps.run_suites("all")
+    assert ran == [(suite, ()) for suite in sweeps.SUITE_NAMES]

@@ -42,6 +42,7 @@ SQUARES = {
     20: (7, 5, 4, 2, 1, 1),
     22: (8, 6, 4, 2, 1, 1),
     24: (8, 6, 4, 3, 2, 1),
+    26: (9, 6, 5, 3, 2, 1),
 }
 DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src"
 

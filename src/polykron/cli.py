@@ -15,6 +15,7 @@ import sys
 
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError
 from .internal_product import (
+    _FAST_PATHS,
     GAMMA,
     SYM,
     WEDGE,
@@ -211,11 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kron", parents=[common], help="Kronecker product of two Specht/Weyl labels")
     p.add_argument("--lambda", dest="lam", required=True, metavar="PARTITION")
     p.add_argument("--mu", required=True, metavar="PARTITION", help="partition, or hook:p,q")
-    p.add_argument(
-        "--method",
-        choices=["auto", "general", "two-row", "one-box", "hook"],
-        default="auto",
-    )
+    p.add_argument("--method", choices=["auto", "general", *_FAST_PATHS], default="auto")
     p.set_defaults(func=_cmd_kron)
 
     p = sub.add_parser("gamma-tensor", parents=[common], help="product of two divided-power weights")

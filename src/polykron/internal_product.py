@@ -27,7 +27,7 @@ from .partitions import (
     _partitions_between,
     partitions_of,
 )
-from .schur import SchurExpansion, _add_product, _conjugation, _skew_terms
+from .schur import SchurExpansion, _add_product, _conjugation, _positions, _skew_terms
 
 GAMMA = "Gamma"
 SYM = "Sym"
@@ -202,7 +202,8 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
     terms are those of s_{beta/alpha} read through _conjugation.  The step is
     linear in the expansions, so a signed sum of tables may be stepped once.
     Every alpha has the same size, and an expansion is keyed by the
-    positions of its partitions in partitions_of of that size.
+    positions of its partitions in partitions_of of that size: the int
+    objects of _positions, so every table and memo entry shares them.
     """
     if not dp:
         return {}
@@ -226,12 +227,12 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
                 for mu, x in expn.items():
                     acc[mu] = acc.get(mu, 0) + c * x
     out = {}
-    width = len(partitions_of(degree + size))
+    positions = _positions(degree + size).values()
     for beta, groups in by_piece.items():
-        target = [0] * width
+        target = [0] * len(positions)
         for gamma, acc in groups.items():
             _add_product(target, acc, degree, pieces[gamma].parts)
-        out[beta] = dict(compress(enumerate(target), target))
+        out[beta] = dict(compress(zip(positions, target), target))
     return out
 
 
@@ -490,46 +491,40 @@ def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
     return _signed_chains(lam, signed, f"({p},1^{q})")
 
 
-def _hook_split(mu: Partition):
-    """(p, q) such that mu = (p, 1^q) with q >= 1, or None."""
-    if len(mu) >= 2 and all(x == 1 for x in mu.parts[1:]):
-        return mu.parts[0], len(mu) - 1
-    return None
+#: The fast paths in the order `auto` tries them, each with its one shape
+#: test: one-box for (a, 1), two-row for two parts (kronecker_general under
+#: its own label), hook for (p, 1^q) with q >= 1, whose later parts are 1.
+_FAST_PATHS = {
+    "one-box": lambda mu: len(mu) == 2 and mu.parts[1] == 1,
+    "two-row": lambda mu: len(mu) == 2,
+    "hook": lambda mu: len(mu) >= 2 and mu.parts[1] == 1,
+}
 
 
 def kronecker(lam: Partition, mu: Partition, method: str = "auto"):
     """Kronecker decomposition of lam x mu; returns (expansion, method used).
 
-    `auto` picks the cheapest applicable procedure from the shape of mu:
-    one-box for (a, 1), two-row for two parts, hook for (p, 1^q), otherwise
-    the general alternating algorithm, which two-row runs under its label.
+    A fast path applies when one partition has two rows or is a hook, and
+    lam x mu = mu x lam.  So `auto` takes mu's first fast path, or else
+    lam's with the factors swapped, or else the general alternating
+    algorithm.  An explicit fast path must fit mu.
     """
     if lam.size != mu.size:
         raise DegreeMismatchError(
             f"partitions have sizes {lam.size} and {mu.size}"
         )
     if method == "auto":
-        if len(mu) == 2 and mu.parts[1] == 1:
-            method = "one-box"
-        elif len(mu) == 2:
-            method = "two-row"
-        elif _hook_split(mu):
-            method = "hook"
-        else:
-            method = "general"
-    if method == "general":
-        return kronecker_general(lam, mu), method
-    if method == "two-row":
-        if len(mu) != 2:
-            raise ValueError(f"mu = {mu.text()} is not a two-row partition")
-        return kronecker_general(lam, mu), method
+        method, lam, mu = next(
+            ((name, a, b) for a, b in ((lam, mu), (mu, lam))
+             for name, fits in _FAST_PATHS.items() if fits(b)),
+            ("general", lam, mu),
+        )
+    if method not in ("general", *_FAST_PATHS):
+        raise ValueError(f"unknown method {method!r}")
+    if method != "general" and not _FAST_PATHS[method](mu):
+        raise ValueError(f"mu = {mu.text()} does not have the {method} shape")
     if method == "one-box":
-        if len(mu) != 2 or mu.parts[1] != 1:
-            raise ValueError(f"mu = {mu.text()} is not of the form (a, 1)")
         return kronecker_one_box(lam, mu.parts[0]), method
     if method == "hook":
-        split = _hook_split(mu)
-        if split is None:
-            raise ValueError(f"mu = {mu.text()} is not a hook with a nonempty leg")
-        return kronecker_hook(lam, split[0], split[1]), method
-    raise ValueError(f"unknown method {method!r}")
+        return kronecker_hook(lam, mu.parts[0], len(mu) - 1), method
+    return kronecker_general(lam, mu), method

@@ -347,7 +347,8 @@ def _walk_order(mu: tuple, nu: tuple) -> tuple:
 def _product_terms(mu: tuple, nu: tuple) -> tuple:
     """(positions, coefficients, flip): the nonzero c^lam_{mu,nu} of the
     walked orientation as two flat tuples, the positions in
-    partitions_of(|mu| + |nu|) of its lam in ascending order and their
+    partitions_of(|mu| + |nu|) of its lam in ascending order (the int
+    objects of _positions, shared with every other memo) and their
     coefficients, and the permutation that carries those positions to this
     orientation's, or None.
 
@@ -367,7 +368,8 @@ def _product_terms(mu: tuple, nu: tuple) -> tuple:
         positions, coefficients, _ = _product_terms(cmu, cnu)
         return positions, coefficients, _conjugation(sum(mu) + sum(nu))
     tally = _lr_tally(mu, nu)
-    return tuple(compress(range(len(tally)), tally)), tuple(compress(tally, tally)), None
+    positions = _positions(sum(mu) + sum(nu)).values()
+    return tuple(compress(positions, tally)), tuple(compress(tally, tally)), None
 
 
 def _coefficient(entry: tuple, at: int) -> int:

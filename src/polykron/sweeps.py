@@ -323,10 +323,6 @@ def sweep_chars(max_d: int = 8) -> SweepResult:
                 )
 
 
-def _is_structured(p: Partition) -> bool:
-    return len(p) <= 2 or all(x == 1 for x in p.parts[1:])
-
-
 @_sweep
 def sweep_dims(max_d: int = 8) -> SweepResult:
     """Dimension identity: multiplicities weighted by hook-length dimensions
@@ -335,10 +331,7 @@ def sweep_dims(max_d: int = 8) -> SweepResult:
         parts_d = partitions_of(d)
         for i, lam in enumerate(parts_d):
             for mu in parts_d[i:]:
-                a, b = lam, mu
-                if _is_structured(a) and not _is_structured(b):
-                    a, b = b, a
-                expansion, _ = kronecker(a, b)
+                expansion, _ = kronecker(lam, mu)
                 total = sum(c * dimension(al) for al, c in expansion.terms.items())
                 want = dimension(lam) * dimension(mu)
                 yield None if total == want else (

@@ -49,6 +49,16 @@ class TestKronCommand:
         assert code == 0
         assert json.loads(out)["method"] == "hook"
 
+    def test_auto_reads_either_factor(self, capsys):
+        # (9, 1) fits the one-box path from either side of the product.
+        reports = []
+        for lam, mu in (("9,1", "4,3,2,1"), ("4,3,2,1", "9,1")):
+            code, out, _ = invoke(capsys, "kron", "--lambda", lam, "--mu", mu, "--json")
+            assert code == 0
+            reports.append(json.loads(out))
+        assert reports[0] == reports[1]
+        assert reports[0]["method"] == "one-box"
+
     def test_methods_agree(self, capsys):
         outputs = set()
         for method in ("general", "two-row", "one-box", "hook"):

@@ -13,8 +13,9 @@ the Jacobi-Trudi terms against the recursive walks they replaced, order
 included, of the walker on the tight bounds of one-box moves and horizontal
 strips, of the one-box moves and the compositions against brute force, of
 the contingency enumerator on cold, warm, stale and concurrently filled row
-tables and at 3,000 rows, and of the kernel memos and what a call leaves in
-them."""
+tables and at 3,000 rows, of auto's choice of procedure from either factor,
+and of the kernel memos, the position ints they share and what a call leaves
+in them."""
 
 import gc
 import sys
@@ -1007,6 +1008,39 @@ def test_kronecker_matches_the_oracle_and_its_symmetries(pair):
     )
 
 
+def _fitting_paths(p: Partition) -> list:
+    """The fast paths whose shape p has, in the order auto tries them, from
+    their definitions: (a, 1), two rows, and (p, 1^q) with q >= 1."""
+    parts = p.parts
+    fits = {
+        "one-box": len(parts) == 2 and parts[1] == 1,
+        "two-row": len(parts) == 2,
+        "hook": len(parts) >= 2 and set(parts[1:]) == {1},
+    }
+    return [name for name, fit in fits.items() if fit]
+
+
+@PROPERTY
+@given(same_degree_pairs(min_d=0, max_d=9))
+@example((Partition([4, 1]), Partition([2, 2, 1])))
+@example((Partition([3, 1]), Partition([2, 2])))
+def test_auto_takes_a_fast_path_from_either_factor(pair):
+    # g(lam, mu, nu) = g(mu, lam, nu), and a fast path needs one factor of
+    # its shape.  auto takes mu's first path, else lam's, else general: so
+    # a pair with one fitting factor gets the same label in both orders, and
+    # no pair with a fitting factor is labelled general.  When both factors
+    # fit, each order keeps its mu's path.
+    lam, mu = pair
+    got, used = kronecker(lam, mu)
+    back, back_used = kronecker(mu, lam)
+    assert back == got == kronecker_general(lam, mu)
+    assert used == (_fitting_paths(mu) or _fitting_paths(lam) or ["general"])[0]
+    if not (_fitting_paths(lam) and _fitting_paths(mu)):
+        assert back_used == used
+    if _fitting_paths(lam) or _fitting_paths(mu):
+        assert "general" not in (used, back_used)
+
+
 @settings(PROPERTY, max_examples=20)
 @given(same_degree_triples())
 @example((Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1]), Partition([4, 4, 2, 1, 1])))
@@ -1084,6 +1118,36 @@ def test_the_exponential_products_of_one_margin_pair_flatten_it_once():
     assert _contingency_weights.cache_info()[1:] == (2, 1, 1)
     clear_all()
     assert _contingency_weights.cache_info().currsize == 0
+
+
+def test_memo_entries_share_one_int_per_position(monkeypatch):
+    # Above 256 an int is a new object each time it is made, and p(18) = 385.
+    # After a cold d = 18 square, every position in the product entries and
+    # every key of the chain tables is the int object of _positions, so the
+    # memos hold one object per position instead of one per entry.
+    def recorder(log, table):
+        def call(*args):
+            log.append((args, table(*args)))
+            return log[-1][1]
+        return call
+
+    entries, tables = [], []
+    clear_all()
+    monkeypatch.setattr(schur, "_product_terms", recorder(entries, _product_terms))
+    monkeypatch.setattr(internal_product, "_chain_sum", recorder(tables, _chain_sum))
+    square = Partition([6, 5, 4, 2, 1])
+    assert kronecker_general(square, square) == kronecker_oracle_expansion(square, square)
+    seen = 0
+    for (mu, nu), (positions, _, flip) in entries:
+        canon = list(schur._positions(sum(mu) + sum(nu)).values())
+        assert all(canon[i] is i for i in chain(positions, flip or ()))
+        seen += sum(i > 256 for i in positions)
+    for _, table in tables:
+        for beta, expn in table.items():
+            canon = list(schur._positions(sum(beta)).values())
+            assert all(canon[i] is i for i in expn)
+            seen += sum(i > 256 for i in expn)
+    assert seen > 1000
 
 
 def test_every_kernel_memo_is_a_registered_bare_lru_cache(monkeypatch):

@@ -23,7 +23,6 @@ from .partitions import (
 )
 from .schur import (
     SchurExpansion,
-    kostka,
     lr_coeff,
     schur_outer_product,
     skew_schur_expansion,
@@ -48,6 +47,7 @@ from .internal_product import (
     gamma_tensor_gamma,
     hook_mixed,
     jacobi_trudi,
+    kostka,
     kronecker,
     kronecker_general,
     kronecker_hook,
@@ -68,7 +68,6 @@ __all__ = [
     "iter_contingency",
     "partitions_of",
     "SchurExpansion",
-    "kostka",
     "lr_coeff",
     "schur_outer_product",
     "skew_schur_expansion",
@@ -89,6 +88,7 @@ __all__ = [
     "gamma_tensor_gamma",
     "hook_mixed",
     "jacobi_trudi",
+    "kostka",
     "kronecker",
     "kronecker_general",
     "kronecker_hook",

@@ -4,11 +4,11 @@ Products of divided/symmetric/exterior power functors decompose over the set
 of contingency matrices with the two weights as margins.  Tensoring a Weyl
 functor with a divided-power weight produces an explicit Weyl filtration whose
 multiplicities are sums of products of Littlewood-Richardson coefficients,
-indexed by chains of nested partitions.  Combining that filtration with the
-Jacobi-Trudi determinant gives symmetric-group Kronecker multiplicities in
-characteristic zero, with fast procedures when one factor is a hook or
-(a, 1), whose product reads the other's `one_box_moves`.  The module's memos
-are registered in `_memo`.
+indexed by chains of nested partitions; along (d) they are Kostka numbers.
+Combining that filtration with the Jacobi-Trudi determinant gives
+symmetric-group Kronecker multiplicities in characteristic zero, with fast
+procedures when one factor is a hook or (a, 1), whose product reads the
+other's `one_box_moves`.  The module's memos are registered in `_memo`.
 """
 
 from __future__ import annotations
@@ -180,17 +180,19 @@ def exponential_tensor(
 
 
 @memo
-def _steps(*pairs) -> tuple:
-    """Canonical chain steps: the nonzero (size, family) pairs, smallest first.
+def _steps(gammas: tuple, wedges: tuple) -> tuple:
+    """Canonical chain steps of h_gammas * e_wedges: the nonzero
+    (size, family) pairs, smallest first.
 
     The factors h_size (GAMMA) and e_size (WEDGE) commute and a zero step
     only pauses the chain, so every order gives the same chain sum; this one
     is the memo key.  Smallest first is also the cheapest order: the last
     step does most of the multiplying, and it then multiplies expansions of
     the lowest degree.  Equal calls return one tuple, so the chain memo's
-    keys share their steps.
+    keys share their steps; the key is two int tuples, cheap to hash.
     """
-    return tuple(sorted((pair for pair in pairs if pair[0])))
+    pairs = chain(zip(gammas, repeat(GAMMA)), zip(wedges, repeat(WEDGE)))
+    return tuple(sorted(pair for pair in pairs if pair[0]))
 
 
 def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
@@ -304,7 +306,7 @@ def _chain_expansion(lam: Partition, signed, flip=None) -> SchurExpansion:
 
 
 def _gamma_steps(nu: Composition) -> tuple:
-    return _steps(*((x, GAMMA) for x in nu))
+    return _steps(tuple(nu), ())
 
 
 def _weyl_chain(lam: Partition, nu: Composition) -> tuple:
@@ -326,6 +328,22 @@ def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
     The multiplicities are independent of the base ring.
     """
     return _chain_expansion(lam, _weyl_chain(lam, nu))
+
+
+def kostka(shape: Partition, content: Composition) -> int:
+    """Number of semistandard Young tableaux of the given shape and content.
+
+    Gamma^d = W_(d) is the unit of the internal product, so the Kostka
+    numbers are the Weyl multiplicities of (d) x Gamma^content: the count is
+    read from the chain table that weyl_tensor_gamma((d), content) reads.  A
+    degree mismatch yields 0 by convention.
+    """
+    d = shape.size
+    if d != content.degree:
+        return 0
+    row = (d,) if d else ()
+    entry = _chain_sum(row, ((_gamma_steps(content), 1),))[row]
+    return entry.get(_positions(d)[shape.parts], 0)
 
 
 def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
@@ -438,14 +456,20 @@ def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
     Expands one factor through the Jacobi-Trudi determinant and accumulates
     the signed Weyl filtrations of the other; the cancellations must leave
     every coefficient >= 0.  The product is symmetric, so either factor with
-    at most the determinant's bound of rows may be expanded: mu, unless the
-    chain estimate of expanding lam is lower or mu is past the bound.  Lam's
-    terms are built only while their estimate stays below mu's.
+    at most the determinant's bound of rows may be expanded: the larger one
+    in lexicographic order, whatever the argument order, unless the other's
+    chain estimate is lower or the larger is past the bound; the other's
+    terms are built only while their estimate stays below.  Past the bound
+    on both sides, the conjugate pair runs, as s_lam' * s_mu' = s_lam * s_mu.
     """
     if lam.size != mu.size:
         raise DegreeMismatchError(
             f"partitions have sizes {lam.size} and {mu.size}"
         )
+    if min(len(lam), len(mu)) > JACOBI_TRUDI_BOUND:
+        lam, mu = lam.conjugate(), mu.conjugate()
+    if mu < lam:
+        lam, mu = mu, lam
     if len(mu) > JACOBI_TRUDI_BOUND >= len(lam):
         lam, mu = mu, lam
     signed, cost = _chain_terms(jacobi_trudi(mu), lam)
@@ -477,7 +501,7 @@ def hook_mixed(lam: Partition, p: int, q: int) -> SchurExpansion:
         raise ValueError(f"need p >= 1 and q >= 0, got ({p}, {q})")
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
-    return _chain_expansion(lam, ((1, _steps((p, GAMMA), (q, WEDGE))),))
+    return _chain_expansion(lam, ((1, _steps((p,), (q,))),))
 
 
 def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
@@ -487,7 +511,7 @@ def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
         raise ValueError(f"need p >= 1 and q >= 1, got ({p}, {q})")
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
-    signed = [((-1) ** i, _steps((p + i, GAMMA), (q - i, WEDGE))) for i in range(q + 1)]
+    signed = [((-1) ** i, _steps((p + i,), (q - i,))) for i in range(q + 1)]
     return _signed_chains(lam, signed, f"({p},1^{q})")
 
 

@@ -38,12 +38,7 @@ and the Weyl chain never receive that form: `lr_coeff`,
 `SchurExpansion._from_index` turns positions into the `Partition` objects of
 `partitions_of(d)`.
 
-Kostka numbers come from the same product memo: K(lam, nu) is the
-coefficient of s_lam in h_nu = s_(nu_1) * s_(nu_2) * ... (Pieri), which
-`_h_terms` multiplies out one row at a time.  A Kostka number does not change
-when the content is permuted, so `kostka` passes the nonzero entries in
-descending order and contents with one multiset share a memo entry.  The
-module's memos are registered in `_memo`.
+The module's memos are registered in `_memo`.
 """
 
 from __future__ import annotations
@@ -55,7 +50,6 @@ from operator import sub
 from ._memo import memo
 from .errors import DegreeMismatchError
 from .partitions import (
-    Composition,
     Partition,
     SkewShape,
     _conjugate_parts,
@@ -175,17 +169,6 @@ class SchurExpansion:
             return f"SchurExpansion({self.degree}, 0)"
         body = " + ".join(f"{c}*s({p.text()})" for p, c in self.items())
         return f"SchurExpansion({self.degree}, {body})"
-
-
-def kostka(shape: Partition, content: Composition) -> int:
-    """Number of semistandard Young tableaux of the given shape and content.
-
-    The count is the coefficient of s_shape in h_content (_h_terms).  A
-    degree mismatch yields 0 by convention.
-    """
-    if shape.size != content.degree:
-        return 0
-    return _h_terms(content.sorted_parts())[_positions(shape.size)[shape.parts]]
 
 
 def _strips(shape: list, prev, size: int, top: int):
@@ -415,22 +398,6 @@ def _add_product(acc: list, left: dict, degree: int, nu: tuple, weight: int = 1)
             positions = map(flip.__getitem__, positions)
         for i, c in zip(positions, coefficients):
             acc[i] += w * c
-
-
-@memo
-def _h_terms(content: tuple) -> tuple:
-    """The Schur terms of h_content, as a tuple aligned with
-    partitions_of(|content|): the entry at lam is K(lam, content).  The last
-    one-row factor multiplies the memo entry of the content before it."""
-    if not content:
-        return (1,)
-    size = content[-1]
-    degree = sum(content) - size
-    before = _h_terms(content[:-1])
-    left = dict(compress(enumerate(before), before))
-    acc = [0] * len(partitions_of(degree + size))
-    _add_product(acc, left, degree, (size,))
-    return tuple(acc)
 
 
 def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:

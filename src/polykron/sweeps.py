@@ -37,6 +37,7 @@ from .internal_product import (
     exponential_tensor,
     gamma_tensor_gamma,
     jacobi_trudi,
+    kostka,
     kronecker,
     kronecker_general,
     kronecker_hook,
@@ -52,7 +53,7 @@ from .partitions import (
     iter_contingency,
     partitions_of,
 )
-from .schur import kostka, lr_coeff
+from .schur import lr_coeff
 
 
 class SweepResult:

@@ -164,12 +164,22 @@ class TestInputErrors:
         assert "bound" in err
 
     def test_general_bound_exceeded_by_both_factors(self, capsys):
+        square = ",".join(["13"] * 13)
         code, _, err = invoke(
-            capsys, "kron", "--lambda", "2," + ",".join(["1"] * 12),
-            "--mu", ",".join(["1"] * 14), "--method", "general",
+            capsys, "kron", "--lambda", square, "--mu", square, "--method", "general"
         )
         assert code == 2
         assert "bound" in err
+
+    def test_general_runs_the_conjugate_pair_past_the_bound(self, capsys):
+        tall = invoke(
+            capsys, "kron", "--lambda", "2," + ",".join(["1"] * 12),
+            "--mu", ",".join(["1"] * 14), "--method", "general", "--json",
+        )
+        assert tall == invoke(
+            capsys, "kron", "--lambda", "13,1", "--mu", "14", "--method", "general", "--json"
+        )
+        assert tall[0] == 0
 
     def test_unknown_flag(self, capsys):
         code, _, _ = invoke(capsys, "kron", "--lambda", "2,1")

@@ -17,6 +17,7 @@ from polykron import (
     internal_product,
     iter_contingency,
     jacobi_trudi,
+    kostka,
     kronecker,
     kronecker_general,
     kronecker_hook,
@@ -29,7 +30,6 @@ from polykron import (
 from polykron._memo import clear_all
 from polykron.internal_product import _chain_terms, _gamma_steps
 from polykron.partitions import partitions_of
-from polykron.schur import kostka
 
 def P(*parts):
     return Partition(parts)
@@ -163,6 +163,16 @@ class TestWeylTensorGamma:
                 if kostka(beta, nu)
             }
 
+    def test_kostka_fills_the_chain_entry_of_the_single_row(self):
+        # Kostka numbers are read from the chain of (d) x Gamma^nu, so the
+        # Weyl filtration along (d) then hits that entry, for any order of nu.
+        clear_all()
+        kostka(P(3, 2), C(2, 0, 1, 2))
+        before = internal_product._chain_sum.cache_info()
+        weyl_tensor_gamma(P(5), C(1, 2, 2))
+        after = internal_product._chain_sum.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
     def test_zeros_pause_the_chain(self):
         assert weyl_tensor_gamma(P(2, 1), C(2, 0, 1)) == weyl_tensor_gamma(P(2, 1), C(2, 1))
         assert weyl_tensor_gamma(P(2, 1), C(0, 2, 1)) == weyl_tensor_gamma(P(2, 1), C(2, 1))
@@ -253,6 +263,14 @@ class TestKroneckerGeneral:
                             lam.conjugate(), mu.conjugate()
                         ).coefficient(alpha) == g
 
+    def test_both_factors_past_the_bound_run_the_conjugate_pair(self):
+        tall, wide = Partition([2] * 13), P(13, 13)
+        got = kronecker_general(tall, tall)
+        assert got == kronecker_general(wide, wide)
+        assert got == kronecker_general(wide, tall).conjugate()
+        with pytest.raises(SizeBoundError):
+            kronecker_general(Partition([13] * 13), Partition([13] * 13))
+
 
 def _signed_steps(mu):
     return [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(mu)]
@@ -264,7 +282,8 @@ def _estimate(expanded, chain):
 
 class TestResolutionChoice:
     """kronecker_general expands the factor whose Jacobi-Trudi terms have the
-    lower chain estimate along the other, and mu on a tie."""
+    lower chain estimate along the other, and the lexicographically larger
+    factor on a tie."""
 
     def chained(self, monkeypatch, lam, mu, run=True, product=kronecker_general):
         # The (chain, expanded factor's text) of every _signed_chains call.
@@ -287,7 +306,7 @@ class TestResolutionChoice:
         assert self.chained(monkeypatch, lam, mu, run=False) == [(mu, lam.text())]
         for fn in (
             schur._product_terms, schur._last_strips, schur._skew_terms,
-            schur._h_terms, internal_product._chain_sum,
+            internal_product._chain_sum,
         ):
             assert fn.cache_info().currsize == 0, fn.__name__
 

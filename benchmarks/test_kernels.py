@@ -1,10 +1,10 @@
 """Microbenchmarks of the Weyl chain and its dual read, the general Kronecker
 product (and the costliest query of a kron-batch seed), the LR product
-kernel and its conjugate redirect, the partitions between two shapes, the
-Jacobi-Trudi terms, skew Schur expansions, the character oracle and one
-character row, Kostka numbers, the contingency enumerator (public matrices
-and bare rows tuples) and its divided-power product, cold and warm, and a
-cold contingency sweep.
+kernel and its conjugate redirect, Schur outer products, the partitions
+between two shapes, the Jacobi-Trudi terms, skew Schur expansions, the
+character oracle and one character row, Kostka numbers, the contingency
+enumerator (public matrices and bare rows tuples) and its divided-power
+product, cold and warm, and a cold contingency sweep.
 
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``
 run collects only ``tests/``.  A cold round empties every memo table in the
@@ -19,6 +19,7 @@ import pytest
 from polykron import (
     Composition,
     Partition,
+    SchurExpansion,
     SkewShape,
     gamma_tensor_gamma,
     iter_contingency,
@@ -26,6 +27,7 @@ from polykron import (
     kostka,
     kronecker_general,
     kronecker_oracle_expansion,
+    schur_outer_product,
     skew_schur_expansion,
     sweeps,
     weyl_tensor_wedge,
@@ -83,6 +85,15 @@ def test_kronecker_general_either_order(benchmark, mode, lam, mu):
 )
 def test_product_terms(benchmark, mode, mu, nu):
     measure(benchmark, mode, _product_terms, mu, nu)
+
+
+@MODES
+def test_schur_outer_product(benchmark, mode):
+    # Two signed three-term expansions of degree 8.  Cold, the nine LR
+    # products are walked; warm, the time is the multiply-accumulate alone.
+    a = SchurExpansion(8, {(4, 3, 1): 3, (3, 3, 2): -2, (5, 2, 1): 1})
+    b = SchurExpansion(8, {(4, 2, 2): 1, (3, 2, 2, 1): -4, (6, 1, 1): 2})
+    measure(benchmark, mode, schur_outer_product, a, b)
 
 
 def test_kronecker_general_costliest_batch_query(benchmark):
@@ -173,13 +184,17 @@ MARGINS = pytest.mark.parametrize(
     "mu, lam",
     [
         ((2, 2, 2, 2), (3, 2, 2, 1)),
-        # Two rows: no prefix, the closing loop does all the work.
+        # Two rows: _prefixes at depth 0 yields the one empty prefix, and
+        # the closing loop does all the work.
         ((10, 10), (4, 4, 3, 3, 2, 2, 1, 1)),
+        # Three rows: row 0 is walked by _prefixes at depth 1, and rows 1-2
+        # are closed from a pair table.
+        ((4, 4, 4), (2, 2, 2, 2, 2, 2)),
         # Five rows: row 0 is walked in _prefixes' one frame, rows 1-2 in
         # the nested loops, and rows 3-4 are closed from a pair table.
         ((2, 2, 2, 2, 2), (2, 2, 2, 2, 2)),
     ],
-    ids=["d8", "d20-2rows", "d10-5rows"],
+    ids=["d8", "d20-2rows", "d12-3rows", "d10-5rows"],
 )
 
 

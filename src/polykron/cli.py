@@ -154,18 +154,12 @@ def _cmd_exp_tensor(args) -> dict:
     return expansion_report(left.degree, "exp-tensor", dec.family, _multiset_pairs(dec.summands))
 
 
-def _cmd_weyl_gamma(args) -> dict:
+def _cmd_weyl(args) -> dict:
+    """weyl-gamma and weyl-wedge: the subparser sets the product and basis."""
     lam = parse_shape(Partition, args.lam, "--lambda")
     nu = parse_shape(Composition, args.nu, "--nu")
-    expansion = _flagged("--lambda/--nu", weyl_tensor_gamma, lam, nu)
-    return expansion_report(lam.size, "weyl-gamma", "Weyl", _schur_pairs(expansion))
-
-
-def _cmd_weyl_wedge(args) -> dict:
-    lam = parse_shape(Partition, args.lam, "--lambda")
-    nu = parse_shape(Composition, args.nu, "--nu")
-    expansion = _flagged("--lambda/--nu", weyl_tensor_wedge, lam, nu)
-    return expansion_report(lam.size, "weyl-wedge", "DualWeyl", _schur_pairs(expansion))
+    expansion = _flagged("--lambda/--nu", args.product, lam, nu)
+    return expansion_report(lam.size, args.command, args.basis, _schur_pairs(expansion))
 
 
 def _cmd_jacobi_trudi(args) -> dict:
@@ -227,15 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="behaviour of 2 in the base ring")
     p.set_defaults(func=_cmd_exp_tensor)
 
-    p = sub.add_parser("weyl-gamma", parents=[common], help="Weyl filtration of Weyl x Gamma weight")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTITION")
-    p.add_argument("--nu", required=True, metavar="WEIGHT")
-    p.set_defaults(func=_cmd_weyl_gamma)
-
-    p = sub.add_parser("weyl-wedge", parents=[common], help="dual Weyl filtration of Weyl x Wedge weight")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTITION")
-    p.add_argument("--nu", required=True, metavar="WEIGHT")
-    p.set_defaults(func=_cmd_weyl_wedge)
+    for name, product, basis, text in (
+        ("weyl-gamma", weyl_tensor_gamma, "Weyl", "Weyl filtration of Weyl x Gamma weight"),
+        ("weyl-wedge", weyl_tensor_wedge, "DualWeyl", "dual Weyl filtration of Weyl x Wedge weight"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("--lambda", dest="lam", required=True, metavar="PARTITION")
+        p.add_argument("--nu", required=True, metavar="WEIGHT")
+        p.set_defaults(func=_cmd_weyl, product=product, basis=basis)
 
     p = sub.add_parser("jacobi-trudi", parents=[common], help="signed divided-power resolution terms")
     p.add_argument("--mu", required=True, metavar="PARTITION")

@@ -14,7 +14,7 @@ other's `one_box_moves`.  The module's memos are registered in `_memo`.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import add
 
 from ._memo import memo
@@ -25,9 +25,8 @@ from .partitions import (
     _contingency_rows,
     _margin_degree,
     _partitions_between,
-    partitions_of,
 )
-from .schur import SchurExpansion, _add_product, _conjugation, _positions, _skew_terms
+from .schur import SchurExpansion, _conjugation, _multiply, _positions, _skew_terms
 
 GAMMA = "Gamma"
 SYM = "Sym"
@@ -202,15 +201,16 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
     cells, times the step piece: s_{beta/alpha} for a GAMMA step and its
     conjugate s_{beta'/alpha'} = omega s_{beta/alpha} for a WEDGE step, whose
     terms are those of s_{beta/alpha} read through _conjugation.  The step is
-    linear in the expansions, so a signed sum of tables may be stepped once.
-    Every alpha has the same size, and an expansion is keyed by the
-    positions of its partitions in partitions_of of that size: the int
-    objects of _positions, so every table and memo entry shares them.
+    linear in the expansions, so a signed sum of tables may be stepped once,
+    and the expansions that reach one beta, grouped by piece, are multiplied
+    out by one _multiply call, as schur_outer_product's are.  Every alpha
+    has the same size, and an expansion is keyed by the positions of its
+    partitions in partitions_of of that size: the int objects of
+    _positions, so every table and memo entry shares them.
     """
     if not dp:
         return {}
     degree = sum(next(iter(dp)))
-    pieces = partitions_of(size)
     flip = _conjugation(size) if family == WEDGE else None
     # by_piece[beta][gamma] sums c^{beta/alpha}_gamma * dp[alpha] over alpha,
     # so each (mu, gamma) product is expanded once per beta.
@@ -223,19 +223,12 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
             for gamma, c in _skew_terms(beta, alpha).items():
                 if flip:
                     gamma = flip[gamma]
-                acc = groups.get(gamma)
-                if acc is None:
-                    acc = groups[gamma] = {}
+                left = groups.get(gamma)
+                if left is None:
+                    left = groups[gamma] = {}
                 for mu, x in expn.items():
-                    acc[mu] = acc.get(mu, 0) + c * x
-    out = {}
-    positions = _positions(degree + size).values()
-    for beta, groups in by_piece.items():
-        target = [0] * len(positions)
-        for gamma, acc in groups.items():
-            _add_product(target, acc, degree, pieces[gamma].parts)
-        out[beta] = dict(compress(zip(positions, target), target))
-    return out
+                    left[mu] = left.get(mu, 0) + c * x
+    return {beta: _multiply(groups, degree, size) for beta, groups in by_piece.items()}
 
 
 def _sign_class(signed) -> tuple:

@@ -22,12 +22,13 @@ what it leaves.  The walk reads row 0 from the tables of the column sums,
 once per margin pair, and every later row from a slot of the tables that
 the row above it carries, by one dict read.  The last row is the remainder
 itself, so only rows 0..n-3 are walked: rows n-4 and n-3 in two plain
-nested loops, the rows above them depth first in one generator frame, and
-row n-2 closes each prefix from a pair table in a flat loop; a walk of two
-rows reads one pair table slot and builds no steps.  That core,
-`_contingency_rows`, works on plain tuples and yields each matrix as its
-rows tuple; `iter_contingency` wraps each one in a ContingencyMatrix, and
-callers that only flatten or count the matrices read the tuples.  The
+nested loops, the rows above them depth first in one generator frame,
+`_prefixes`, and row n-2 closes each prefix from a pair table in a flat
+loop.  Margins of two and three rows are the prefix walk at depth 0 and 1;
+a walk of two rows reads one pair table slot and builds no steps.  That
+core, `_contingency_rows`, works on plain tuples and yields each matrix as
+its rows tuple; `iter_contingency` wraps each one in a ContingencyMatrix,
+and callers that only flatten or count the matrices read the tuples.  The
 module's memos are registered in `_memo`.
 """
 
@@ -372,15 +373,9 @@ def _shared(vector: tuple) -> tuple:
     return vector
 
 
-def _row_vectors(need: int, rem: tuple) -> tuple:
-    """All pairs (x, rem - x) with 0 <= x_j <= rem_j and sum(x) = need,
-    descending lex in x: slot `need` of the pair table of `rem`."""
-    return _row_tables(rem)[0][need]
-
-
 def _walk_columns(need: int, rem: tuple) -> tuple:
-    """The pairs (x, rem - x) of `_row_vectors(need, rem)`, built as plain
-    tuples; the walk touches no memo.
+    """All pairs (x, rem - x) with 0 <= x_j <= rem_j and sum(x) = need,
+    descending lex in x, built as plain tuples; the walk touches no memo.
 
     The columns are walked depth first in one frame: row[j] is tried from
     its largest value down to least[j], the value at which the columns after
@@ -447,7 +442,7 @@ class _PairTable(dict):
 
 class _StepTable(_PairTable):
     """The step table of a remainder `rest`: slot `need` holds, for each
-    pair (x, r) of `_row_vectors(need, rest)` in its order, the step
+    pair (x, r) of slot `need` of the pair table in its order, the step
     (x, pairs, steps), where (pairs, steps) = `_row_tables(r)`.  Only the
     memo's own step table builds its slots; any other, such as one that a
     walk still holds after a clear, copies them from the memo's.
@@ -494,14 +489,15 @@ def _contingency_rows(sums: tuple, cols: tuple):
     sums `cols`, in descending row-major lexicographic order; the caller
     guarantees that both margins have one degree.
 
-    Rows n-4 and n-3 are walked in two plain nested loops under each prefix
-    of rows 0..n-5 from `_prefixes`, and each prefix of rows 0..n-3 is then
-    closed in one flat loop by a pair of its remainder, whose row is row n-2
-    and whose remainder is row n-1 (three rows have one walked row, two
-    none).  Row 0 is read from the tables of the column sums, by one memo
-    lookup per call, and every later row from a slot of the tables that
-    the row above it carries, by one dict read.  The walk stays lazy, with
-    O(n) state: a list of all prefixes of (6^5) x (6^5) would hold millions.
+    Each prefix of rows 0..n-3 is closed in one flat loop by a pair of its
+    remainder, whose row is row n-2 and whose remainder is row n-1.  Below
+    four rows the prefixes come from `_prefixes` (depth 0 for two rows, 1
+    for three); from four rows on, rows n-4 and n-3 are walked in two plain
+    nested loops under each prefix of rows 0..n-5 from it.  Row 0 is read
+    from the tables of the column sums, by one memo lookup per call, and
+    every later row from a slot of the tables that the row above it
+    carries, by one dict read.  The walk stays lazy, with O(n) state: a
+    list of all prefixes of (6^5) x (6^5) would hold millions.
     """
     n = len(sums)
     if n < 2:
@@ -509,12 +505,8 @@ def _contingency_rows(sums: tuple, cols: tuple):
         return
     close = n - 2
     need = sums[close]
-    if not close:
-        yield from _row_vectors(need, cols)
-        return
-    if close == 1:
-        for row, pairs, _ in _row_tables(cols)[1][sums[0]]:
-            head = (row,)
+    if n < 4:
+        for head, pairs, _ in _prefixes(sums, cols, close):
             for pair in pairs[need]:
                 yield head + pair
         return

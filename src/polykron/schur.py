@@ -36,7 +36,9 @@ named by its position in `partitions_of(d)`.  Callers outside this module
 and the Weyl chain never receive that form: `lr_coeff`,
 `skew_schur_expansion` and `schur_outer_product` answer from it, and
 `SchurExpansion._from_index` turns positions into the `Partition` objects of
-`partitions_of(d)`.
+`partitions_of(d)`.  `_multiply`, the one multiply-accumulate, sums the
+products of index-form expansions with pieces s_gamma in a dense list;
+`schur_outer_product` and the Weyl chain's steps both call it.
 
 The module's memos are registered in `_memo`.
 """
@@ -340,7 +342,7 @@ def _product_terms(mu: tuple, nu: tuple) -> tuple:
     has flip None.  s_nu*s_mu returns the entry of s_mu*s_nu, and the
     conjugate pair's entry shares the walked tuples, with flip the
     _conjugation of its degree.  Read an entry through _coefficient or
-    _add_product.
+    _multiply.
     """
     if _walk_order(nu, mu) < _walk_order(mu, nu):
         return _product_terms(nu, mu)
@@ -387,17 +389,24 @@ def _skew_terms(outer: tuple, inner: tuple) -> dict:
     return terms
 
 
-def _add_product(acc: list, left: dict, degree: int, nu: tuple, weight: int = 1) -> None:
-    """acc += weight * left * s_nu.  left is keyed by positions in
-    partitions_of(degree), and acc is aligned with partitions_of(degree + |nu|)."""
+def _multiply(pieces: dict, degree: int, size: int) -> dict:
+    """The nonzero {position: coefficient} table over partitions_of(degree +
+    size) of the sum of left * s_gamma over the (gamma, left) items of pieces;
+    gamma is a position in partitions_of(size), left is keyed by positions in
+    partitions_of(degree), and the keys are the int objects of _positions."""
     shapes = partitions_of(degree)
-    for mu, x in left.items():
-        w = weight * x
-        positions, coefficients, flip = _product_terms(shapes[mu].parts, nu)
-        if flip:
-            positions = map(flip.__getitem__, positions)
-        for i, c in zip(positions, coefficients):
-            acc[i] += w * c
+    factors = partitions_of(size)
+    positions = _positions(degree + size).values()
+    acc = [0] * len(positions)
+    for gamma, left in pieces.items():
+        nu = factors[gamma].parts
+        for mu, x in left.items():
+            terms, coefficients, flip = _product_terms(shapes[mu].parts, nu)
+            if flip:
+                terms = map(flip.__getitem__, terms)
+            for i, c in zip(terms, coefficients):
+                acc[i] += x * c
+    return dict(compress(zip(positions, acc), acc))
 
 
 def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:
@@ -419,10 +428,8 @@ def skew_schur_expansion(shape: SkewShape) -> SchurExpansion:
 
 def schur_outer_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
     """Bilinear extension of s_mu * s_nu = sum of c^lam_{mu,nu} s_lam."""
-    degree = a.degree + b.degree
-    pos = _positions(a.degree)
-    left = {pos[p.parts]: c for p, c in a.terms.items()}
-    acc = [0] * len(partitions_of(degree))
-    for nu, y in b.terms.items():
-        _add_product(acc, left, a.degree, nu.parts, y)
-    return SchurExpansion._from_index(degree, enumerate(acc))
+    left = {_positions(a.degree)[p.parts]: c for p, c in a.terms.items()}
+    pos = _positions(b.degree)
+    pieces = {pos[nu.parts]: {mu: y * x for mu, x in left.items()} for nu, y in b.terms.items()}
+    terms = _multiply(pieces, a.degree, b.degree)
+    return SchurExpansion._from_index(a.degree + b.degree, terms.items())

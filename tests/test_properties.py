@@ -56,6 +56,7 @@ from polykron import (
     lr_oracle,
     partitions,
     schur,
+    schur_outer_product,
     sweeps,
     weyl_tensor_gamma,
     weyl_tensor_wedge,
@@ -85,6 +86,21 @@ def factor_pairs(draw, max_total=10, min_total=0):
     total = draw(st.integers(min_total, max_total))
     a = draw(st.integers(0, total))
     return draw(_sized(a)), draw(_sized(total - a))
+
+
+@st.composite
+def signed_expansion_pairs(draw, max_total=8):
+    """Two expansions of up to four terms each, coefficients in -3..3 but
+    never 0, whose degrees add up to at most max_total."""
+    total = draw(st.integers(0, max_total))
+    a = draw(st.integers(0, total))
+
+    def expansion(d):
+        shapes = draw(st.lists(_sized(d), min_size=1, max_size=4, unique=True))
+        coefficients = st.integers(-3, 3).filter(bool)
+        return SchurExpansion(d, {p: draw(coefficients) for p in shapes})
+
+    return expansion(a), expansion(total - a)
 
 
 @st.composite
@@ -905,6 +921,26 @@ def test_skew_terms_match_the_oracle(shape):
 
 
 @PROPERTY
+@given(signed_expansion_pairs())
+@example((
+    SchurExpansion(3, {(2, 1): 2, (1, 1, 1): -1}),
+    SchurExpansion(5, {(3, 2): -3, (2, 2, 1): 1, (1, 1, 1, 1, 1): 2}),
+))
+def test_outer_products_of_signed_sums_match_the_oracle(pair):
+    # Each coefficient of a * b is the bilinear sum of oracle LR
+    # coefficients over the terms of a and b.
+    a, b = pair
+    got = schur_outer_product(a, b)
+    for lam in partitions_of(a.degree + b.degree):
+        want = sum(
+            x * y * lr_oracle(lam, mu, nu)
+            for mu, x in a.terms.items()
+            for nu, y in b.terms.items()
+        )
+        assert got.coefficient(lam) == want, (a, b, lam)
+
+
+@PROPERTY
 @given(skew_shapes(max_outer=16, min_outer=13))
 @example((Partition([6, 5, 3, 2]), Partition([4, 2, 1])))
 def test_skew_terms_match_the_reference_walk_beyond_the_oracle_bound(shape):
@@ -1237,7 +1273,7 @@ def _recursive_contingency_rows(sums, cols):
     close = n - 2
 
     def prefixes(i, prefix, rem):
-        pairs = partitions._row_vectors(sums[i], rem)
+        pairs = partitions._row_tables(rem)[0][sums[i]]
         if i + 1 < close:
             for row, rest in pairs:
                 yield from prefixes(i + 1, prefix + (row,), rest)
@@ -1247,7 +1283,7 @@ def _recursive_contingency_rows(sums, cols):
 
     need = sums[close]
     for prefix, rem in prefixes(0, (), cols) if close else [((), cols)]:
-        for pair in partitions._row_vectors(need, rem):
+        for pair in partitions._row_tables(rem)[0][need]:
             yield prefix + pair
 
 
@@ -1372,7 +1408,7 @@ def test_gamma_summands_are_the_flattened_matrices(pair):
 @example(0, ())
 @example(4, (2, 0, 3, 1))
 def test_row_vector_pairs_split_the_remainder_in_descending_order(need, rem):
-    pairs = partitions._row_vectors(need, rem)
+    pairs = partitions._row_tables(rem)[0][need]
     for row, rest in pairs:
         assert sum(row) == need
         assert all(x >= 0 and y >= 0 and x + y == c for x, y, c in zip(row, rest, rem))
@@ -1384,9 +1420,9 @@ def test_row_vector_pairs_split_the_remainder_in_descending_order(need, rem):
 
 
 def _recursive_row_vectors(need, rem):
-    """The tuple of _row_vectors(need, rem), from a recursive `fill` closure:
-    the reference for _row_vectors, which walks the columns in one frame in
-    polykron.partitions."""
+    """Slot `need` of the pair table of `rem`, from a recursive `fill`
+    closure: the reference for _walk_columns, which fills that slot and
+    walks the columns in one frame in polykron.partitions."""
     m = len(rem)
     if m == 0:
         return (((), ()),) if need == 0 else ()
@@ -1421,7 +1457,7 @@ def test_row_vectors_match_the_recursive_walk():
     for m in range(6):
         for rem in product(range(4), repeat=m):
             for need in range(sum(rem) + 2):
-                got = partitions._row_vectors(need, rem)
+                got = partitions._row_tables(rem)[0][need]
                 assert got == _recursive_row_vectors(need, rem), (need, rem)
                 assert all(partitions._shared(v) is v for v in chain.from_iterable(got))
                 cases += 1
@@ -1461,7 +1497,7 @@ def test_row_vector_memo_stores_each_distinct_vector_once(monkeypatch):
         # The keys the enumerator asks for: rows 0..n-2, each remainder.
         if len(sums) < 2 or (sums[0], rem) in entries:
             return
-        pairs = entries[sums[0], rem] = partitions._row_vectors(sums[0], rem)
+        pairs = entries[sums[0], rem] = partitions._row_tables(rem)[0][sums[0]]
         for _, rest in pairs:
             walk(sums[1:], rest)
 

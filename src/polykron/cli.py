@@ -37,6 +37,7 @@ EXIT_INTERNAL = 3
 
 _FAMILY_NAMES = {"gamma": GAMMA, "sym": SYM, "wedge": WEDGE}
 _MODE_NAMES = {m.value: m for m in CharTwoMode}
+_PARTITION = {"required": True, "metavar": "PARTITION", "help": "parts a,b,..., or hook:p,q"}
 
 
 class _InputError(ValueError):
@@ -68,8 +69,8 @@ def parse_shape(kind, text: str, flag: str):
         raise _InputError(f"{flag}: {exc}") from None
 
 
-def parse_mu(text: str, flag: str) -> Partition:
-    """Partition flag that also accepts the shorthand hook:p,q."""
+def parse_partition(text: str, flag: str) -> Partition:
+    """Every partition flag: comma-separated parts, or the shorthand hook:p,q."""
     if text.startswith("hook:"):
         body = _ints_from_text(text[len("hook:"):], flag)
         if len(body) != 2 or body[0] < 1 or body[1] < 1:
@@ -133,8 +134,8 @@ def _multiset_pairs(weights):
 
 
 def _cmd_kron(args) -> dict:
-    lam = parse_shape(Partition, args.lam, "--lambda")
-    mu = parse_mu(args.mu, "--mu")
+    lam = parse_partition(args.lam, "--lambda")
+    mu = parse_partition(args.mu, "--mu")
     expansion, method = _flagged("--lambda/--mu", kronecker, lam, mu, args.method)
     return expansion_report(lam.size, method, "Weyl", _schur_pairs(expansion))
 
@@ -156,14 +157,14 @@ def _cmd_exp_tensor(args) -> dict:
 
 def _cmd_weyl(args) -> dict:
     """weyl-gamma and weyl-wedge: the subparser sets the product and basis."""
-    lam = parse_shape(Partition, args.lam, "--lambda")
+    lam = parse_partition(args.lam, "--lambda")
     nu = parse_shape(Composition, args.nu, "--nu")
     expansion = _flagged("--lambda/--nu", args.product, lam, nu)
     return expansion_report(lam.size, args.command, args.basis, _schur_pairs(expansion))
 
 
 def _cmd_jacobi_trudi(args) -> dict:
-    mu = parse_mu(args.mu, "--mu")
+    mu = parse_partition(args.mu, "--mu")
     terms = _flagged("--mu", jacobi_trudi, mu)
     pairs = [(nu.entries, sign) for sign, nu in terms]
     return expansion_report(mu.size, "jacobi-trudi", "Gamma", pairs)
@@ -204,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kron", parents=[common], help="Kronecker product of two Specht/Weyl labels")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="PARTITION")
-    p.add_argument("--mu", required=True, metavar="PARTITION", help="partition, or hook:p,q")
+    p.add_argument("--lambda", dest="lam", **_PARTITION)
+    p.add_argument("--mu", **_PARTITION)
     p.add_argument("--method", choices=["auto", "general", *_FAST_PATHS], default="auto")
     p.set_defaults(func=_cmd_kron)
 
@@ -226,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("weyl-wedge", weyl_tensor_wedge, "DualWeyl", "dual Weyl filtration of Weyl x Wedge weight"),
     ):
         p = sub.add_parser(name, parents=[common], help=text)
-        p.add_argument("--lambda", dest="lam", required=True, metavar="PARTITION")
+        p.add_argument("--lambda", dest="lam", **_PARTITION)
         p.add_argument("--nu", required=True, metavar="WEIGHT")
         p.set_defaults(func=_cmd_weyl, product=product, basis=basis)
 
     p = sub.add_parser("jacobi-trudi", parents=[common], help="signed divided-power resolution terms")
-    p.add_argument("--mu", required=True, metavar="PARTITION")
+    p.add_argument("--mu", **_PARTITION)
     p.set_defaults(func=_cmd_jacobi_trudi)
 
     p = sub.add_parser("oracle-check", parents=[common], help="run verification sweeps")

@@ -509,11 +509,10 @@ def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
 
 
 #: The fast paths in the order `auto` tries them, each with its one shape
-#: test: one-box for (a, 1), two-row for two parts (kronecker_general under
-#: its own label), hook for (p, 1^q) with q >= 1, whose later parts are 1.
+#: test: one-box for (a, 1), hook for (p, 1^q) with q >= 1, whose second
+#: part is 1.  A two-part factor is left to kronecker_general.
 _FAST_PATHS = {
     "one-box": lambda mu: len(mu) == 2 and mu.parts[1] == 1,
-    "two-row": lambda mu: len(mu) == 2,
     "hook": lambda mu: len(mu) >= 2 and mu.parts[1] == 1,
 }
 
@@ -522,24 +521,24 @@ def kronecker(lam: Partition, mu: Partition, method: str = "auto"):
     """Kronecker decomposition of lam x mu; returns (expansion, method used).
 
     A fast path applies when one partition has two rows or is a hook, and
-    lam x mu = mu x lam.  So `auto` takes mu's first fast path, or else
-    lam's with the factors swapped, or else the general alternating
-    algorithm.  An explicit fast path must fit mu.
+    lam x mu = mu x lam.  So, with the lexicographically larger factor as
+    mu, `auto` takes the first fast path that either factor fits, else
+    general, and a fast path runs on mu if mu fits it, else on lam.
     """
     if lam.size != mu.size:
         raise DegreeMismatchError(
             f"partitions have sizes {lam.size} and {mu.size}"
         )
+    if mu < lam:
+        lam, mu = mu, lam
     if method == "auto":
-        method, lam, mu = next(
-            ((name, a, b) for a, b in ((lam, mu), (mu, lam))
-             for name, fits in _FAST_PATHS.items() if fits(b)),
-            ("general", lam, mu),
-        )
+        method = next((m for m, fits in _FAST_PATHS.items() if fits(mu) or fits(lam)), "general")
     if method not in ("general", *_FAST_PATHS):
         raise ValueError(f"unknown method {method!r}")
     if method != "general" and not _FAST_PATHS[method](mu):
-        raise ValueError(f"mu = {mu.text()} does not have the {method} shape")
+        if not _FAST_PATHS[method](lam):
+            raise ValueError(f"neither {lam.text()} nor {mu.text()} has the {method} shape")
+        lam, mu = mu, lam
     if method == "one-box":
         return kronecker_one_box(lam, mu.parts[0]), method
     if method == "hook":

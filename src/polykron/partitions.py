@@ -60,6 +60,10 @@ def _integers(values, what: str) -> tuple:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
+def _read_only(self, *_):
+    raise AttributeError(f"{type(self).__name__} objects cannot be changed")
+
+
 @total_ordering
 class Partition:
     """A weakly decreasing sequence of positive integers.
@@ -69,6 +73,7 @@ class Partition:
     """
 
     __slots__ = ("parts", "size", "_hash")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, parts=()):
         parts = _integers(parts, "partition parts")
@@ -79,9 +84,9 @@ class Partition:
                 raise ValueError(f"partition parts must be positive, got {parts}")
             if i and parts[i - 1] < x:
                 raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
-        self.parts = parts
-        self.size = sum(parts)
-        self._hash = hash(parts)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "size", sum(parts))
+        object.__setattr__(self, "_hash", hash(parts))
 
     def __len__(self):
         return len(self.parts)
@@ -97,6 +102,9 @@ class Partition:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return Partition, (self.parts,)
 
     def __lt__(self, other):
         if not isinstance(other, Partition):
@@ -159,21 +167,22 @@ class Composition:
     """
 
     __slots__ = ("entries", "degree")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, entries=()):
         entries = _integers(entries, "composition entries")
         for x in entries:
             if x < 0:
                 raise ValueError(f"composition entries must be non-negative, got {entries}")
-        self.entries = entries
-        self.degree = sum(entries)
+        _set_entries(self, entries)
+        _set_degree(self, sum(entries))
 
     @classmethod
     def _trusted(cls, entries: tuple, degree: int):
         # Fast path for callers that guarantee non-negative int entries summing to degree.
         self = object.__new__(cls)
-        self.entries = entries
-        self.degree = degree
+        _set_entries(self, entries)
+        _set_degree(self, degree)
         return self
 
     def __len__(self):
@@ -191,6 +200,9 @@ class Composition:
     def __hash__(self):
         return hash(("composition", self.entries))
 
+    def __reduce__(self):
+        return Composition, (self.entries,)
+
     def __repr__(self):
         return f"Composition({list(self.entries)})"
 
@@ -202,6 +214,9 @@ class Composition:
         """The nonzero entries, sorted decreasingly: the parts of the
         partition that the composition permutes."""
         return tuple(sorted(filter(None, self.entries), reverse=True))
+
+
+_set_entries, _set_degree = (getattr(Composition, n).__set__ for n in Composition.__slots__)
 
 
 class SkewShape:

@@ -114,14 +114,12 @@ def sweep_kron(max_d: int = 6) -> SweepResult:
 
 @_sweep
 def sweep_fastpath(max_d: int = 8) -> SweepResult:
-    """Two-row, one-box, and hook procedures match the character class sums."""
+    """Two-part factors by kronecker_general, (a, 1) and hooks match the class sums."""
     for d in range(2, max_d + 1):
         for lam in partitions_of(d):
-            for a in range(d - 1, 0, -1):
-                b = d - a
-                if not (a >= b >= 1):
-                    continue
-                got = kronecker(lam, Partition([a, b]), "two-row")[0]
+            for b in range(1, d // 2 + 1):
+                a = d - b
+                got = kronecker_general(lam, Partition([a, b]))
                 want = kronecker_oracle_expansion(lam, Partition([a, b]))
                 yield None if got == want else (
                     f"two-row lambda={lam.text()} mu=({a},{b}): {got!r} != {want!r}"
@@ -142,9 +140,8 @@ def sweep_fastpath(max_d: int = 8) -> SweepResult:
 
 @_sweep
 def sweep_fixture() -> SweepResult:
-    """The d=3 worked product (2,1) x (2,1) comes out under all four method
-    labels.  The `general` and `two-row` labels run one procedure,
-    `kronecker_general`, so the four labels check three procedures."""
+    """The d=3 worked product (2,1) x (2,1) comes out of the three procedures
+    and of the dispatcher, whose `auto` takes the one-box path."""
     lam = Partition([2, 1])
     want = {
         Partition([3]): 1,
@@ -153,7 +150,7 @@ def sweep_fixture() -> SweepResult:
     }
     paths = {
         "general": kronecker_general(lam, lam),
-        "two-row": kronecker(lam, Partition([2, 1]), "two-row")[0],
+        "auto": kronecker(lam, lam)[0],
         "one-box": kronecker_one_box(lam, 2),
         "hook": kronecker_hook(lam, 2, 1),
     }

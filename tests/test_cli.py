@@ -59,9 +59,22 @@ class TestKronCommand:
         assert reports[0] == reports[1]
         assert reports[0]["method"] == "one-box"
 
+    @pytest.mark.parametrize("lam, mu", [
+        ("4,3,2,1", "9,1"), ("hook:3,2", "2,2,1"), ("3,1", "2,2"), ("hook:4,1", "hook:2,3"),
+        ("4,2", "3,3"), ("1,1,1", "3"), ("2,2", "3,1,1,1"), ("hook:0,1", "2"),
+    ])
+    @pytest.mark.parametrize("method", ["auto", "general", "one-box", "hook"])
+    def test_swapped_flags_print_the_same_bytes(self, capsys, lam, mu, method):
+        # The exit code and stdout; a message on stderr names the flag.
+        runs = [
+            invoke(capsys, "kron", "--lambda", a, "--mu", b, "--method", method, *json_flag)[:2]
+            for json_flag in ([], ["--json"]) for a, b in ((lam, mu), (mu, lam))
+        ]
+        assert runs[0] == runs[1] and runs[2] == runs[3]
+
     def test_methods_agree(self, capsys):
         outputs = set()
-        for method in ("general", "two-row", "one-box", "hook"):
+        for method in ("general", "one-box", "hook"):
             code, out, _ = invoke(
                 capsys, "kron", "--lambda", "3,2", "--mu", "4,1",
                 "--method", method, "--json",
@@ -187,10 +200,17 @@ class TestInputErrors:
 
     def test_bad_method_shape(self, capsys):
         code, _, err = invoke(
-            capsys, "kron", "--lambda", "2,2", "--mu", "2,1,1", "--method", "two-row"
+            capsys, "kron", "--lambda", "3,3", "--mu", "2,2,2", "--method", "hook"
         )
         assert code == 2
-        assert "two-row" in err
+        assert "neither 2,2,2 nor 3,3 has the hook shape" in err
+
+    def test_two_row_method_is_gone(self, capsys):
+        code, _, err = invoke(
+            capsys, "kron", "--lambda", "2,2", "--mu", "2,2", "--method", "two-row"
+        )
+        assert code == 2
+        assert "invalid choice: 'two-row'" in err
 
 
 class TestGammaTensorCommand:

@@ -12,7 +12,7 @@ RETIRED = {
     "kronecker_oracle": "kronecker_oracle_expansion(lam, mu).coefficient(alpha)",
     "enumerate_contingency": "list(iter_contingency(mu, lam))",
     "conjugate_expansion": "SchurExpansion.conjugate()",
-    "kronecker_two_row": 'kronecker(lam, Partition((a, b)), "two-row")[0]',
+    "kronecker_two_row": "kronecker_general(lam, Partition((a, b)))",
     "enumerate_partitions": "list(partitions_of(d))",
     # The --cache file: loading recomputed every entry, so it saved no time.
     "load_cache": "nothing; every memo table lives in polykron._memo.MEMOS",

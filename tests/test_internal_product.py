@@ -358,11 +358,12 @@ class TestResolutionChoice:
 
 
 class TestKroneckerTwoRow:
-    """The two-row method runs kronecker_general under its own label."""
+    """A two-part factor has no procedure of its own: kronecker_general
+    expands it, and auto labels the pair general unless a fast path fits."""
 
     def two_row(self, lam, mu):
-        got, method = kronecker(lam, mu, "two-row")
-        assert method == "two-row"
+        got = kronecker_general(lam, mu)
+        assert kronecker(lam, mu, "general") == (got, "general")
         return got
 
     def test_staircase(self):
@@ -373,6 +374,7 @@ class TestKroneckerTwoRow:
         for (a, b) in [(3, 1), (2, 2), (4, 3)]:
             got = self.two_row(Partition([a + b]), P(a, b))
             assert got.terms == {P(a, b): 1}
+            assert kronecker(Partition([a + b]), P(a, b))[1] == ("one-box" if b == 1 else "general")
 
     def test_square_fixture(self):
         # frozen from the character-sum oracle at d=4
@@ -381,10 +383,9 @@ class TestKroneckerTwoRow:
         assert got == kronecker_oracle_expansion(P(2, 2), P(2, 2))
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            kronecker(P(3), P(3), "two-row")
-        with pytest.raises(ValueError):
-            kronecker(P(3), P(1, 1, 1), "two-row")
+        # The two-row method is gone; general takes the pair.
+        with pytest.raises(ValueError, match="unknown method 'two-row'"):
+            kronecker(P(2, 1), P(2, 1), "two-row")
         with pytest.raises(DegreeMismatchError):
             kronecker(P(3), P(3, 1), "two-row")
 
@@ -467,7 +468,7 @@ class TestDispatch:
         cases = [
             (P(2, 1), "one-box"),
             (P(1, 1), "one-box"),
-            (P(2, 2), "two-row"),
+            (P(2, 2), "general"),
             (P(3, 1, 1), "hook"),
             (P(2, 1, 1, 1), "hook"),
             (P(4), "general"),
@@ -482,15 +483,17 @@ class TestDispatch:
         lam, mu = P(3, 2), P(4, 1)
         results = {
             m: kronecker(lam, mu, m)[0]
-            for m in ("general", "two-row", "one-box", "hook")
+            for m in ("general", "one-box", "hook")
         }
         assert len({tuple(sorted((p.parts, c) for p, c in r.terms.items())) for r in results.values()}) == 1
 
     def test_explicit_method_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown method"):
             kronecker(P(2, 2), P(2, 1, 1), "two-row")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="neither 2,2 nor 2,2 has the one-box shape"):
             kronecker(P(2, 2), P(2, 2), "one-box")
+        # An explicit fast path runs on whichever factor has its shape.
+        assert kronecker(P(2, 1, 1), P(2, 2), "hook") == kronecker(P(2, 2), P(2, 1, 1), "hook")
         with pytest.raises(ValueError):
             kronecker(P(2, 2), P(2, 2), "hook")
         with pytest.raises(ValueError):

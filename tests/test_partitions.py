@@ -1,5 +1,7 @@
+import copy
 import inspect
 import math
+import pickle
 
 import pytest
 
@@ -9,6 +11,7 @@ from polykron import (
     DegreeMismatchError,
     Partition,
     SkewShape,
+    gamma_tensor_gamma,
     iter_contingency,
 )
 from polykron.partitions import enumerate_compositions, partitions_of
@@ -202,6 +205,44 @@ class TestComposition:
                 assert len(got) == math.comb(d + n - 1, n - 1)
                 assert len(set(got)) == len(got)
                 assert all(c.degree == d and len(c) == n for c in got)
+
+
+class TestReadOnlyValues:
+    """Partitions and compositions are memo values shared by every caller, so
+    none may be changed after construction; pickle and copy rebuild them."""
+
+    @pytest.mark.parametrize("value, name", [(P(3, 1), "parts"), (P(3, 1), "size"),
+                                             (P(3, 1), "_hash"), (C(2, 0, 1), "entries"),
+                                             (C(2, 0, 1), "degree")])
+    def test_assignment_and_deletion_raise(self, value, name):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert getattr(value, name) == before
+
+    def test_memo_values_cannot_be_changed(self):
+        first = partitions_of(3)[0]
+        with pytest.raises(AttributeError):
+            first.parts = (9,)
+        summand = gamma_tensor_gamma(C(2, 1), C(1, 2)).summands[0]
+        with pytest.raises(AttributeError):
+            summand.entries = (9,)
+        assert partitions_of(3)[0] == P(3)
+        assert [s.entries for s in gamma_tensor_gamma(C(2, 1), C(1, 2)).summands] == [
+            (1, 1, 0, 1), (0, 2, 1, 0),
+        ]
+
+    @pytest.mark.parametrize("value", [P(), P(3, 1), C(), C(2, 0, 1)])
+    def test_pickle_and_copies_round_trip(self, value):
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+            assert [getattr(twin, n) for n in type(value).__slots__] == [
+                getattr(value, n) for n in type(value).__slots__
+            ]
 
 
 class TestSkewShape:

@@ -13,7 +13,7 @@ the Jacobi-Trudi terms against the recursive walks they replaced, order
 included, of the walker on the tight bounds of one-box moves and horizontal
 strips, of the one-box moves and the compositions against brute force, of
 the contingency enumerator on cold, warm, stale and concurrently filled row
-tables and at 3,000 rows, of auto's choice of procedure from either factor,
+tables and at 3,000 rows, of each method's one result for both factor orders,
 and of the kernel memos, the position ints they share and what a call leaves
 in them."""
 
@@ -1046,35 +1046,75 @@ def test_kronecker_matches_the_oracle_and_its_symmetries(pair):
 
 def _fitting_paths(p: Partition) -> list:
     """The fast paths whose shape p has, in the order auto tries them, from
-    their definitions: (a, 1), two rows, and (p, 1^q) with q >= 1."""
+    their definitions: (a, 1), and (p, 1^q) with q >= 1."""
     parts = p.parts
     fits = {
         "one-box": len(parts) == 2 and parts[1] == 1,
-        "two-row": len(parts) == 2,
         "hook": len(parts) >= 2 and set(parts[1:]) == {1},
     }
     return [name for name, fit in fits.items() if fit]
+
+
+METHODS = ("auto", "general", "one-box", "hook")
+
+
+def _outcome(lam, mu, method):
+    """kronecker's (expansion, label), or "raises" on a ValueError."""
+    try:
+        return kronecker(lam, mu, method)
+    except ValueError:
+        return "raises"
 
 
 @PROPERTY
 @given(same_degree_pairs(min_d=0, max_d=9))
 @example((Partition([4, 1]), Partition([2, 2, 1])))
 @example((Partition([3, 1]), Partition([2, 2])))
+@example((Partition([3, 1, 1]), Partition([2, 1, 1, 1])))
+@example((Partition([2, 1, 1]), Partition([2, 2])))
 def test_auto_takes_a_fast_path_from_either_factor(pair):
-    # g(lam, mu, nu) = g(mu, lam, nu), and a fast path needs one factor of
-    # its shape.  auto takes mu's first path, else lam's, else general: so
-    # a pair with one fitting factor gets the same label in both orders, and
-    # no pair with a fitting factor is labelled general.  When both factors
-    # fit, each order keeps its mu's path.
+    # g(lam, mu, nu) = g(mu, lam, nu), so each method gives both argument
+    # orders one result: the same expansion and label, or ValueError.  A
+    # fast path raises only when neither factor has its shape, and auto
+    # takes the first fast path that either factor fits, else general.
     lam, mu = pair
-    got, used = kronecker(lam, mu)
-    back, back_used = kronecker(mu, lam)
-    assert back == got == kronecker_general(lam, mu)
-    assert used == (_fitting_paths(mu) or _fitting_paths(lam) or ["general"])[0]
-    if not (_fitting_paths(lam) and _fitting_paths(mu)):
-        assert back_used == used
-    if _fitting_paths(lam) or _fitting_paths(mu):
-        assert "general" not in (used, back_used)
+    fitting = _fitting_paths(lam) + _fitting_paths(mu)
+    for method in METHODS:
+        got = _outcome(lam, mu, method)
+        assert _outcome(mu, lam, method) == got
+        assert (got == "raises") == (method not in ("auto", "general", *fitting))
+        assert got == "raises" or got[0] == kronecker_general(lam, mu)
+    want = [name for name in ("one-box", "hook") if name in fitting]
+    assert kronecker(lam, mu)[1] == (want or ["general"])[0]
+
+
+def _procedure_calls(lam, mu, method):
+    """The procedure calls of kronecker(lam, mu, method), none of them run."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("kronecker_general", "kronecker_one_box", "kronecker_hook"):
+            patch.setattr(internal_product, name, partial(lambda *call: calls.append(call), name))
+        try:
+            kronecker(lam, mu, method)
+        except ValueError:
+            pass
+    return calls
+
+
+@PROPERTY
+@given(same_degree_pairs(min_d=0, max_d=9))
+@example((Partition([3, 1]), Partition([2, 2])))
+@example((Partition([3, 1, 1]), Partition([2, 1, 1, 1])))
+@example((Partition([5, 4]), Partition([1] * 9)))
+def test_both_argument_orders_make_the_same_procedure_call(pair):
+    # Both orders make one call, with the same arguments, or none when the
+    # method fits neither factor.
+    lam, mu = pair
+    runnable = ("auto", "general", *_fitting_paths(lam), *_fitting_paths(mu))
+    for method in METHODS:
+        calls = _procedure_calls(lam, mu, method)
+        assert calls == _procedure_calls(mu, lam, method)
+        assert len(calls) == int(method in runnable)
 
 
 @settings(PROPERTY, max_examples=20)

@@ -135,10 +135,7 @@ def test_fixture_fails_with_one_wrong_path(monkeypatch):
 
 
 def test_fastpath_fails_with_one_wrong_two_row_product(monkeypatch):
-    _plant(
-        monkeypatch, "kronecker", (P211, Partition([2, 2]), "two-row"),
-        lambda got: (_plus_one_row(got[0]), got[1]),
-    )
+    _plant(monkeypatch, "kronecker_general", (P211, Partition([2, 2])), _plus_one_row)
     assert sweeps.sweep_fastpath(4).line() == (
         "fastpath: FAIL (38 checks) first counterexample: two-row lambda=2,1,1 mu=(2,2): "
         "SchurExpansion(4, 1*s(4) + 1*s(3,1) + 1*s(2,1,1)) != "

@@ -1,10 +1,10 @@
-"""Microbenchmarks of the Weyl chain and its dual read, the general Kronecker
-product (and the costliest query of a kron-batch seed), the LR product
-kernel and its conjugate redirect, Schur outer products, the partitions
-between two shapes, the Jacobi-Trudi terms, skew Schur expansions, the
-character oracle and one character row, Kostka numbers, the contingency
-enumerator (public matrices and bare rows tuples) and its divided-power
-product, cold and warm, and a cold contingency sweep.
+"""Microbenchmarks of the Weyl chain and its dual read, the Jacobi-Trudi fold,
+the general Kronecker product (and the costliest query of a kron-batch
+seed), the LR product kernel and its conjugate redirect, Schur outer
+products, the partitions between two shapes, the Jacobi-Trudi terms, skew
+Schur expansions, the character oracle and one character row, Kostka
+numbers, the contingency enumerator (public matrices and bare rows tuples)
+and its divided-power product, cold and warm, and a cold contingency sweep.
 
 Run with ``pytest benchmarks/`` (pytest-benchmark); the default ``pytest``
 run collects only ``tests/``.  A cold round empties every memo table in the
@@ -34,7 +34,7 @@ from polykron import (
 )
 from polykron._memo import clear_all
 from polykron.characters import character_row
-from polykron.internal_product import _chain_sum, _gamma_steps, _sign_class
+from polykron.internal_product import _chain, _fold, _gamma_steps
 from polykron.partitions import _contingency_rows, _partitions_between, partitions_of
 from polykron.schur import _product_terms
 
@@ -52,10 +52,15 @@ MODES = pytest.mark.parametrize("mode", ["cold", "warm"])
 @MODES
 @pytest.mark.parametrize("parts", [(5, 4, 3, 2)], ids=["d14"])
 def test_chain(benchmark, mode, parts):
-    # The chain of the leading Jacobi-Trudi term h_mu of mu = lam, a single
-    # term of the one memoised chain sum.
-    _, key = _sign_class(((1, _gamma_steps(Partition(parts))),))
-    measure(benchmark, mode, _chain_sum, parts, key)
+    # The single chain of the leading Jacobi-Trudi term h_mu of mu = lam.
+    measure(benchmark, mode, _chain, parts, _gamma_steps(Partition(parts)))
+
+
+@MODES
+@pytest.mark.parametrize("parts", [(5, 4, 3, 2)], ids=["d14"])
+def test_fold(benchmark, mode, parts):
+    # The d14 square's whole determinant folded along lam by column masks.
+    measure(benchmark, mode, _fold, parts, parts)
 
 
 @MODES
@@ -74,8 +79,8 @@ def test_kronecker_general(benchmark, mode, parts):
     "lam, mu", [((9, 3, 2, 1), (4, 4, 4, 3)), ((4, 4, 4, 3), (9, 3, 2, 1))], ids=["lam-mu", "mu-lam"]
 )
 def test_kronecker_general_either_order(benchmark, mode, lam, mu):
-    # Both orders expand (9,3,2,1) along (4,4,4,3), the side with the lower
-    # chain estimate, so their times match.
+    # Both orders fold (9,3,2,1) along (4,4,4,3), the orientation with the
+    # lowest fold estimate, so their times match.
     measure(benchmark, mode, kronecker_general, Partition(lam), Partition(mu))
 
 
@@ -104,7 +109,7 @@ def test_kronecker_general_costliest_batch_query(benchmark):
 
 
 def test_partitions_between(benchmark):
-    # The partitions of 9 inside (6,5,4), as a chain estimate or a skew
+    # The partitions of 9 inside (6,5,4), as a fold estimate or a skew
     # expansion asks them.
     measure(benchmark, "cold", _partitions_between, (), (6, 5, 4), 9)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import chain, repeat
-from operator import add
 
 from ._memo import memo
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
@@ -231,51 +230,41 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
     return {beta: _multiply(groups, degree, size) for beta, groups in by_piece.items()}
 
 
-def _sign_class(signed) -> tuple:
-    """(sign, key) for a sum of (sign, steps) terms: the key merges the terms
-    with equal steps, drops those that cancel, orders the rest by their
-    steps read from the last, and scales them by `sign` so that the first
-    coefficient is positive.  The sum is sign * _chain_sum(lam, key), so a
-    term list and its negation share one key."""
-    merged = {}
-    for sign, steps in signed:
-        merged[steps] = merged.get(steps, 0) + sign
-    key = sorted((item for item in merged.items() if item[1]), key=lambda item: item[0][::-1])
-    if key and key[0][1] < 0:
-        return -1, tuple([(steps, -c) for steps, c in key])
-    return 1, tuple(key)
-
-
 @memo
-def _chain_sum(lam: tuple, key: tuple) -> dict:
-    """The sum of c * (the table that _step folded over steps makes of
-    {(): s_()}) over the (steps, c) terms of a _sign_class key, zeros
-    dropped.
+def _chain(lam: tuple, steps: tuple) -> dict:
+    """The table that _step folds over steps makes of {(): s_()}, one memo
+    entry per prefix of the steps and one frame per step.
 
-    Each term's steps add up to one size.  At |lam| the table holds lam
-    alone, and its entry there is the Kronecker product of s_lam with the
-    product of the steps' h_size and e_size.  Terms that end in the same step
-    sum their prefix tables first, by this function on the prefixes, and take
-    that step once, after their cancellations.  The terms are ordered by
-    their steps read from the last, so those with one last step come
-    together, and their prefixes come in the order of a key; a group whose
-    first coefficient is negative asks the negated prefixes, and its table
-    is subtracted.  So every prefix level is a memo entry, shared by a term
-    list and its negation, and a single chain is the key ((steps, 1),).
-    The returned dict is the memo's own and must not be changed.
+    At |lam| the table holds lam alone, and its entry there is the Kronecker
+    product of s_lam with the product of the steps' h_size and e_size.  The
+    returned dict is the memo's own and must not be changed.
     """
-    groups = {}
-    for steps, c in key:
-        groups.setdefault(steps[-1:], []).append((steps[:-1], c))
+    if not steps:
+        return {(): {0: 1}}
+    return _step(lam, _chain(lam, steps[:-1]), *steps[-1])
+
+
+def _gamma_steps(nu: Composition) -> tuple:
+    return _steps(tuple(nu), ())
+
+
+def _moves(expanded: tuple, row: int, mask: int):
+    """(column, sign, size) for each free column of `mask` whose entry
+    h_size, size = expanded[row] - row + column, in expanded's Jacobi-Trudi
+    matrix is nonzero (size >= 0): the sign is -1 to the number of used
+    columns left of the column."""
+    sign = 1
+    for j in range(len(expanded)):
+        if mask >> j & 1:
+            sign = -sign
+        elif (size := expanded[row] - row + j) >= 0:
+            yield j, sign, size
+
+
+def _signed_sum(parts) -> dict:
+    """The sum of sign * table over the (sign, table) parts, zeros dropped."""
     out = {}
-    for last, prefixes in groups.items():
-        sign = -1 if prefixes[0][1] < 0 else 1
-        if sign < 0:
-            prefixes = [(p, -c) for p, c in prefixes]
-        if last:
-            table = _step(lam, _chain_sum(lam, tuple(prefixes)), *last[0])
-        else:  # the one term with no steps
-            table = {(): {0: prefixes[0][1]}}
+    for sign, table in parts:
         for beta, expn in table.items():
             acc = out.setdefault(beta, {})
             for mu, x in expn.items():
@@ -287,28 +276,81 @@ def _chain_sum(lam: tuple, key: tuple) -> dict:
     }
 
 
-def _chain_expansion(lam: Partition, signed, flip=None) -> SchurExpansion:
-    """The sum of the (sign, steps) chains' tables at lam, read from the
-    _chain_sum entry of their sign class, as a fresh expansion; with a `flip`
+@memo
+def _fold(chain: tuple, expanded: tuple) -> dict:
+    """The Kronecker product of s_chain and s_expanded, as its entry at
+    chain: expanded's Jacobi-Trudi determinant det(h_{mu_r - r + j}) folded
+    along chain by Laplace expansion, row by row from the bottom up.
+
+    After the rows below r, the state is one table per bitmask of the
+    columns they use: the signed sum of their terms' chain tables, so at
+    most 2^k tables are stepped.  Row r steps each table once per move of
+    _moves, by _step (h_0 passes the table through).  The tables that reach
+    one mask are summed, zeros dropped; a single positive one passes through
+    uncopied.  A term's steps commute, so this row order gives its chain
+    sum.  The returned dict is the memo's own and must not be changed.
+    """
+    tables = {0: {(): {0: 1}}}
+    for row in range(len(expanded) - 1, -1, -1):
+        reached = {}
+        for mask, table in tables.items():
+            for j, sign, size in _moves(expanded, row, mask):
+                moved = _step(chain, table, size, GAMMA) if size else table
+                reached.setdefault(mask | 1 << j, []).append((sign, moved))
+        tables = {}
+        for mask, parts in reached.items():
+            (sign, table), *rest = parts
+            tables[mask] = table if sign > 0 and not rest else _signed_sum(parts)
+    return tables.get((1 << len(expanded)) - 1, {}).get(chain, {})
+
+
+def _fold_cost(chain: tuple, expanded: tuple, budget=float("inf")) -> int:
+    """A shape-only estimate of _fold(chain, expanded): over the masks that
+    the fold reaches, the partitions inside chain at the size that each
+    nonzero move steps to.  It reads no LR, skew or chain memo, and it stops
+    once the estimate reaches the budget."""
+    sizes, inside, cost = {0: 0}, {}, 0
+    for row in range(len(expanded) - 1, -1, -1):
+        reached = {}
+        for mask, size in sizes.items():
+            for j, _, step in _moves(expanded, row, mask):
+                reached[mask | 1 << j] = total = size + step
+                if step:
+                    if total not in inside:
+                        inside[total] = len(_partitions_between((), chain, total))
+                    cost += inside[total]
+            if cost >= budget:
+                return cost
+        sizes = reached
+    return cost
+
+
+def _nonnegative(result: SchurExpansion, lam: Partition, other: str) -> SchurExpansion:
+    """result, the Kronecker product of lam and `other` as a signed sum of
+    chains, once its cancellations have left every coefficient >= 0."""
+    if not result.is_nonnegative():
+        raise ConsistencyError(
+            f"negative coefficient in kronecker product of {lam.text()} and {other}: {result!r}"
+        )
+    return result
+
+
+def _weyl_entry(lam: Partition, steps: tuple, flip=None) -> SchurExpansion:
+    """The chain table's entry at lam as a fresh expansion; with a `flip`
     from _conjugation, its omega image."""
-    sign, key = _sign_class(signed)
-    entry = _chain_sum(lam.parts, key).get(lam.parts, {})
+    entry = _chain(lam.parts, steps).get(lam.parts, {})
     return SchurExpansion._from_index(
-        lam.size, [(flip[i] if flip else i, sign * c) for i, c in entry.items()]
+        lam.size, [(flip[i], c) for i, c in entry.items()] if flip else entry.items()
     )
 
 
-def _gamma_steps(nu: Composition) -> tuple:
-    return _steps(tuple(nu), ())
-
-
-def _weyl_chain(lam: Partition, nu: Composition) -> tuple:
-    """The single chain term of lam x Gamma^nu, once the degrees agree."""
+def _weyl_steps(lam: Partition, nu: Composition) -> tuple:
+    """The chain steps of lam x Gamma^nu, once the degrees agree."""
     if lam.size != nu.degree:
         raise DegreeMismatchError(
             f"partition has size {lam.size} but weight has degree {nu.degree}"
         )
-    return ((1, _gamma_steps(nu)),)
+    return _gamma_steps(nu)
 
 
 def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
@@ -320,7 +362,7 @@ def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
     A zero step forces the chain to pause, so weights with zeros are legal.
     The multiplicities are independent of the base ring.
     """
-    return _chain_expansion(lam, _weyl_chain(lam, nu))
+    return _weyl_entry(lam, _weyl_steps(lam, nu))
 
 
 def kostka(shape: Partition, content: Composition) -> int:
@@ -335,23 +377,7 @@ def kostka(shape: Partition, content: Composition) -> int:
     if d != content.degree:
         return 0
     row = (d,) if d else ()
-    entry = _chain_sum(row, ((_gamma_steps(content), 1),))[row]
-    return entry.get(_positions(d)[shape.parts], 0)
-
-
-def _signed_chains(lam: Partition, signed_steps, other: str) -> SchurExpansion:
-    """The Kronecker product of lam and `other` as a signed sum of chain sums;
-    the cancellations must leave every coefficient >= 0.
-
-    The sum is taken by _chain_sum, keyed by lam and the terms' sign class,
-    so terms that share their last steps apply each shared step once.
-    """
-    result = _chain_expansion(lam, signed_steps)
-    if not result.is_nonnegative():
-        raise ConsistencyError(
-            f"negative coefficient in kronecker product of {lam.text()} and {other}: {result!r}"
-        )
-    return result
+    return _chain(row, _gamma_steps(content))[row].get(_positions(d)[shape.parts], 0)
 
 
 def weyl_tensor_wedge(lam: Partition, nu: Composition) -> SchurExpansion:
@@ -362,7 +388,7 @@ def weyl_tensor_wedge(lam: Partition, nu: Composition) -> SchurExpansion:
     the chain's entry at lam is read through _conjugation.
     The multiplicities are independent of the base ring.
     """
-    return _chain_expansion(lam, _weyl_chain(lam, nu), _conjugation(lam.size))
+    return _weyl_entry(lam, _weyl_steps(lam, nu), _conjugation(lam.size))
 
 
 def jacobi_trudi(mu: Partition):
@@ -379,98 +405,54 @@ def jacobi_trudi(mu: Partition):
 
 
 def _jacobi_trudi_terms(mu: Partition):
-    """Yields the terms of jacobi_trudi(mu) in order, one at a time.
-
-    Row i admits columns j >= i - mu_i only; the thresholds increase with i,
-    so filling rows bottom-up never runs into a dead end.  The rows are
-    filled in this one generator frame: level k fills row n - 1 - k, sigma
-    holds each filled row's column, and inv[k] counts the inversions of
-    the rows below it.  The rows below i hold the used columns, and each
-    one left of j is an inversion.
-    """
-    n = len(mu)
-    parts = mu.parts
-    shift = [parts[i] - i for i in range(n)]
-    start = [max(0, i - parts[i]) for i in range(n)]
-    used = [False] * n
-    sigma = [0] * n
-    inv = [0] * (n + 1)
-    k = 0
-    j = start[n - 1] if n else 0
-    while True:
-        if k == n:
-            yield (-1) ** inv[n], Composition._trusted(tuple(map(add, shift, sigma)), mu.size)
-        else:
-            i = n - 1 - k
-            while j < n and used[j]:
-                j += 1
-            if j < n:
-                used[j] = True
-                sigma[i] = j
-                inv[k + 1] = inv[k] + sum(used[:j])
-                k += 1
-                j = start[i - 1] if i else 0
-                continue
-        # Level k is exhausted, or k == n and its term was yielded: free the
-        # column of the row filled at level k - 1 and try the next one there.
-        k -= 1
-        if k < 0:
+    """Yields the terms of jacobi_trudi(mu) in order, one at a time: the
+    rows are filled from the bottom up, each with the columns of _moves left
+    to right.  Row i admits columns j >= i - mu_i only; the thresholds
+    increase with i, so no row runs into a dead end."""
+    def fill(row, mask, sign, sizes):
+        if row < 0:
+            yield sign, Composition._trusted(sizes, mu.size)
             return
-        j = sigma[n - 1 - k]
-        used[j] = False
-        j += 1
+        for j, s, size in _moves(mu.parts, row, mask):
+            yield from fill(row - 1, mask | 1 << j, sign * s, (size, *sizes))
 
-
-def _chain_terms(determinant, lam: Partition, budget=float("inf")):
-    """The signed steps (sign, _gamma_steps(nu)) of the determinant's terms
-    and a shape-only estimate of chaining them along lam: the partitions
-    inside lam at the size of every distinct step prefix, one prefix per
-    _chain_sum level.  It reads no LR, skew or chain memo.  The terms are
-    read in order until the estimate reaches the budget, so a determinant
-    that cannot come in under it is never built whole."""
-    terms, prefixes, cost = [], set(), 0
-    for sign, nu in determinant:
-        steps = _gamma_steps(nu)
-        terms.append((sign, steps))
-        size = 0
-        for k, (x, _) in enumerate(steps, 1):
-            size += x
-            if steps[:k] not in prefixes:
-                prefixes.add(steps[:k])
-                cost += len(_partitions_between((), lam.parts, size))
-        if cost >= budget:
-            break
-    return terms, cost
+    return fill(len(mu) - 1, 0, 1, ())
 
 
 def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:
     """Kronecker decomposition via the alternating divided-power resolution.
 
-    Expands one factor through the Jacobi-Trudi determinant and accumulates
-    the signed Weyl filtrations of the other; the cancellations must leave
-    every coefficient >= 0.  The product is symmetric, so either factor with
-    at most the determinant's bound of rows may be expanded: the larger one
-    in lexicographic order, whatever the argument order, unless the other's
-    chain estimate is lower or the larger is past the bound; the other's
-    terms are built only while their estimate stays below.  Past the bound
-    on both sides, the conjugate pair runs, as s_lam' * s_mu' = s_lam * s_mu.
+    Folds one factor's Jacobi-Trudi determinant along the other (_fold); the
+    cancellations must leave every coefficient >= 0.  As s_lam * s_mu =
+    s_mu * s_lam = s_lam' * s_mu', with the lexicographically larger factor
+    as mu, the fold may run as (chain, expanded) = (lam, mu), (mu, lam),
+    (lam', mu') or (mu', lam'), whatever the argument order.  The first of
+    these whose expanded factor has at most JACOBI_TRUDI_BOUND rows and whose
+    _fold_cost is strictly the lowest runs; each estimate stops at the
+    lowest one before it.  When none is within the bound, SizeBoundError.
     """
     if lam.size != mu.size:
         raise DegreeMismatchError(
             f"partitions have sizes {lam.size} and {mu.size}"
         )
-    if min(len(lam), len(mu)) > JACOBI_TRUDI_BOUND:
-        lam, mu = lam.conjugate(), mu.conjugate()
     if mu < lam:
         lam, mu = mu, lam
-    if len(mu) > JACOBI_TRUDI_BOUND >= len(lam):
-        lam, mu = mu, lam
-    signed, cost = _chain_terms(jacobi_trudi(mu), lam)
-    if lam != mu and len(lam) <= JACOBI_TRUDI_BOUND:
-        other, other_cost = _chain_terms(_jacobi_trudi_terms(lam), mu, cost)
-        if other_cost < cost:
-            lam, mu, signed = mu, lam, other
-    return _signed_chains(lam, signed, mu.text())
+    conj_lam, conj_mu = lam.conjugate(), mu.conjugate()
+    best, budget = None, float("inf")
+    for chain, expanded in dict.fromkeys(
+        ((lam, mu), (mu, lam), (conj_lam, conj_mu), (conj_mu, conj_lam))
+    ):
+        if len(expanded) <= JACOBI_TRUDI_BOUND:
+            cost = _fold_cost(chain.parts, expanded.parts, budget)
+            if cost < budget:
+                best, budget = (chain, expanded), cost
+    if best is None:
+        raise SizeBoundError(
+            f"both factors and their conjugates have more parts than the bound {JACOBI_TRUDI_BOUND}"
+        )
+    chain, expanded = best
+    entry = _fold(chain.parts, expanded.parts)
+    return _nonnegative(SchurExpansion._from_index(chain.size, entry.items()), chain, expanded.text())
 
 
 def kronecker_one_box(lam: Partition, a: int) -> SchurExpansion:
@@ -494,18 +476,31 @@ def hook_mixed(lam: Partition, p: int, q: int) -> SchurExpansion:
         raise ValueError(f"need p >= 1 and q >= 0, got ({p}, {q})")
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
-    return _chain_expansion(lam, ((1, _steps((p,), (q,))),))
+    return _weyl_entry(lam, _steps((p,), (q,)))
 
 
 def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
     """Kronecker product with the hook (p, 1^q), by the telescoping
-    alternating sum of the mixed Gamma/Wedge products."""
+    alternating sum of the mixed Gamma/Wedge products, taken chain by chain.
+
+    Three cases need no chain: p = 1 (the hook is the sign, and the product
+    is lam'), a one-row lam (the unit: the hook itself) and a one-column lam
+    (the sign: the hook's conjugate (q + 1, 1^(p - 1)))."""
     if p < 1 or q < 1:
         raise ValueError(f"need p >= 1 and q >= 1, got ({p}, {q})")
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
-    signed = [((-1) ** i, _steps((p + i,), (q - i,))) for i in range(q + 1)]
-    return _signed_chains(lam, signed, f"({p},1^{q})")
+    if p == 1:
+        return SchurExpansion.single(lam.conjugate())
+    if len(lam) == 1:
+        return SchurExpansion.single(Partition([p] + [1] * q))
+    if lam.parts[0] == 1:
+        return SchurExpansion.single(Partition([q + 1] + [1] * (p - 1)))
+    total = {}
+    for i in range(q + 1):
+        for mu, x in _chain(lam.parts, _steps((p + i,), (q - i,)))[lam.parts].items():
+            total[mu] = total.get(mu, 0) + (-1) ** i * x
+    return _nonnegative(SchurExpansion._from_index(lam.size, total.items()), lam, f"({p},1^{q})")
 
 
 #: The fast paths in the order `auto` tries them, each with its one shape

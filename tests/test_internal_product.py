@@ -9,6 +9,7 @@ from polykron import (
     DegreeMismatchError,
     ExpFunctor,
     Partition,
+    SchurExpansion,
     SizeBoundError,
     UndefinedProductError,
     exponential_tensor,
@@ -28,7 +29,7 @@ from polykron import (
     weyl_tensor_wedge,
 )
 from polykron._memo import clear_all
-from polykron.internal_product import _chain_terms, _gamma_steps
+from polykron.internal_product import _chain, _fold, _fold_cost, _gamma_steps
 from polykron.partitions import partitions_of
 
 def P(*parts):
@@ -168,9 +169,9 @@ class TestWeylTensorGamma:
         # Weyl filtration along (d) then hits that entry, for any order of nu.
         clear_all()
         kostka(P(3, 2), C(2, 0, 1, 2))
-        before = internal_product._chain_sum.cache_info()
+        before = _chain.cache_info()
         weyl_tensor_gamma(P(5), C(1, 2, 2))
-        after = internal_product._chain_sum.cache_info()
+        after = _chain.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     def test_zeros_pause_the_chain(self):
@@ -272,41 +273,51 @@ class TestKroneckerGeneral:
             kronecker_general(Partition([13] * 13), Partition([13] * 13))
 
 
-def _signed_steps(mu):
-    return [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(mu)]
+def _chained_terms(chain, expanded):
+    """The Kronecker product as the chains of expanded's Jacobi-Trudi terms
+    along chain, one by one: the reference for _fold."""
+    total = SchurExpansion._from_index(chain.size, ())
+    for sign, nu in jacobi_trudi(expanded):
+        entry = _chain(chain.parts, _gamma_steps(nu)).get(chain.parts, {})
+        total = total + sign * SchurExpansion._from_index(chain.size, entry.items())
+    return total
 
 
 def _estimate(expanded, chain):
-    return _chain_terms(jacobi_trudi(expanded), chain)[1]
+    return _fold_cost(chain.parts, expanded.parts)
 
 
 class TestResolutionChoice:
-    """kronecker_general expands the factor whose Jacobi-Trudi terms have the
-    lower chain estimate along the other, and the lexicographically larger
-    factor on a tie."""
+    """kronecker_general folds the determinant of one factor or conjugate
+    along the other, in the orientation with the lowest fold estimate, and
+    the first of (lam, mu), (mu, lam), (lam', mu'), (mu', lam') on a tie,
+    with the lexicographically larger factor as mu."""
 
-    def chained(self, monkeypatch, lam, mu, run=True, product=kronecker_general):
-        # The (chain, expanded factor's text) of every _signed_chains call.
+    def folded(self, monkeypatch, lam, mu, run=True, product=kronecker_general):
+        # The (chain, expanded) partitions of every _fold call.
         seen = []
-        real = internal_product._signed_chains
+        real = internal_product._fold
 
-        def spy(chain, signed, other):
-            seen.append((chain, other))
-            return real(chain, signed, other) if run else None
+        def spy(chain, expanded):
+            seen.append((Partition(chain), Partition(expanded)))
+            return real(chain, expanded) if run else {}
 
-        monkeypatch.setattr(internal_product, "_signed_chains", spy)
+        monkeypatch.setattr(internal_product, "_fold", spy)
         product(lam, mu)
         return seen
 
     def test_the_estimate_reads_shapes_only(self, monkeypatch):
         lam, mu = P(9, 3, 2, 1), P(4, 4, 4, 3)
         clear_all()
-        assert _estimate(mu, lam) == 358
-        assert _estimate(lam, mu) == 81
-        assert self.chained(monkeypatch, lam, mu, run=False) == [(mu, lam.text())]
+        assert _estimate(lam, mu) == 66
+        assert _estimate(mu, lam) == 246
+        # mu is its own conjugate, so the conjugate orientations fold lam'
+        # along mu and mu along lam'.
+        assert _estimate(lam.conjugate(), mu) == 376
+        assert _estimate(mu, lam.conjugate()) == 246
+        assert self.folded(monkeypatch, lam, mu, run=False) == [(mu, lam)]
         for fn in (
-            schur._product_terms, schur._last_strips, schur._skew_terms,
-            internal_product._chain_sum,
+            schur._product_terms, schur._last_strips, schur._skew_terms, _chain, _fold,
         ):
             assert fn.cache_info().currsize == 0, fn.__name__
 
@@ -315,46 +326,61 @@ class TestResolutionChoice:
         want = kronecker_oracle_expansion(lam, mu)
         for a, b in ((lam, mu), (mu, lam)):
             clear_all()
-            assert self.chained(monkeypatch, a, b) == [(mu, lam.text())]
+            assert self.folded(monkeypatch, a, b) == [(mu, lam)]
             assert kronecker_general(a, b) == want
         # Cold, chaining mu's terms along lam takes over four times the LR
         # products.
         chosen = schur._product_terms.cache_info().misses
         clear_all()
-        internal_product._signed_chains(lam, _signed_steps(mu), mu.text())
+        assert _chained_terms(lam, mu) == want
         assert schur._product_terms.cache_info().misses > 4 * chosen
 
     def test_a_tie_expands_mu(self, monkeypatch):
-        # The d = 18 square: the estimates are equal, and mu is expanded.
-        lam, mu = P(6, 5, 4, 2, 1), P(6, 5, 4, 2, 1)
-        seen = self.chained(monkeypatch, lam, mu, run=False)
-        assert len(seen) == 1 and seen[0][0] is lam
+        # (5,5) x (7,2,1): both unconjugated orientations estimate 11, and
+        # the larger factor, listed first as expanded, is expanded.
+        lam, mu = P(5, 5), P(7, 2, 1)
+        assert _estimate(mu, lam) == _estimate(lam, mu) == 11
+        for a, b in ((lam, mu), (mu, lam)):
+            assert self.folded(monkeypatch, a, b, run=False) == [(lam, mu)]
+        # The d = 18 square lists its own orientation before its conjugate's.
+        square = P(6, 5, 4, 2, 1)
+        seen = self.folded(monkeypatch, square, square, run=False)
+        assert len(seen) == 1 and seen[0] == (square, square)
 
     def test_a_two_row_factor_is_expanded_on_either_side(self, monkeypatch):
         lam, mu = P(6, 4), P(4, 3, 2, 1)
         assert _estimate(lam, mu) < _estimate(mu, lam)
-        assert self.chained(monkeypatch, lam, mu, run=False) == [(mu, lam.text())]
-        assert self.chained(monkeypatch, mu, lam, run=False) == [(mu, lam.text())]
+        assert self.folded(monkeypatch, lam, mu, run=False) == [(mu, lam)]
+        assert self.folded(monkeypatch, mu, lam, run=False) == [(mu, lam)]
+
+    def test_the_conjugate_pair_wins_on_a_tall_square(self, monkeypatch):
+        # (2^10) x (2^10) folds (10, 10) along (10, 10): two masks against
+        # (2^10)'s 1,024, estimated 13 against 1,415.
+        tall, wide = Partition([2] * 10), P(10, 10)
+        assert (_estimate(tall, tall), _estimate(wide, wide)) == (1415, 13)
+        assert self.folded(monkeypatch, tall, tall, run=False) == [(wide, wide)]
+        assert kronecker_general(tall, tall) == kronecker_general(wide, wide)
 
     def test_a_large_determinant_is_read_only_up_to_the_other_estimate(self, monkeypatch):
-        # lam = (2^12) has 118,098 Jacobi-Trudi terms and (12, 12) has two,
-        # whose estimate along lam is 15.  Every new step tuple of lam's adds
-        # at least 1 to its estimate, and its first two reach 15.
+        # (2^12) x (12, 12): folding (12, 12)'s determinant along (2^12)
+        # estimates 15, and (2^12)'s along (12, 12) estimates 2,840 over
+        # thousands of masks.  Costed second, with the first estimate as its
+        # budget, it stops after its first few masks.
         lam = P(*[2] * 12)
         assert _estimate(P(12, 12), lam) == 15
+        assert _estimate(lam, P(12, 12)) == 2840
         read = []
-        real = internal_product._jacobi_trudi_terms
+        real = internal_product._moves
 
-        def spy(mu):
-            for term in real(mu):
-                read.append(mu)
-                yield term
+        def spy(expanded, row, mask):
+            read.append(expanded)
+            return real(expanded, row, mask)
 
-        monkeypatch.setattr(internal_product, "_jacobi_trudi_terms", spy)
-        seen = self.chained(monkeypatch, lam, P(12, 12), run=False)
-        assert seen == [(lam, P(12, 12).text())]
-        assert read.count(P(12, 12)) == 2
-        assert read.count(lam) == 2
+        monkeypatch.setattr(internal_product, "_moves", spy)
+        seen = self.folded(monkeypatch, lam, P(12, 12), run=False)
+        assert seen == [(lam, P(12, 12))]
+        assert read.count(P(12, 12).parts) == 3
+        assert read.count(lam.parts) < 10
 
 
 class TestKroneckerTwoRow:
@@ -455,6 +481,15 @@ class TestKroneckerHook:
         for d in range(3, 7):
             got = kronecker_hook(Partition([1] * d), d - 1, 1)
             assert got.terms == {Partition([2] + [1] * (d - 2)): 1}
+
+    def test_sign_and_unit_partners_run_no_chain(self, monkeypatch):
+        # p = 1 is the sign (1^n), whose product is lam'; a one-row lam is
+        # the unit, and a one-column lam the sign.
+        cases = [(P(5, 4), 1, 8), (P(9), 5, 4), (Partition([1] * 9), 5, 4), (Partition([1] * 4), 1, 3)]
+        want = [kronecker_oracle_expansion(lam, Partition([p] + [1] * q)) for lam, p, q in cases]
+        monkeypatch.setattr(internal_product, "_chain", None)
+        assert [kronecker_hook(*case) for case in cases] == want
+        assert want[0].terms == {P(2, 2, 2, 2, 1): 1} and want[2].terms == {P(5, 1, 1, 1, 1): 1}
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

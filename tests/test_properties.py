@@ -62,14 +62,7 @@ from polykron import (
     weyl_tensor_wedge,
 )
 from polykron._memo import MEMOS, clear_all
-from polykron.internal_product import (
-    _chain_expansion,
-    _chain_sum,
-    _contingency_weights,
-    _gamma_steps,
-    _sign_class,
-    _step,
-)
+from polykron.internal_product import _chain, _contingency_weights, _fold, _gamma_steps, _step
 from polykron.partitions import enumerate_compositions, partitions_of
 from polykron.schur import _last_strips, _lr_tally, _product_terms, _skew_terms
 
@@ -181,26 +174,6 @@ def same_degree_pairs(draw, min_d=7, max_d=12):
 def same_degree_triples(draw, min_d=7, max_d=12):
     d = draw(st.integers(min_d, max_d))
     return draw(_sized(d)), draw(_sized(d)), draw(_sized(d))
-
-
-@st.composite
-def signed_chain_terms(draw, max_d=10):
-    """lam of size d and signed terms whose steps add up to d: GAMMA and WEDGE
-    steps, zeros among them, in any order, with the terms in groups that end
-    in the same steps (the first group has two or more terms)."""
-    d = draw(st.integers(0, max_d))
-    family = st.sampled_from((GAMMA, WEDGE))
-
-    def steps_of(total):
-        return tuple((x, draw(family)) for x in draw(_compositions(total, max_parts=4)))
-
-    terms = []
-    for k in range(draw(st.integers(1, 3))):
-        tail = steps_of(draw(st.integers(0, d)))
-        rest = d - sum(x for x, _ in tail)
-        for _ in range(draw(st.integers(2 if k == 0 else 1, 3))):
-            terms.append((draw(st.sampled_from((1, -1))), steps_of(rest) + tail))
-    return draw(_sized(d)), tuple(terms)
 
 
 @st.composite
@@ -333,25 +306,26 @@ def _tally_skew(outer, inner):
     return tally
 
 
-def _fold(lam, steps):
+def _chain_in_order(lam, steps):
     """The chain table's entry at lam, folding _step over the steps one at a
     time, in the given order, zero steps included: the reference for the
-    grouped and memoised _chain_sum, which replaced it in
-    polykron.internal_product."""
+    memoised _chain, which folds the canonical steps of _steps."""
     dp = {(): {0: 1}}
     for size, family in steps:
         dp = _step(lam, dp, size, family)
     return dp[lam]
 
 
-def _signed_table(lam, terms):
-    """The sum of the (sign, steps) terms' tables, read from the _chain_sum
-    entry of their _sign_class with the sign applied."""
-    sign, key = _sign_class(terms)
-    return {
-        beta: {mu: sign * x for mu, x in expn.items()}
-        for beta, expn in _chain_sum(lam, key).items()
-    }
+def _chained_terms(chain, expanded):
+    """The Kronecker product as the chains of expanded's Jacobi-Trudi terms
+    along chain, one by one, as {position: coefficient}: the reference for
+    _fold, which sums the terms that reach one column mask before stepping
+    them."""
+    total = Counter()
+    for sign, nu in jacobi_trudi(expanded):
+        for i, c in _chain(chain.parts, _gamma_steps(nu)).get(chain.parts, {}).items():
+            total[i] += sign * c
+    return {i: c for i, c in total.items() if c}
 
 
 def _fill_cells(shape, content):
@@ -460,7 +434,7 @@ def test_product_terms_match_the_row_order_walk_cold_and_warm(pair):
 def _walks(monkeypatch, product_terms, run):
     """The (base, content) pairs that the LR walker grows while run() calls
     products through `product_terms`, from cold memos."""
-    for fn in (product_terms, _product_terms, _skew_terms, _chain_sum):
+    for fn in (product_terms, _product_terms, _skew_terms, _chain, _fold):
         fn.cache_clear()
     monkeypatch.setattr(schur, "_product_terms", product_terms)
     walked = []
@@ -833,8 +807,7 @@ def test_jacobi_trudi_terms_match_the_recursive_walk_beyond_degree_twelve(mu):
 
 
 def test_jacobi_trudi_terms_stay_lazy_at_forty_rows():
-    # (1^40) has 2^39 terms; the first ones come at once, as _chain_terms'
-    # budget needs.
+    # (1^40) has 2^39 terms; the walk yields the first ones at once.
     mu = Partition([1] * 40)
     got = internal_product._jacobi_trudi_terms(mu)
     want = _recursive_jacobi_trudi_terms(mu)
@@ -859,7 +832,7 @@ def test_kostka_matches_the_cell_by_cell_count_from_a_shared_product_memo():
         for content in dict.fromkeys(nu for mu in partitions_of(d) for _, nu in jacobi_trudi(mu))
         for shape in partitions_of(d)
     ]
-    memos = (_product_terms, _last_strips, _skew_terms, _chain_sum)
+    memos = (_product_terms, _last_strips, _skew_terms, _chain, _fold)
     for fn in memos:
         fn.cache_clear()
     kronecker_general(Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1]))
@@ -957,7 +930,7 @@ def test_weyl_chain_ignores_step_order_and_zeros(case):
     got = weyl_tensor_gamma(lam, Composition(nu))
     # The chain run in the drawn order, zero steps included, without the
     # canonical memo key that weyl_tensor_gamma uses.
-    unsorted = _fold(lam.parts, tuple((x, GAMMA) for x in shuffled))
+    unsorted = _chain_in_order(lam.parts, tuple((x, GAMMA) for x in shuffled))
     assert SchurExpansion._from_index(lam.size, unsorted.items()) == got
     assert weyl_tensor_gamma(lam, Composition(shuffled)) == got
     assert got == internal_h_oracle(lam, Composition(nu))
@@ -986,48 +959,15 @@ def test_the_wedge_step_of_the_hook_products_matches_the_oracle(case):
 
 
 @PROPERTY
-@given(signed_chain_terms())
-@example(
-    (
-        Partition([4, 3, 2, 1]),
-        tuple((sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(Partition([3, 3, 2, 1, 1]))),
-    )
-)
-def test_grouped_chain_sum_equals_the_chains_one_by_one(case):
-    lam, terms = case
-    want = Counter()
-    for sign, steps in terms:
-        for beta, c in _fold(lam.parts, steps).items():
-            want[beta] += sign * c
-    want = {beta: c for beta, c in want.items() if c}
-    assert _signed_table(lam.parts, terms) == ({lam.parts: want} if want else {})
-
-
-@PROPERTY
-@given(signed_chain_terms())
-@example(
-    (
-        Partition([4, 3, 2, 1]),
-        tuple((sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(Partition([3, 3, 2, 1, 1]))),
-    )
-)
-def test_a_term_list_and_its_negation_share_one_chain_table(case):
-    lam, terms = case
-    negated = tuple((-sign, steps) for sign, steps in terms)
-    sign, key = _sign_class(terms)
-    # Terms that cancel altogether leave the empty key, whose sign is moot.
-    assert _sign_class(negated) == (-sign if key else sign, key)
-    want = Counter()
-    for s, steps in terms:
-        for beta, c in _fold(lam.parts, steps).items():
-            want[beta] += s * c
-    want = SchurExpansion._from_index(lam.size, want.items())
-    _chain_sum.cache_clear()
-    assert _chain_expansion(lam, terms) == want
-    info = _chain_sum.cache_info()
-    # The negation is one hit on the same table, read with the other sign.
-    assert _chain_expansion(lam, negated) == -want
-    assert _chain_sum.cache_info()[:2] == (info.hits + 1, info.misses)
+@given(same_degree_pairs(min_d=0, max_d=10))
+@example((Partition([4, 3, 3, 2]), Partition([1] * 12)))
+@example((Partition([3]), Partition([1, 1, 1])))
+def test_fold_equals_the_determinant_terms_chained_one_by_one(pair):
+    # The examples fold a 12-row determinant, and one whose bottom two rows
+    # cancel: along (3), the mask {0, 1} sums h_1 h_1 - h_2 h_0, and its
+    # table at (2) keeps s_(1,1) of s_(2) + s_(1,1) - s_(2).
+    chain, expanded = pair
+    assert _fold(chain.parts, expanded.parts) == _chained_terms(chain, expanded)
 
 
 @settings(PROPERTY, max_examples=20)
@@ -1129,9 +1069,9 @@ def test_kronecker_coefficient_is_symmetric_in_all_three_arguments(triple):
 
 def _resolve(chain, expanded):
     """The Kronecker product with the Jacobi-Trudi terms of `expanded`
-    chained along `chain`, whichever side kronecker_general would pick."""
-    signed = [(sign, _gamma_steps(nu)) for sign, nu in jacobi_trudi(expanded)]
-    return internal_product._signed_chains(chain, signed, expanded.text())
+    chained along `chain` one by one, whichever side kronecker_general would
+    pick."""
+    return SchurExpansion._from_index(chain.size, _chained_terms(chain, expanded).items())
 
 
 @PROPERTY
@@ -1139,7 +1079,7 @@ def _resolve(chain, expanded):
 @example((Partition([6, 4]), Partition([4, 3, 2, 1])))
 @example((Partition([9, 3]), Partition([4, 4, 4])))
 def test_every_resolution_agrees_with_kronecker_general(pair):
-    # kronecker_general runs one chain for both argument orders, so the
+    # kronecker_general runs one fold for both argument orders, so the
     # symmetries are checked here on resolutions forced through each side:
     # s_lam*s_mu = s_mu*s_lam = s_lam'*s_mu', and s_lam*s_mu' = w(s_lam*s_mu).
     lam, mu = pair
@@ -1153,22 +1093,22 @@ def test_every_resolution_agrees_with_kronecker_general(pair):
 
 
 def _chain_calls(lam, mu):
-    """The arguments of every _signed_chains call of kronecker_general(lam,
-    mu), with the chains themselves not run."""
+    """The (chain, expanded) pair of every _fold call of
+    kronecker_general(lam, mu), with the fold itself not run."""
     calls = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(internal_product, "_signed_chains", lambda *call: calls.append(call))
+        patch.setattr(internal_product, "_fold", lambda *call: calls.append(call) or {})
         kronecker_general(lam, mu)
     return calls
 
 
 @PROPERTY
 @given(same_degree_pairs(min_d=0, max_d=9))
+@example((Partition([6, 1, 1]), Partition([4, 4])))
 @example((Partition([7, 2, 1]), Partition([5, 5])))
-@example((Partition([7, 7]), Partition([10, 3, 1])))
 def test_both_argument_orders_make_the_same_chain_call(pair):
-    # No pair at d <= 9 has two equal chain estimates; the examples do, the
-    # first at the lowest degree.
+    # The examples have two orientations with equal lowest fold estimates,
+    # the first at the lowest degree with a tie, d = 8.
     lam, mu = pair
     assert _chain_calls(lam, mu) == _chain_calls(mu, lam)
 
@@ -1180,7 +1120,7 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
         "schur._last_strips", "schur._product_terms", "schur._skew_terms",
         "characters.class_size", "characters.perm_row", "characters.character_row",
         "characters._strip_removals", "characters._chi",
-        "internal_product._steps", "internal_product._chain_sum",
+        "internal_product._steps", "internal_product._chain", "internal_product._fold",
         "internal_product._contingency_weights",
     }
     lam, mu = Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1])
@@ -1189,10 +1129,10 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
     clear_all()
     assert all(t.cache_info().currsize == 0 for t in MEMOS.values())
     assert kronecker(lam, mu)[0] == before
-    # A repeated call is answered from the memo of grouped chain sums.
-    hits = internal_product._chain_sum.cache_info().hits
+    # A repeated call is answered from the memo of folds.
+    hits = _fold.cache_info().hits
     assert kronecker(lam, mu)[0] == before
-    assert internal_product._chain_sum.cache_info().hits > hits
+    assert _fold.cache_info().hits == hits + 1
 
 
 def test_the_exponential_products_of_one_margin_pair_flatten_it_once():
@@ -1231,7 +1171,7 @@ def test_memo_entries_share_one_int_per_position(monkeypatch):
     entries, tables = [], []
     clear_all()
     monkeypatch.setattr(schur, "_product_terms", recorder(entries, _product_terms))
-    monkeypatch.setattr(internal_product, "_chain_sum", recorder(tables, _chain_sum))
+    monkeypatch.setattr(internal_product, "_step", recorder(tables, _step))
     square = Partition([6, 5, 4, 2, 1])
     assert kronecker_general(square, square) == kronecker_oracle_expansion(square, square)
     seen = 0
@@ -1639,7 +1579,8 @@ def test_the_oracle_never_runs_the_tableau_engine(monkeypatch):
         "_strips", "_last_strips", "_lr_tally", "_product_terms", "_skew_terms",
     ):
         monkeypatch.setattr(schur, name, forbidden)
-    monkeypatch.setattr(internal_product, "_chain_sum", forbidden)
+    monkeypatch.setattr(internal_product, "_chain", forbidden)
+    monkeypatch.setattr(internal_product, "_fold", forbidden)
     lam, mu = Partition([3, 2, 1]), Partition([4, 2])
     assert lr_oracle(lam, Partition([2, 1]), Partition([2, 1])) == 2
     assert internal_h_oracle(lam, Composition([3, 0, 3])).coefficient(lam) == 8

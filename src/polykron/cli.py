@@ -2,6 +2,8 @@
 
 Exit codes: 0 on success, 2 on input errors, 3 on internal-consistency
 failures (oracle disagreement, non-integer division, negative coefficient).
+A reader that closes stdout early, as `| head -1` does, leaves the exit code
+as it is, with no traceback.
 Reports go to stdout, diagnostics to stderr, and nothing is printed until the
 computation has finished.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -262,7 +265,13 @@ def run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     text, code = out if isinstance(out, tuple) else (render_report(out, args.json), EXIT_OK)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left after the report was computed; the code stands.
+        # Point stdout at devnull, so that the flush at exit does not fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

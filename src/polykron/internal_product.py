@@ -14,7 +14,7 @@ other's `one_box_moves`.  The module's memos are registered in `_memo`.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 from ._memo import memo
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError, UndefinedProductError
@@ -25,7 +25,7 @@ from .partitions import (
     _margin_degree,
     _partitions_between,
 )
-from .schur import SchurExpansion, _conjugation, _multiply, _positions, _skew_terms
+from .schur import SchurExpansion, _conjugation, _moves, _multiply, _positions, _skew_terms
 
 GAMMA = "Gamma"
 SYM = "Sym"
@@ -193,29 +193,30 @@ def _steps(gammas: tuple, wedges: tuple) -> tuple:
     return tuple(sorted(pair for pair in pairs if pair[0]))
 
 
-def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
-    """One chain step: the table {alpha: expansion} grown by `size` cells.
+def _step(out: dict, lam: tuple, dp: dict, size: int, family: str, sign: int) -> None:
+    """One chain step: add sign times the table {alpha: expansion} grown by
+    `size` cells into out, which maps each beta to a dense list over
+    partitions_of(|beta|).
 
     Each alpha passes to every beta between alpha and lam with `size` more
-    cells, times the step piece: s_{beta/alpha} for a GAMMA step and its
-    conjugate s_{beta'/alpha'} = omega s_{beta/alpha} for a WEDGE step, whose
-    terms are those of s_{beta/alpha} read through _conjugation.  The step is
-    linear in the expansions, so a signed sum of tables may be stepped once,
-    and the expansions that reach one beta, grouped by piece, are multiplied
-    out by one _multiply call, as schur_outer_product's are.  Every alpha
-    has the same size, and an expansion is keyed by the positions of its
-    partitions in partitions_of of that size: the int objects of
-    _positions, so every table and memo entry shares them.
+    cells (to lam alone once the step reaches |lam|), times the step piece:
+    s_{beta/alpha} for a GAMMA step and its conjugate s_{beta'/alpha'} =
+    omega s_{beta/alpha} for a WEDGE step, whose terms are those of
+    s_{beta/alpha} read through _conjugation.  The step is linear in the
+    expansions, so a signed sum of tables may be stepped once, and the
+    expansions that reach one beta, grouped by piece, are multiplied out by
+    one _multiply call into out[beta], as schur_outer_product's are.  Every
+    alpha has the same size, and an expansion is keyed by the positions of
+    its partitions in partitions_of of that size.
     """
-    if not dp:
-        return {}
-    degree = sum(next(iter(dp)))
+    degree = sum(next(iter(dp), ()))
+    total = degree + size
     flip = _conjugation(size) if family == WEDGE else None
-    # by_piece[beta][gamma] sums c^{beta/alpha}_gamma * dp[alpha] over alpha,
-    # so each (mu, gamma) product is expanded once per beta.
+    # by_piece[beta][gamma] sums sign * c^{beta/alpha}_gamma * dp[alpha] over
+    # alpha, so each (mu, gamma) product is expanded once per beta.
     by_piece = {}
     for alpha, expn in dp.items():
-        for beta in _partitions_between(alpha, lam, sum(alpha) + size):
+        for beta in (lam,) if total == sum(lam) else _partitions_between(alpha, lam, total):
             groups = by_piece.get(beta)
             if groups is None:
                 groups = by_piece[beta] = {}
@@ -225,15 +226,28 @@ def _step(lam: tuple, dp: dict, size: int, family: str) -> dict:
                 left = groups.get(gamma)
                 if left is None:
                     left = groups[gamma] = {}
+                c *= sign
                 for mu, x in expn.items():
                     left[mu] = left.get(mu, 0) + c * x
-    return {beta: _multiply(groups, degree, size) for beta, groups in by_piece.items()}
+    for beta, groups in by_piece.items():
+        acc = out.get(beta)
+        if acc is None:
+            acc = out[beta] = [0] * len(_positions(total))
+        _multiply(acc, groups, degree, size)
+
+
+def _compressed(out: dict) -> dict:
+    """out's nonzero entries per beta, keyed by the int objects of _positions
+    as in every table and memo entry; betas without any are dropped."""
+    positions = _positions(sum(next(iter(out), ()))).values()
+    return {beta: t for beta, acc in out.items() if (t := dict(compress(zip(positions, acc), acc)))}
 
 
 @memo
 def _chain(lam: tuple, steps: tuple) -> dict:
-    """The table that _step folds over steps makes of {(): s_()}, one memo
-    entry per prefix of the steps and one frame per step.
+    """The table that _step folds over steps makes of {(): s_()}, by one memo
+    entry per prefix of the steps and one frame per step, each compressing
+    its last step into {}.
 
     At |lam| the table holds lam alone, and its entry there is the Kronecker
     product of s_lam with the product of the steps' h_size and e_size.  The
@@ -241,39 +255,13 @@ def _chain(lam: tuple, steps: tuple) -> dict:
     """
     if not steps:
         return {(): {0: 1}}
-    return _step(lam, _chain(lam, steps[:-1]), *steps[-1])
+    out = {}
+    _step(out, lam, _chain(lam, steps[:-1]), *steps[-1], 1)
+    return _compressed(out)
 
 
 def _gamma_steps(nu: Composition) -> tuple:
     return _steps(tuple(nu), ())
-
-
-def _moves(expanded: tuple, row: int, mask: int):
-    """(column, sign, size) for each free column of `mask` whose entry
-    h_size, size = expanded[row] - row + column, in expanded's Jacobi-Trudi
-    matrix is nonzero (size >= 0): the sign is -1 to the number of used
-    columns left of the column."""
-    sign = 1
-    for j in range(len(expanded)):
-        if mask >> j & 1:
-            sign = -sign
-        elif (size := expanded[row] - row + j) >= 0:
-            yield j, sign, size
-
-
-def _signed_sum(parts) -> dict:
-    """The sum of sign * table over the (sign, table) parts, zeros dropped."""
-    out = {}
-    for sign, table in parts:
-        for beta, expn in table.items():
-            acc = out.setdefault(beta, {})
-            for mu, x in expn.items():
-                acc[mu] = acc.get(mu, 0) + sign * x
-    return {
-        beta: nonzero
-        for beta, expn in out.items()
-        if (nonzero := {mu: x for mu, x in expn.items() if x})
-    }
 
 
 @memo
@@ -284,31 +272,37 @@ def _fold(chain: tuple, expanded: tuple) -> dict:
 
     After the rows below r, the state is one table per bitmask of the
     columns they use: the signed sum of their terms' chain tables, so at
-    most 2^k tables are stepped.  Row r steps each table once per move of
-    _moves, by _step (h_0 passes the table through).  The tables that reach
-    one mask are summed, zeros dropped; a single positive one passes through
-    uncopied.  A term's steps commute, so this row order gives its chain
-    sum.  The returned dict is the memo's own and must not be changed.
+    most 2^k tables are stepped.  Row r keeps one accumulator per mask it
+    reaches: each move of _moves adds its table to it with its sign, stepped
+    by _step (an h_0 move adds the table as is), and one _compressed per
+    mask ends the row.  A term's steps commute, so this row order gives its
+    chain sum.  The returned dict is the memo's own and must not be changed.
     """
     tables = {0: {(): {0: 1}}}
     for row in range(len(expanded) - 1, -1, -1):
         reached = {}
         for mask, table in tables.items():
             for j, sign, size in _moves(expanded, row, mask):
-                moved = _step(chain, table, size, GAMMA) if size else table
-                reached.setdefault(mask | 1 << j, []).append((sign, moved))
-        tables = {}
-        for mask, parts in reached.items():
-            (sign, table), *rest = parts
-            tables[mask] = table if sign > 0 and not rest else _signed_sum(parts)
+                out = reached.setdefault(mask | 1 << j, {})
+                if size:
+                    _step(out, chain, table, size, GAMMA, sign)
+                    continue
+                for beta, expn in table.items():
+                    acc = out.get(beta)
+                    if acc is None:
+                        acc = out[beta] = [0] * len(_positions(sum(beta)))
+                    for mu, x in expn.items():
+                        acc[mu] += sign * x
+        tables = {mask: _compressed(out) for mask, out in reached.items()}
     return tables.get((1 << len(expanded)) - 1, {}).get(chain, {})
 
 
 def _fold_cost(chain: tuple, expanded: tuple, budget=float("inf")) -> int:
     """A shape-only estimate of _fold(chain, expanded): over the masks that
     the fold reaches, the partitions inside chain at the size that each
-    nonzero move steps to.  It reads no LR, skew or chain memo, and it stops
-    once the estimate reaches the budget."""
+    nonzero move steps to.  That bounds the cold fold's _multiply calls, one
+    per nonzero move and beta reached.  It reads no LR, skew or chain memo,
+    and it stops once the estimate reaches the budget."""
     sizes, inside, cost = {0: 0}, {}, 0
     for row in range(len(expanded) - 1, -1, -1):
         reached = {}

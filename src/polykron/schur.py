@@ -1,24 +1,23 @@
 """Schur-basis expansions and the Littlewood-Richardson kernel behind them.
 
 Littlewood-Richardson terms are generated directly instead of being searched
-for one coefficient at a time (the technique of Buch's lrcalc):
+for one coefficient at a time:
 
-- `_product_terms(mu, nu)` grows mu by horizontal strips of nu_1 1s, nu_2 2s,
-  and so on, keeping the reverse reading word (right to left, top to bottom)
-  a lattice word row by row (`_lr_tally`).  Every letter but the last is
-  placed strip by strip.  The last letter's strips depend only on the shape
-  and on the strip of the letter before, and products of different factors
-  often reach the same such state, so they come from one memo shared by all
-  products (`_last_strips`).  The tally counts each LR tableau once.  The
-  walk makes no call per row and no closure or callback per strip:
-  `_strips` is a generator that walks the rows of one letter's strips in
-  its own frame and yields each strip, and `_lr_tally` keeps one such
-  generator per letter on a stack in its frame, as lrcalc keeps its
-  tableau walk on an explicit stack.
+- `_product_terms(mu, nu)` multiplies s_mu by the Jacobi-Trudi determinant
+  s_nu = det(h_{nu_i - i + j}) (Macdonald I.3), folded by Laplace expansion
+  over column masks, bottom row first, from {mu: 1} (`_product_fold`).  Each
+  move is a Pieri step s_alpha * h_a, the sum of s_beta over the horizontal
+  a-strips beta/alpha (I.5), with no lattice condition; the determinant
+  terms that use the same columns reach the same mask, so their products add
+  up and cancel before the next row.  The steps come from one memo shared by
+  all products, keyed by (degree, position of alpha, a) (`_pieri`).
+  `_moves` lists a row's moves for this fold and for the Kronecker-level
+  fold of `internal_product`.
   c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}, so of the four
   orientations (mu, nu), (nu, mu), (mu', nu') and (nu', mu') only the first
-  in `_walk_order` is walked: the content with the fewest letters, then the
-  fewest rows to grow.  An entry holds the walk's nonzero coefficients as
+  in `_walk_order` is folded: the content with the fewest letters, which is
+  the fewest determinant rows and so at most 2^k masks, then the fewest
+  rows to grow.  An entry holds the fold's nonzero coefficients as
   two flat tuples, their positions in ascending order and the coefficients.
   The swapped pair returns the same entry, and the conjugate pair an entry
   that shares both tuples and reads them through `_conjugation(d)`, the
@@ -26,7 +25,7 @@ for one coefficient at a time (the technique of Buch's lrcalc):
   partition; nothing is copied.
 - `_skew_terms(outer, inner)` reads each c^outer_{inner,beta} from the
   memoised product s_inner * s_beta, so skew Schur functions and products
-  share one LR walker and one memo of products.  The Weyl chain's Wedge
+  share one LR kernel and one memo of products.  The Weyl chain's Wedge
   steps need s_{beta'/alpha'} = omega s_{beta/alpha}, and read the terms of
   s_{beta/alpha} through `_conjugation`, so both step families share the
   skew memo's entries.
@@ -36,9 +35,10 @@ named by its position in `partitions_of(d)`.  Callers outside this module
 and the Weyl chain never receive that form: `lr_coeff`,
 `skew_schur_expansion` and `schur_outer_product` answer from it, and
 `SchurExpansion._from_index` turns positions into the `Partition` objects of
-`partitions_of(d)`.  `_multiply`, the one multiply-accumulate, sums the
-products of index-form expansions with pieces s_gamma in a dense list;
-`schur_outer_product` and the Weyl chain's steps both call it.
+`partitions_of(d)`.  `_multiply`, the one multiply-accumulate, adds the
+products of index-form expansions with pieces s_gamma into a dense list
+that its caller owns; `schur_outer_product` and the Weyl chain's steps both
+call it.
 
 The module's memos are registered in `_memo`.
 """
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import compress
-from operator import sub
 
 from ._memo import memo
 from .errors import DegreeMismatchError
@@ -173,153 +172,76 @@ class SchurExpansion:
         return f"SchurExpansion({self.degree}, {body})"
 
 
-def _strips(shape: list, prev, size: int, top: int):
-    """Yield cur once per horizontal strip of `size` cells that the next
-    letter can add to `shape` with the reverse reading word (right to left,
-    top to bottom) still a lattice word.
-
-    shape ends in at least one zero row, and `top` is its first zero row,
-    the one row a strip may open.  prev[r] is the number of cells the letter
-    before filled in row r, with an entry for every row up to `top`; prev is
-    all zero for the letter 1, and otherwise a horizontal strip of shape
-    with at least `size` cells, as the content is a partition.  Cells go
-    in row by row from the top.  With x cells in row r the word stays a
-    lattice word iff, summed over rows <= r, the new letter occurs no more
-    often than the one before does in rows < r; the `slack` of a row is that
-    bound less what the rows above already used.  While the consumer holds a
-    strip, shape holds the grown shape and cur[r] the strip's cells in row r;
-    both are restored before the next strip.
-
-    The rows are walked depth first in this one generator frame, with no
-    call per row: a placed row r keeps its count in cur[r], its least count
-    in low[r] and the `left` and `slack` it was entered with, and counts are
-    tried from high to low.
-
-    The walk is exact: row r takes from least = max(0, left - old[r]) to
-    cap = min(left, slack, gap[r]) cells, and cap >= least in every row, so
-    every count tried completes a strip.
-
-    1. With room(r) the sum of prev[j] over j >= r, left <= slack + room(r)
-       holds at row 0 (slack = size for the letter 1; size <= |prev| for a
-       later one), and x cells in row r keep it: left falls by x, slack
-       changes by prev[r] - x and room falls by prev[r].
-    2. prev is a horizontal strip of shape, so room(r) <= old[r] and
-       slack >= left - old[r]; slack >= 0, as no row takes more than it.
-    3. Row r - 1 left at most old[r - 1] cells below it, so
-       gap[r] = old[r - 1] - old[r] >= least; gap[0] = size = left.
-    4. Row `top` has old = 0, so it takes all that is left: the walk never
-       passes `top`.
-    """
-    old = shape[:]
-    cur = [0] * len(shape)
-    # gap[r]: the most cells row r may take and stay below row r - 1
-    gap = [size, *map(sub, old, old[1 : top + 1])]
-    low = [0] * (top + 1)
-    lefts = [0] * (top + 1)
-    slacks = [0] * (top + 1)
-    r = 0
-    left = size
-    # Only the letter 1 has an all-zero prev, and the 1s have no lattice
-    # bound; every later letter starts at slack 0.
-    slack = 0 if any(prev) else size
-    while True:
-        # Fill rows r, r + 1, ... with their largest counts until the strip
-        # is placed, and yield it.
-        while left:
-            cap = left if left < slack else slack
-            if gap[r] < cap:
-                cap = gap[r]
-            # A horizontal strip puts at most old[r] cells below row r.
-            least = left - old[r]
-            if least < 0:
-                least = 0
-            low[r] = least
-            lefts[r] = left
-            slacks[r] = slack
-            shape[r] = old[r] + cap
-            cur[r] = cap
-            left -= cap
-            slack += prev[r] - cap
-            r += 1
-        yield cur
-        # Restore the rows at their least count; the row above them takes
-        # one cell fewer, and the walk goes on below it.
-        r -= 1
-        while r >= 0 and cur[r] == low[r]:
-            shape[r] = old[r]
-            cur[r] = 0
-            r -= 1
-        if r < 0:
-            return
-        x = cur[r] - 1
-        shape[r] = old[r] + x
-        cur[r] = x
-        left = lefts[r] - x
-        slack = slacks[r] + prev[r] - x
-        r += 1
+def _moves(expanded: tuple, row: int, mask: int):
+    """(column, sign, size) for each free column of `mask` whose entry
+    h_size, size = expanded[row] - row + column, in expanded's Jacobi-Trudi
+    matrix is nonzero (size >= 0): the sign is -1 to the number of used
+    columns left of the column."""
+    sign = 1
+    for j in range(len(expanded)):
+        if mask >> j & 1:
+            sign = -sign
+        elif (size := expanded[row] - row + j) >= 0:
+            yield j, sign, size
 
 
 @memo
-def _last_strips(shape: tuple, prev: tuple, size: int) -> tuple:
-    """The positions in partitions_of(|shape| + size) of the shapes that the
-    last letter's strip of `size` cells reaches from `shape`, in the order
-    that _strips yields them.
+def _pieri(degree: int, at: int, size: int) -> tuple:
+    """The positions in partitions_of(degree + size) of the shapes that a
+    horizontal strip of `size` cells grows on alpha, the partition at
+    position `at` of partitions_of(degree): the terms of s_alpha * h_size.
 
-    prev has one entry per row of shape, all zero for the letter 1, so the
-    key needs no flag for it.  Distinct strips reach distinct shapes, so
-    each position occurs once.  Products of different factors often end in
-    the same state, and this memo serves them all.
+    They are the partitions between alpha and (alpha_1 + size, alpha_1,
+    alpha_2, ...): each row of beta reaches at most the row above it in
+    alpha, which makes beta/alpha a horizontal strip.  This memo holds the
+    walk's shapes as positions, so the enumerator runs past its own memo,
+    which would keep them again as parts tuples."""
+    alpha = partitions_of(degree)[at].parts
+    pos = _positions(degree + size)
+    top = (alpha[0] + size, *alpha) if alpha else (size,)
+    return tuple(map(pos.__getitem__, _partitions_between.__wrapped__(alpha, top, degree + size)))
+
+
+def _product_fold(mu: tuple, nu: tuple) -> dict:
+    """{position: c^lam_{mu,nu}} over partitions_of(|mu| + |nu|), positions
+    ascending and zeros dropped: s_mu * det(h_{nu_r - r + j}) folded by
+    Laplace expansion over column masks, row by row from the bottom up, from
+    {position of mu: 1}.
+
+    After the rows below r, the state is one table per bitmask of the
+    columns they use, the signed sum of their terms' products, all of one
+    degree, so at most 2^len(nu) tables are stepped.  Row r moves each table
+    once per move of _moves by the Pieri steps of _pieri, and the tables
+    that reach one mask are summed.  Row 0 moves every table to the one full
+    mask, whose table is the product; it is summed in a dense list.  The
+    positions are the int objects of _positions.
     """
-    grown = [*shape, 0]
-    pos = _positions(sum(shape) + size)
-    out = []
-    for _ in _strips(grown, [*prev, 0], size, len(shape)):
-        out.append(pos[tuple(grown) if grown[-1] else tuple(grown[:-1])])
-    return tuple(out)
-
-
-def _lr_tally(base: tuple, content: tuple) -> list:
-    """c^lam_{base,content} for every lam, as a list aligned with
-    partitions_of(|lam|).
-
-    Letter k+1 goes in as a horizontal strip of content[k] cells (_strips);
-    each LR tableau of shape lam/base and content `content` is one way to
-    place them all.  The letters before the last are walked depth first in
-    this one frame: `walks[k]` is the _strips generator of letter k+1 on the
-    shape that the letters before it left, and it reads their last strip as
-    its prev.  The last letter's strips come from the _last_strips memo,
-    keyed by the state the letters before it leave.  A strip opens at most
-    one row, so `tops[k]`, the row count of the shape that letter k+1 grows,
-    is carried down the stack rather than searched for.
-    """
-    tally = [0] * len(partitions_of(sum(base) + sum(content)))
-    if not content:
-        tally[_positions(sum(base))[base]] = 1
-        return tally
-    last = len(content) - 1
-    size = content[last]
-    if not last:
-        for i in _last_strips(base, (0,) * len(base), size):
-            tally[i] += 1
-        return tally
-    shape = [*base] + [0] * len(content)
-    tops = [len(base)] + [0] * (last - 1)
-    walks = [_strips(shape, [0] * len(shape), content[0], len(base))] + [None] * (last - 1)
-    k = 0
-    while k >= 0:
-        top = tops[k]
-        for cur in walks[k]:
-            grown = top + 1 if cur[top] else top
-            if k + 1 < last:  # descend; the while resumes at letter k + 2
-                k += 1
-                tops[k] = grown
-                walks[k] = _strips(shape, cur, content[k], grown)
-                break
-            for i in _last_strips(tuple(shape[:grown]), tuple(cur[:grown]), size):
-                tally[i] += 1
-        else:  # letter k + 1 is exhausted; resume letter k
-            k -= 1
-    return tally
+    total = sum(mu) + sum(nu)
+    if not nu:
+        return {_positions(total)[mu]: 1}
+    tables = {0: (sum(mu), {_positions(sum(mu))[mu]: 1})}
+    for row in range(len(nu) - 1, 0, -1):
+        reached = {}
+        for mask, (degree, table) in tables.items():
+            for j, sign, size in _moves(nu, row, mask):
+                acc = reached.setdefault(mask | 1 << j, (degree + size, {}))[1]
+                get = acc.get
+                for alpha, c in table.items():
+                    c *= sign
+                    for beta in _pieri(degree, alpha, size):
+                        acc[beta] = get(beta, 0) + c
+        tables = {
+            mask: (degree, {beta: c for beta, c in acc.items() if c})
+            for mask, (degree, acc) in reached.items()
+        }
+    acc = [0] * len(partitions_of(total))
+    for mask, (degree, table) in tables.items():
+        for _, sign, size in _moves(nu, 0, mask):
+            for alpha, c in table.items():
+                c *= sign
+                for beta in _pieri(degree, alpha, size):
+                    acc[beta] += c
+    return dict(compress(zip(_positions(total).values(), acc), acc))
 
 
 def _walk_order(mu: tuple, nu: tuple) -> tuple:
@@ -338,10 +260,10 @@ def _product_terms(mu: tuple, nu: tuple) -> tuple:
     orientation's, or None.
 
     c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}, so of the four
-    orientations only the one first in _walk_order is walked, and its entry
-    has flip None.  s_nu*s_mu returns the entry of s_mu*s_nu, and the
-    conjugate pair's entry shares the walked tuples, with flip the
-    _conjugation of its degree.  Read an entry through _coefficient or
+    orientations only the one first in _walk_order is walked, by
+    _product_fold, and its entry has flip None.  s_nu*s_mu returns the entry
+    of s_mu*s_nu, and the conjugate pair's entry shares the walked tuples,
+    with flip the _conjugation of its degree.  Read an entry through _coefficient or
     _multiply.
     """
     if _walk_order(nu, mu) < _walk_order(mu, nu):
@@ -352,9 +274,8 @@ def _product_terms(mu: tuple, nu: tuple) -> tuple:
     if _walk_order(cmu, cnu) < _walk_order(mu, nu):
         positions, coefficients, _ = _product_terms(cmu, cnu)
         return positions, coefficients, _conjugation(sum(mu) + sum(nu))
-    tally = _lr_tally(mu, nu)
-    positions = _positions(sum(mu) + sum(nu)).values()
-    return tuple(compress(positions, tally)), tuple(compress(tally, tally)), None
+    terms = _product_fold(mu, nu)
+    return tuple(terms), tuple(terms.values()), None
 
 
 def _coefficient(entry: tuple, at: int) -> int:
@@ -389,15 +310,13 @@ def _skew_terms(outer: tuple, inner: tuple) -> dict:
     return terms
 
 
-def _multiply(pieces: dict, degree: int, size: int) -> dict:
-    """The nonzero {position: coefficient} table over partitions_of(degree +
-    size) of the sum of left * s_gamma over the (gamma, left) items of pieces;
-    gamma is a position in partitions_of(size), left is keyed by positions in
-    partitions_of(degree), and the keys are the int objects of _positions."""
+def _multiply(acc: list, pieces: dict, degree: int, size: int) -> None:
+    """Add to acc, a dense list over partitions_of(degree + size), the sum of
+    left * s_gamma over the (gamma, left) items of pieces; gamma is a
+    position in partitions_of(size) and left is keyed by positions in
+    partitions_of(degree)."""
     shapes = partitions_of(degree)
     factors = partitions_of(size)
-    positions = _positions(degree + size).values()
-    acc = [0] * len(positions)
     for gamma, left in pieces.items():
         nu = factors[gamma].parts
         for mu, x in left.items():
@@ -406,7 +325,6 @@ def _multiply(pieces: dict, degree: int, size: int) -> dict:
                 terms = map(flip.__getitem__, terms)
             for i, c in zip(terms, coefficients):
                 acc[i] += x * c
-    return dict(compress(zip(positions, acc), acc))
 
 
 def lr_coeff(outer: Partition, left: Partition, right: Partition) -> int:
@@ -431,5 +349,6 @@ def schur_outer_product(a: SchurExpansion, b: SchurExpansion) -> SchurExpansion:
     left = {_positions(a.degree)[p.parts]: c for p, c in a.terms.items()}
     pos = _positions(b.degree)
     pieces = {pos[nu.parts]: {mu: y * x for mu, x in left.items()} for nu, y in b.terms.items()}
-    terms = _multiply(pieces, a.degree, b.degree)
-    return SchurExpansion._from_index(a.degree + b.degree, terms.items())
+    acc = [0] * len(partitions_of(a.degree + b.degree))
+    _multiply(acc, pieces, a.degree, b.degree)
+    return SchurExpansion._from_index(a.degree + b.degree, enumerate(acc))

@@ -2,12 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polykron
 from polykron import Partition, kronecker_oracle_expansion, sweeps
 from polykron.cli import run
 from polykron.sweeps import SUITE_NAMES
@@ -500,3 +503,23 @@ class TestExitCodeContract:
         assert "Traceback" not in err.getvalue()
         if code != 0:
             assert out.getvalue() == ""
+
+    def test_a_reader_that_leaves_early_gets_no_traceback(self):
+        # The pipe is closed before the report is written, as `| head -1`
+        # closes it after one line: the process keeps its exit code and
+        # prints no traceback, and a report that was computed prints nothing
+        # on stderr.
+        src = os.path.dirname(os.path.dirname(polykron.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        for argv, want in (
+            (["kron", "--lambda", "6,5,4,2,1", "--mu", "6,5,4,2,1"], 0),
+            (["kron", "--lambda", "2,1", "--mu", "2,1", "--json"], 0),
+            (["kron", "--lambda", "2,1", "--mu", "4"], 2),
+        ):
+            proc = subprocess.Popen([sys.executable, "-m", "polykron.cli", *argv], env=env,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == want, (argv, err)
+            assert b"Traceback" not in err and (want or err == b""), (argv, err)

@@ -317,9 +317,49 @@ class TestResolutionChoice:
         assert _estimate(mu, lam.conjugate()) == 246
         assert self.folded(monkeypatch, lam, mu, run=False) == [(mu, lam)]
         for fn in (
-            schur._product_terms, schur._last_strips, schur._skew_terms, _chain, _fold,
+            schur._product_terms, schur._pieri, schur._skew_terms, _chain, _fold,
         ):
             assert fn.cache_info().currsize == 0, fn.__name__
+
+    def test_the_estimate_bounds_the_multiply_calls_of_a_cold_fold(self, monkeypatch):
+        # A cold _fold multiplies once per nonzero move and beta that the
+        # step reaches, and _fold_cost counts every partition inside chain at
+        # the move's size.  A step that reaches |lam| reaches lam alone, so
+        # no step asks _partitions_between for that size.
+        calls, asked = [0], []
+        multiply, between = internal_product._multiply, internal_product._partitions_between
+
+        def count(*args):
+            calls[0] += 1
+            multiply(*args)
+
+        def record(inner, outer, size):
+            asked.append((outer, size))
+            return between(inner, outer, size)
+
+        monkeypatch.setattr(internal_product, "_multiply", count)
+        monkeypatch.setattr(internal_product, "_partitions_between", record)
+
+        def fold(chain, expanded):
+            calls[0] = 0
+            asked.clear()
+            _fold(chain, expanded)
+            assert all(size < sum(outer) for outer, size in asked), (chain, expanded)
+            return calls[0]
+
+        clear_all()
+        for d in range(1, 9):
+            for chain in partitions_of(d):
+                for expanded in partitions_of(d):
+                    assert fold(chain.parts, expanded.parts) <= _estimate(expanded, chain)
+        square = P(6, 4, 3, 2, 1)
+        clear_all()
+        assert fold(square.parts, square.parts) == _estimate(square, square) == 385
+        asked.clear()
+        lam = P(4, 3, 2, 1)
+        assert kronecker_hook(lam, 4, 6) == kronecker_oracle_expansion(lam, P(4, *[1] * 6))
+        weyl_tensor_gamma(lam, C(3, 0, 4, 3))
+        assert asked and all(size < sum(outer) for outer, size in asked)
 
     def test_the_cheaper_side_is_chained_in_both_orders(self, monkeypatch):
         lam, mu = P(9, 3, 2, 1), P(4, 4, 4, 3)
@@ -490,6 +530,25 @@ class TestKroneckerHook:
         monkeypatch.setattr(internal_product, "_chain", None)
         assert [kronecker_hook(*case) for case in cases] == want
         assert want[0].terms == {P(2, 2, 2, 2, 1): 1} and want[2].terms == {P(5, 1, 1, 1, 1): 1}
+
+    def test_a_repeated_call_reads_its_chains_from_the_memo(self, monkeypatch):
+        # The hook path reads each of its q + 1 chains whole from the chain
+        # memo, so a second call multiplies nothing.
+        lam, hook = P(5, 4, 3, 2, 1), Partition([8] + [1] * 7)
+        calls = []
+        multiply = internal_product._multiply
+
+        def count(*args):
+            calls.append(args)
+            multiply(*args)
+
+        monkeypatch.setattr(internal_product, "_multiply", count)
+        clear_all()
+        first = kronecker_hook(lam, 8, 7)
+        assert calls and first == kronecker_oracle_expansion(lam, hook)
+        calls.clear()
+        assert kronecker_hook(lam, 8, 7) == first
+        assert calls == []
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

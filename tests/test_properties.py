@@ -8,12 +8,13 @@ against the plain fold of each chain, of every Jacobi-Trudi resolution of a
 Kronecker product against the one kronecker_general picks, of the contingency
 enumerator and its row-vector pairs against independent counts, on random
 inputs beyond the sweep bounds, of the contingency enumerator, its row-vector
-pairs, the LR strip and letter walks, the partitions between two shapes and
-the Jacobi-Trudi terms against the recursive walks they replaced, order
-included, of the walker on the tight bounds of one-box moves and horizontal
-strips, of the one-box moves and the compositions against brute force, of
-the contingency enumerator on cold, warm, stale and concurrently filled row
-tables and at 3,000 rows, of each method's one result for both factor orders,
+pairs, the partitions between two shapes and the Jacobi-Trudi terms against
+the recursive walks they replaced, order included, of the product fold and
+its Pieri steps against the recursive lattice-word walk, of the walker on
+the tight bounds of one-box moves and horizontal strips, of the one-box
+moves and the compositions against brute force, of the contingency
+enumerator on cold, warm, stale and concurrently filled row tables and at
+3,000 rows, of each method's one result for both factor orders,
 and of the kernel memos, the position ints they share and what a call leaves
 in them."""
 
@@ -62,9 +63,11 @@ from polykron import (
     weyl_tensor_wedge,
 )
 from polykron._memo import MEMOS, clear_all
-from polykron.internal_product import _chain, _contingency_weights, _fold, _gamma_steps, _step
+from polykron.internal_product import (
+    _chain, _compressed, _contingency_weights, _fold, _gamma_steps, _step,
+)
 from polykron.partitions import enumerate_compositions, partitions_of
-from polykron.schur import _last_strips, _lr_tally, _product_terms, _skew_terms
+from polykron.schur import _pieri, _product_fold, _product_terms, _skew_terms
 
 # Reproducible draws, and no example database written next to the tests.
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -220,7 +223,7 @@ def _brute_force_matrices(mu, lam):
 
 def _grow(base, content):
     """LR tableaux of shape lam/base and content `content`, counted by lam:
-    the reference for _lr_tally, which replaced it in polykron.schur.
+    the reference for _product_fold, which replaced it in polykron.schur.
 
     Letter k+1 goes in as a horizontal strip of content[k] cells, placed row
     by row from the top.  With x cells of it in row r the reverse reading
@@ -312,7 +315,9 @@ def _chain_in_order(lam, steps):
     memoised _chain, which folds the canonical steps of _steps."""
     dp = {(): {0: 1}}
     for size, family in steps:
-        dp = _step(lam, dp, size, family)
+        out = {}
+        _step(out, lam, dp, size, family, 1)
+        dp = _compressed(out)
     return dp[lam]
 
 
@@ -363,20 +368,21 @@ def _fill_cells(shape, content):
 
 
 def _assert_kernel_matches_the_reference(mu, nu):
-    """_lr_tally(mu, nu) equals the reference walk, with the last-strip memo
-    cleared first, and again with the memo filled by every product of a
-    factor of mu's size with nu, whose last letters reach many of the same
-    shapes from other states."""
+    """_product_fold(mu, nu) equals the reference walk, its positions
+    ascending and its coefficients nonzero, with the Pieri memo cleared
+    first, and again with the memo filled by every product of a factor of
+    mu's size with nu, whose steps reach many of the same shapes from other
+    products."""
     shapes = partitions_of(sum(mu) + sum(nu))
     want = _grow(mu, nu)
-    _last_strips.cache_clear()
-    cold = _lr_tally(mu, nu)
-    assert len(cold) == len(shapes)
-    assert {shapes[i].parts: c for i, c in enumerate(cold) if c} == want
-    _last_strips.cache_clear()
+    _pieri.cache_clear()
+    cold = _product_fold(mu, nu)
+    assert list(cold) == sorted(cold) and all(cold.values())
+    assert {shapes[i].parts: c for i, c in cold.items()} == want
+    _pieri.cache_clear()
     for other in partitions_of(sum(mu)):
-        _lr_tally(other.parts, nu)
-    assert _lr_tally(mu, nu) == cold
+        _product_fold(other.parts, nu)
+    assert _product_fold(mu, nu) == cold
 
 
 @lru_cache(maxsize=None)
@@ -387,7 +393,7 @@ def _row_order_product_terms(mu, nu):
     class of pairs in polykron.schur."""
     if (len(mu), mu) < (len(nu), nu):
         return _row_order_product_terms(nu, mu)
-    return tuple([(i, c) for i, c in enumerate(schur._lr_tally(mu, nu)) if c])
+    return tuple(schur._product_fold(mu, nu).items())
 
 
 def _pairs(entry):
@@ -432,8 +438,8 @@ def test_product_terms_match_the_row_order_walk_cold_and_warm(pair):
 
 
 def _walks(monkeypatch, product_terms, run):
-    """The (base, content) pairs that the LR walker grows while run() calls
-    products through `product_terms`, from cold memos."""
+    """The (base, content) pairs that the product fold grows while run()
+    calls products through `product_terms`, from cold memos."""
     for fn in (product_terms, _product_terms, _skew_terms, _chain, _fold):
         fn.cache_clear()
     monkeypatch.setattr(schur, "_product_terms", product_terms)
@@ -441,9 +447,9 @@ def _walks(monkeypatch, product_terms, run):
 
     def counted(base, content):
         walked.append((base, content))
-        return _lr_tally(base, content)
+        return _product_fold(base, content)
 
-    monkeypatch.setattr(schur, "_lr_tally", counted)
+    monkeypatch.setattr(schur, "_product_fold", counted)
     run()
     return walked
 
@@ -496,11 +502,12 @@ def test_lr_kernel_matches_the_reference_walk_at_degree_18():
 
 
 def _recursive_strips(shape, prev, size, first, visit):
-    """Call visit(cur) once per strip that _strips(shape, prev, size, top)
-    yields, `first` saying whether this is the letter 1, from a recursive
-    `row` closure: the reference for _strips, which walks the rows in one
-    generator frame in polykron.schur.  It keeps the dead-end exits that
-    _strips proves unreachable."""
+    """Call visit(cur) once per horizontal strip of `size` cells that the
+    next letter can add to shape with the reverse reading word still a
+    lattice word, `first` saying whether this is the letter 1, whose strips
+    have no lattice bound, from a recursive `row` closure.  prev is the
+    strip of the letter before; while visit runs, shape holds the grown
+    shape and cur the strip."""
     old = shape[:]
     cur = [0] * len(shape)
     top = old.index(0)
@@ -530,8 +537,9 @@ def _recursive_strips(shape, prev, size, first, visit):
 
 
 def _recursive_last_strips(shape, prev, size):
-    """The tuple that _last_strips stores for the state, from
-    _recursive_strips; an all-zero prev is the letter 1's."""
+    """The positions in partitions_of(|shape| + size) of the shapes that the
+    last letter's strips reach from the state, in _recursive_strips' order;
+    an all-zero prev is the letter 1's."""
     grown = [*shape, 0]
     pos = {p.parts: i for i, p in enumerate(partitions_of(sum(shape) + size))}
     out = []
@@ -544,10 +552,11 @@ def _recursive_last_strips(shape, prev, size):
 
 
 def _recursive_lr_tally(base, content, last_strips):
-    """The list of _lr_tally(base, content), from a closure per letter and a
-    lambda per strip: the reference for _lr_tally, which keeps one _strips
-    generator per letter in one frame in polykron.schur.  The last letter's
-    states go to last_strips(shape, prev, size)."""
+    """c^lam_{base,content} for every lam, as a list aligned with
+    partitions_of(|lam|), from a lattice-word walk with a closure per letter
+    and a lambda per strip: the reference for _product_fold, which folds
+    content's Jacobi-Trudi determinant by Pieri steps in polykron.schur.
+    The last letter's states go to last_strips(shape, prev, size)."""
     shapes = partitions_of(sum(base) + sum(content))
     tally = [0] * len(shapes)
     if not content:
@@ -568,78 +577,39 @@ def _recursive_lr_tally(base, content, last_strips):
     return tally
 
 
-def _assert_walk_matches_the_recursive_walk(mu, nu):
-    # The tally, the last-letter states that _lr_tally asks the _last_strips
-    # memo for, in order, and the memo's tuple for each state.
-    want_states = []
-
-    def reference(*state):
-        want_states.append(state)
-        return _recursive_last_strips(*state)
-
-    want = _recursive_lr_tally(mu, nu, reference)
-    states = []
-
-    def asked(*state):
-        states.append(state)
-        return _last_strips(*state)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(schur, "_last_strips", asked)
-        assert _lr_tally(mu, nu) == want, (mu, nu)
-    assert states == want_states, (mu, nu)
-    for state in dict.fromkeys(states):
-        assert _last_strips(*state) == _recursive_last_strips(*state), state
+def _assert_fold_matches_the_recursive_walk(mu, nu):
+    want = _recursive_lr_tally(mu, nu, _recursive_last_strips)
+    assert _product_fold(mu, nu) == {i: c for i, c in enumerate(want) if c}, (mu, nu)
 
 
-def test_lr_walk_matches_the_recursive_walk_in_order():
-    # Every factor pair with |mu| + |nu| <= 10, from a cold last-strip memo.
-    _last_strips.cache_clear()
+def test_product_fold_matches_the_recursive_walk_up_to_degree_ten():
+    # Every factor pair with |mu| + |nu| <= 10, from a cold Pieri memo.
+    _pieri.cache_clear()
     for total in range(11):
         for a in range(total + 1):
             for mu in partitions_of(a):
                 for nu in partitions_of(total - a):
-                    _assert_walk_matches_the_recursive_walk(mu.parts, nu.parts)
+                    _assert_fold_matches_the_recursive_walk(mu.parts, nu.parts)
 
 
 @PROPERTY
 @given(factor_pairs(max_total=15, min_total=11))
 @example((Partition([4, 3, 2, 1]), Partition([2, 2, 1, 1])))
-def test_lr_walk_matches_the_recursive_walk_in_order_beyond_degree_ten(pair):
-    _assert_walk_matches_the_recursive_walk(pair[0].parts, pair[1].parts)
-
-
-@st.composite
-def strip_states(draw, max_degree=14):
-    """(shape, prev, size, pad): any partition shape, any horizontal strip
-    of it as the letter before's cells prev (none for the letter 1), a size
-    from 1 to |prev| (any size for the letter 1), and 1-3 zero rows to pad
-    both with."""
-    shape = draw(st.integers(0, max_degree).flatmap(_sized)).parts
-    prev = tuple(draw(st.integers(0, a - b)) for a, b in zip(shape, (*shape[1:], 0)))
-    size = draw(st.integers(1, sum(prev) or max_degree))
-    return shape, prev, size, draw(st.integers(1, 3))
+def test_product_fold_matches_the_recursive_walk_beyond_degree_ten(pair):
+    _assert_fold_matches_the_recursive_walk(pair[0].parts, pair[1].parts)
 
 
 @PROPERTY
-@given(strip_states())
-@example(((3, 1), (2, 1), 3, 1))
-@example(((), (), 4, 2))
-def test_strips_match_the_guarded_walk_on_any_strip_state(state):
-    # States the kernel never asks for included: prev need not be the strip
-    # of any LR tableau's letter.
-    shape, prev, size, pad = state
-    zeros = [0] * pad
-    want = []
-    grown = [*shape, *zeros]
-    _recursive_strips(
-        grown, [*prev, *zeros], size, not any(prev), lambda cur: want.append((*cur, *grown))
-    )
-    grown = [*shape, *zeros]
-    got = [(*cur, *grown) for cur in schur._strips(grown, [*prev, *zeros], size, len(shape))]
-    assert got == want
-    assert got
-    assert grown == [*shape, *zeros]
+@given(st.integers(0, 14).flatmap(_sized), st.integers(0, 8))
+@example(Partition([3, 1]), 3)
+@example(Partition(()), 4)
+@example(Partition([2, 2]), 0)
+def test_pieri_steps_match_the_recursive_strip_walk_on_any_shape(shape, size):
+    # The letter 1's strips have no lattice bound: they are the horizontal
+    # strips of the Pieri rule, listed in the same order.
+    at = schur._positions(shape.size)[shape.parts]
+    want = _recursive_last_strips(shape.parts, (0,) * len(shape), size)
+    assert _pieri(shape.size, at, size) == want
 
 
 def _recursive_partitions_between(lower, upper, size):
@@ -832,7 +802,7 @@ def test_kostka_matches_the_cell_by_cell_count_from_a_shared_product_memo():
         for content in dict.fromkeys(nu for mu in partitions_of(d) for _, nu in jacobi_trudi(mu))
         for shape in partitions_of(d)
     ]
-    memos = (_product_terms, _last_strips, _skew_terms, _chain, _fold)
+    memos = (_product_terms, _pieri, _skew_terms, _chain, _fold)
     for fn in memos:
         fn.cache_clear()
     kronecker_general(Partition([5, 4, 3]), Partition([4, 3, 2, 2, 1]))
@@ -1117,7 +1087,7 @@ def test_kronecker_is_unchanged_after_clearing_every_kernel_memo():
     assert set(MEMOS) == {
         "partitions.partitions_of", "partitions._row_tables", "partitions._shared",
         "partitions._partitions_between", "schur._positions", "schur._conjugation",
-        "schur._last_strips", "schur._product_terms", "schur._skew_terms",
+        "schur._pieri", "schur._product_terms", "schur._skew_terms",
         "characters.class_size", "characters.perm_row", "characters.character_row",
         "characters._strip_removals", "characters._chi",
         "internal_product._steps", "internal_product._chain", "internal_product._fold",
@@ -1171,7 +1141,7 @@ def test_memo_entries_share_one_int_per_position(monkeypatch):
     entries, tables = [], []
     clear_all()
     monkeypatch.setattr(schur, "_product_terms", recorder(entries, _product_terms))
-    monkeypatch.setattr(internal_product, "_step", recorder(tables, _step))
+    monkeypatch.setattr(internal_product, "_compressed", recorder(tables, _compressed))
     square = Partition([6, 5, 4, 2, 1])
     assert kronecker_general(square, square) == kronecker_oracle_expansion(square, square)
     seen = 0
@@ -1576,7 +1546,7 @@ def test_the_oracle_never_runs_the_tableau_engine(monkeypatch):
         raise AssertionError("the oracle called the tableau engine")
 
     for name in (
-        "_strips", "_last_strips", "_lr_tally", "_product_terms", "_skew_terms",
+        "_pieri", "_product_fold", "_product_terms", "_skew_terms",
     ):
         monkeypatch.setattr(schur, name, forbidden)
     monkeypatch.setattr(internal_product, "_chain", forbidden)

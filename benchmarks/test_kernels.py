@@ -1,6 +1,7 @@
 """Microbenchmarks of the Weyl chain and its dual read, the Jacobi-Trudi fold,
 the general Kronecker product (and the costliest query of a kron-batch
-seed), the LR product kernel and its conjugate redirect, Schur outer
+seed), a long-leg hook pair by the hook chain and by the fold that `auto`
+sends it to, the LR product kernel and its conjugate redirect, Schur outer
 products, the partitions between two shapes, the Jacobi-Trudi terms, skew
 Schur expansions, the character oracle and one character row, Kostka
 numbers, the contingency enumerator (public matrices and bare rows tuples)
@@ -26,6 +27,7 @@ from polykron import (
     jacobi_trudi,
     kostka,
     kronecker_general,
+    kronecker_hook,
     kronecker_oracle_expansion,
     schur_outer_product,
     skew_schur_expansion,
@@ -106,6 +108,17 @@ def test_kronecker_general_costliest_batch_query(benchmark):
     # memos: most of its time is LR walks and chain steps.
     lam, mu = Partition([5, 3, 3, 2, 2]), Partition([8, 3, 3, 1])
     measure(benchmark, "cold", kronecker_general, lam, mu)
+
+
+@pytest.mark.parametrize("path", ["hook", "general"])
+def test_long_leg_hook_pair(benchmark, path):
+    # A typical reference hook pair with leg q = 9 > 4, from cold memos:
+    # its q + 1 hook chains against one fold, the reason `auto` folds hooks.
+    lam = Partition([5, 5, 3, 1])
+    if path == "hook":
+        measure(benchmark, "cold", kronecker_hook, lam, 5, 9)
+    else:
+        measure(benchmark, "cold", kronecker_general, lam, Partition([5] + [1] * 9))
 
 
 def test_partitions_between(benchmark):

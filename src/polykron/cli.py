@@ -210,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kron", parents=[common], help="Kronecker product of two Specht/Weyl labels")
     p.add_argument("--lambda", dest="lam", **_PARTITION)
     p.add_argument("--mu", **_PARTITION)
-    p.add_argument("--method", choices=["auto", "general", *_FAST_PATHS], default="auto")
+    p.add_argument("--method", choices=["auto", "general", *_FAST_PATHS], default="auto",
+                   help="auto: one-box when a factor is (a, 1), else general")
     p.set_defaults(func=_cmd_kron)
 
     p = sub.add_parser("gamma-tensor", parents=[common], help="product of two divided-power weights")

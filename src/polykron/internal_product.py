@@ -6,9 +6,10 @@ functor with a divided-power weight produces an explicit Weyl filtration whose
 multiplicities are sums of products of Littlewood-Richardson coefficients,
 indexed by chains of nested partitions; along (d) they are Kostka numbers.
 Combining that filtration with the Jacobi-Trudi determinant gives
-symmetric-group Kronecker multiplicities in characteristic zero, with fast
-procedures when one factor is a hook or (a, 1), whose product reads the
-other's `one_box_moves`.  The module's memos are registered in `_memo`.
+symmetric-group Kronecker multiplicities in characteristic zero: `kronecker`
+answers the unit (n) and the sign (1^n), sends (a, 1) to a product reading
+the other factor's `one_box_moves` and every other pair to the fold, and
+keeps the paper's hook chain as `hook`.  Memos are registered in `_memo`.
 """
 
 from __future__ import annotations
@@ -475,21 +476,12 @@ def hook_mixed(lam: Partition, p: int, q: int) -> SchurExpansion:
 
 def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
     """Kronecker product with the hook (p, 1^q), by the telescoping
-    alternating sum of the mixed Gamma/Wedge products, taken chain by chain.
-
-    Three cases need no chain: p = 1 (the hook is the sign, and the product
-    is lam'), a one-row lam (the unit: the hook itself) and a one-column lam
-    (the sign: the hook's conjugate (q + 1, 1^(p - 1)))."""
+    alternating sum of the mixed Gamma/Wedge products, taken chain by chain,
+    for every lam and p; `kronecker` answers the unit and the sign first."""
     if p < 1 or q < 1:
         raise ValueError(f"need p >= 1 and q >= 1, got ({p}, {q})")
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
-    if p == 1:
-        return SchurExpansion.single(lam.conjugate())
-    if len(lam) == 1:
-        return SchurExpansion.single(Partition([p] + [1] * q))
-    if lam.parts[0] == 1:
-        return SchurExpansion.single(Partition([q + 1] + [1] * (p - 1)))
     total = {}
     for i in range(q + 1):
         for mu, x in _chain(lam.parts, _steps((p + i,), (q - i,)))[lam.parts].items():
@@ -497,9 +489,9 @@ def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
     return _nonnegative(SchurExpansion._from_index(lam.size, total.items()), lam, f"({p},1^{q})")
 
 
-#: The fast paths in the order `auto` tries them, each with its one shape
-#: test: one-box for (a, 1), hook for (p, 1^q) with q >= 1, whose second
-#: part is 1.  A two-part factor is left to kronecker_general.
+#: The fast paths, each with its one shape test, read by explicit methods
+#: and the CLI's --method choices: one-box for (a, 1), hook for (p, 1^q)
+#: with q >= 1, whose second part is 1.  `auto` reads one-box's test only.
 _FAST_PATHS = {
     "one-box": lambda mu: len(mu) == 2 and mu.parts[1] == 1,
     "hook": lambda mu: len(mu) >= 2 and mu.parts[1] == 1,
@@ -509,10 +501,11 @@ _FAST_PATHS = {
 def kronecker(lam: Partition, mu: Partition, method: str = "auto"):
     """Kronecker decomposition of lam x mu; returns (expansion, method used).
 
-    A fast path applies when one partition has two rows or is a hook, and
-    lam x mu = mu x lam.  So, with the lexicographically larger factor as
-    mu, `auto` takes the first fast path that either factor fits, else
-    general, and a fast path runs on mu if mu fits it, else on lam.
+    lam x mu = mu x lam, so mu is the lexicographically larger factor.
+    `auto` resolves to one-box when either factor is (a, 1), else general;
+    an explicit fast path raises ValueError if neither factor has its shape.
+    Each method answers the unit (n) with the other factor and the sign
+    (1^n) with its conjugate, and runs a fast path on mu if it fits, else lam.
     """
     if lam.size != mu.size:
         raise DegreeMismatchError(
@@ -520,16 +513,22 @@ def kronecker(lam: Partition, mu: Partition, method: str = "auto"):
         )
     if mu < lam:
         lam, mu = mu, lam
-    if method == "auto":
-        method = next((m for m, fits in _FAST_PATHS.items() if fits(mu) or fits(lam)), "general")
-    if method not in ("general", *_FAST_PATHS):
+    if method not in ("auto", "general", *_FAST_PATHS):
         raise ValueError(f"unknown method {method!r}")
-    if method != "general" and not _FAST_PATHS[method](mu):
-        if not _FAST_PATHS[method](lam):
-            raise ValueError(f"neither {lam.text()} nor {mu.text()} has the {method} shape")
+    if method == "auto":
+        method = "one-box" if any(map(_FAST_PATHS["one-box"], (mu, lam))) else "general"
+    elif method != "general" and not any(map(_FAST_PATHS[method], (mu, lam))):
+        raise ValueError(f"neither {lam.text()} nor {mu.text()} has the {method} shape")
+    # (n) is the largest partition of n and (1^n) the smallest, so only mu
+    # can be the unit and, past it, only lam the sign.
+    if len(mu) <= 1:
+        return SchurExpansion.single(lam), method
+    if lam.parts[0] == 1:
+        return SchurExpansion.single(mu.conjugate()), method
+    if method == "general":
+        return kronecker_general(lam, mu), method
+    if not _FAST_PATHS[method](mu):
         lam, mu = mu, lam
     if method == "one-box":
         return kronecker_one_box(lam, mu.parts[0]), method
-    if method == "hook":
-        return kronecker_hook(lam, mu.parts[0], len(mu) - 1), method
-    return kronecker_general(lam, mu), method
+    return kronecker_hook(lam, mu.parts[0], len(mu) - 1), method

@@ -7,11 +7,12 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polykron
-from polykron import Partition, kronecker_oracle_expansion, sweeps
+from polykron import Partition, SchurExpansion, internal_product, kronecker
+from polykron import kronecker_oracle_expansion, sweeps
 from polykron.cli import run
 from polykron.sweeps import SUITE_NAMES
 
@@ -46,11 +47,32 @@ class TestKronCommand:
         assert report["method"] == "general"
 
     def test_hook_shorthand(self, capsys):
-        code, out, _ = invoke(
-            capsys, "kron", "--lambda", "2,2,1", "--mu", "hook:3,2", "--json"
-        )
+        # auto sends a hook to the fold; --method hook runs the hook chain.
+        reports = []
+        for method in ("auto", "hook"):
+            code, out, _ = invoke(capsys, "kron", "--lambda", "2,2,1", "--mu", "hook:3,2",
+                                  "--method", method, "--json")
+            assert code == 0
+            reports.append(json.loads(out))
+        assert [r["method"] for r in reports] == ["general", "hook"]
+        assert reports[0]["expansion"] == reports[1]["expansion"]
+
+    def test_unit_and_sign_partners_need_no_procedure(self, monkeypatch, capsys):
+        # (n) and (1^n) are answered before any fold or chain runs, whatever
+        # the degree and the method.
+        def refuse(*args):
+            raise AssertionError("no fold or chain runs")
+
+        monkeypatch.setattr(internal_product, "_fold", refuse)
+        monkeypatch.setattr(internal_product, "_chain", refuse)
+        unit, sign, rect = Partition([600]), Partition([1] * 600), Partition([300, 300])
+        for method in ("auto", "general"):
+            assert kronecker(unit, rect, method) == (SchurExpansion.single(rect), "general")
+        assert kronecker(unit, unit) == (SchurExpansion.single(unit), "general")
+        assert kronecker(sign, rect, "hook") == (SchurExpansion.single(rect.conjugate()), "hook")
+        code, out, _ = invoke(capsys, "kron", "--lambda", "600", "--mu", "300,300", "--json")
         assert code == 0
-        assert json.loads(out)["method"] == "hook"
+        assert json.loads(out)["expansion"] == [{"partition": [300, 300], "mult": 1}]
 
     def test_auto_reads_either_factor(self, capsys):
         # (9, 1) fits the one-box path from either side of the product.
@@ -482,6 +504,8 @@ def _argvs(draw):
 class TestExitCodeContract:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(argv=_argvs(), cache=_cache_bytes())
+    @example(argv=["kron", "--lambda", "600", "--mu", "300,300", "--json"], cache=None)
+    @example(argv=["kron", "--lambda", "hook:1,599", "--mu", "300,300"], cache=None)
     def test_every_input_exits_0_2_or_3(self, argv, cache):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "memo.json")

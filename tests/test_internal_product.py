@@ -524,12 +524,22 @@ class TestKroneckerHook:
 
     def test_sign_and_unit_partners_run_no_chain(self, monkeypatch):
         # p = 1 is the sign (1^n), whose product is lam'; a one-row lam is
-        # the unit, and a one-column lam the sign.
+        # the unit, and a one-column lam the sign.  kronecker answers them
+        # for every method that applies, and kronecker_hook still runs its
+        # chains on them.
         cases = [(P(5, 4), 1, 8), (P(9), 5, 4), (Partition([1] * 9), 5, 4), (Partition([1] * 4), 1, 3)]
-        want = [kronecker_oracle_expansion(lam, Partition([p] + [1] * q)) for lam, p, q in cases]
-        monkeypatch.setattr(internal_product, "_chain", None)
-        assert [kronecker_hook(*case) for case in cases] == want
+        hooks = [Partition([p] + [1] * q) for _, p, q in cases]
+        want = [kronecker_oracle_expansion(lam, hook) for (lam, _, _), hook in zip(cases, hooks)]
         assert want[0].terms == {P(2, 2, 2, 2, 1): 1} and want[2].terms == {P(5, 1, 1, 1, 1): 1}
+        assert [kronecker_hook(*case) for case in cases] == want
+        with monkeypatch.context() as patch:
+            patch.setattr(internal_product, "_chain", None)
+            patch.setattr(internal_product, "_fold", None)
+            for (lam, _, _), hook, expansion in zip(cases, hooks, want):
+                for method in ("auto", "general", "hook"):
+                    label = "general" if method == "auto" else method
+                    assert kronecker(lam, hook, method) == (expansion, label)
+                    assert kronecker(hook, lam, method) == (expansion, label)
 
     def test_a_repeated_call_reads_its_chains_from_the_memo(self, monkeypatch):
         # The hook path reads each of its q + 1 chains whole from the chain
@@ -563,8 +573,8 @@ class TestDispatch:
             (P(2, 1), "one-box"),
             (P(1, 1), "one-box"),
             (P(2, 2), "general"),
-            (P(3, 1, 1), "hook"),
-            (P(2, 1, 1, 1), "hook"),
+            (P(3, 1, 1), "general"),
+            (P(2, 1, 1, 1), "general"),
             (P(4), "general"),
             (P(2, 2, 1), "general"),
         ]

@@ -986,7 +986,7 @@ def test_auto_takes_a_fast_path_from_either_factor(pair):
     # g(lam, mu, nu) = g(mu, lam, nu), so each method gives both argument
     # orders one result: the same expansion and label, or ValueError.  A
     # fast path raises only when neither factor has its shape, and auto
-    # takes the first fast path that either factor fits, else general.
+    # takes one-box when either factor fits it, else general.
     lam, mu = pair
     fitting = _fitting_paths(lam) + _fitting_paths(mu)
     for method in METHODS:
@@ -994,8 +994,7 @@ def test_auto_takes_a_fast_path_from_either_factor(pair):
         assert _outcome(mu, lam, method) == got
         assert (got == "raises") == (method not in ("auto", "general", *fitting))
         assert got == "raises" or got[0] == kronecker_general(lam, mu)
-    want = [name for name in ("one-box", "hook") if name in fitting]
-    assert kronecker(lam, mu)[1] == (want or ["general"])[0]
+    assert kronecker(lam, mu)[1] == ("one-box" if "one-box" in fitting else "general")
 
 
 def _procedure_calls(lam, mu, method):
@@ -1016,15 +1015,19 @@ def _procedure_calls(lam, mu, method):
 @example((Partition([3, 1]), Partition([2, 2])))
 @example((Partition([3, 1, 1]), Partition([2, 1, 1, 1])))
 @example((Partition([5, 4]), Partition([1] * 9)))
+@example((Partition([9]), Partition([5, 1, 1, 1, 1])))
+@example((Partition([8, 1]), Partition([9])))
 def test_both_argument_orders_make_the_same_procedure_call(pair):
     # Both orders make one call, with the same arguments, or none when the
-    # method fits neither factor.
+    # method fits neither factor or a factor is the unit (n) or the sign
+    # (1^n), whose products kronecker answers itself.
     lam, mu = pair
     runnable = ("auto", "general", *_fitting_paths(lam), *_fitting_paths(mu))
+    trivial = any(len(p) <= 1 or p.parts[0] == 1 for p in pair)
     for method in METHODS:
         calls = _procedure_calls(lam, mu, method)
         assert calls == _procedure_calls(mu, lam, method)
-        assert len(calls) == int(method in runnable)
+        assert len(calls) == int(method in runnable and not trivial)
 
 
 @settings(PROPERTY, max_examples=20)

@@ -26,7 +26,7 @@ from .partitions import (
     _margin_degree,
     _partitions_between,
 )
-from .schur import SchurExpansion, _conjugation, _moves, _multiply, _positions, _skew_terms
+from .schur import SchurExpansion, _conjugation, _laplace, _moves, _multiply, _positions, _skew_terms
 
 GAMMA = "Gamma"
 SYM = "Sym"
@@ -268,34 +268,28 @@ def _gamma_steps(nu: Composition) -> tuple:
 @memo
 def _fold(chain: tuple, expanded: tuple) -> dict:
     """The Kronecker product of s_chain and s_expanded, as its entry at
-    chain: expanded's Jacobi-Trudi determinant det(h_{mu_r - r + j}) folded
-    along chain by Laplace expansion, row by row from the bottom up.
-
-    After the rows below r, the state is one table per bitmask of the
-    columns they use: the signed sum of their terms' chain tables, so at
-    most 2^k tables are stepped.  Row r keeps one accumulator per mask it
-    reaches: each move of _moves adds its table to it with its sign, stepped
-    by _step (an h_0 move adds the table as is), and one _compressed per
-    mask ends the row.  A term's steps commute, so this row order gives its
-    chain sum.  The returned dict is the memo's own and must not be changed.
+    chain: expanded's Jacobi-Trudi determinant folded along chain by
+    _laplace.  Each move adds its table with its sign to its mask's dense
+    accumulators, stepped by _step (an h_0 move adds it as is), and one
+    _compressed ends the mask.  A term's steps commute, so this row order
+    gives its chain sum.  The returned dict is the memo's own and must not
+    be changed.
     """
-    tables = {0: {(): {0: 1}}}
-    for row in range(len(expanded) - 1, -1, -1):
-        reached = {}
-        for mask, table in tables.items():
-            for j, sign, size in _moves(expanded, row, mask):
-                out = reached.setdefault(mask | 1 << j, {})
-                if size:
-                    _step(out, chain, table, size, GAMMA, sign)
-                    continue
-                for beta, expn in table.items():
-                    acc = out.get(beta)
-                    if acc is None:
-                        acc = out[beta] = [0] * len(_positions(sum(beta)))
-                    for mu, x in expn.items():
-                        acc[mu] += sign * x
-        tables = {mask: _compressed(out) for mask, out in reached.items()}
-    return tables.get((1 << len(expanded)) - 1, {}).get(chain, {})
+    def combine(row, moves):
+        out = {}
+        for table, sign, size in moves:
+            if size:
+                _step(out, chain, table, size, GAMMA, sign)
+                continue
+            for beta, expn in table.items():
+                acc = out.get(beta)
+                if acc is None:
+                    acc = out[beta] = [0] * len(_positions(sum(beta)))
+                for mu, x in expn.items():
+                    acc[mu] += sign * x
+        return _compressed(out)
+
+    return _laplace(expanded, {(): {0: 1}}, combine).get(chain, {})
 
 
 def _fold_cost(chain: tuple, expanded: tuple, budget=float("inf")) -> int:
@@ -390,28 +384,20 @@ def jacobi_trudi(mu: Partition):
     """Signed h-indices from the determinant det(h_{mu_i - i + j}).
 
     Returns (sign, weight) pairs, one per permutation whose indices are all
-    non-negative; zeros in the weights are kept.  Raises SizeBoundError when
-    mu has more than JACOBI_TRUDI_BOUND parts.
+    non-negative; zeros in the weights are kept, and the terms are ordered
+    by their columns from the bottom row up (_laplace lists them).  Raises
+    SizeBoundError when mu has more than JACOBI_TRUDI_BOUND parts.
     """
     n = len(mu)
     if n > JACOBI_TRUDI_BOUND:
         raise SizeBoundError(f"partition has {n} parts > bound {JACOBI_TRUDI_BOUND}")
-    return list(_jacobi_trudi_terms(mu))
 
+    def combine(row, moves):
+        return [(sign * s, (size, *sizes)) for terms, s, size in moves for sign, sizes in terms]
 
-def _jacobi_trudi_terms(mu: Partition):
-    """Yields the terms of jacobi_trudi(mu) in order, one at a time: the
-    rows are filled from the bottom up, each with the columns of _moves left
-    to right.  Row i admits columns j >= i - mu_i only; the thresholds
-    increase with i, so no row runs into a dead end."""
-    def fill(row, mask, sign, sizes):
-        if row < 0:
-            yield sign, Composition._trusted(sizes, mu.size)
-            return
-        for j, s, size in _moves(mu.parts, row, mask):
-            yield from fill(row - 1, mask | 1 << j, sign * s, (size, *sizes))
-
-    return fill(len(mu) - 1, 0, 1, ())
+    # A row's size grows with its column.
+    terms = sorted(_laplace(mu.parts, [(1, ())], combine), key=lambda term: term[1][::-1])
+    return [(sign, Composition._trusted(sizes, mu.size)) for sign, sizes in terms]
 
 
 def kronecker_general(lam: Partition, mu: Partition) -> SchurExpansion:

@@ -11,8 +11,8 @@ for one coefficient at a time:
   terms that use the same columns reach the same mask, so their products add
   up and cancel before the next row.  The steps come from one memo shared by
   all products, keyed by (degree, position of alpha, a) (`_pieri`).
-  `_moves` lists a row's moves for this fold and for the Kronecker-level
-  fold of `internal_product`.
+  `_laplace` owns the row order, the column masks and their signs (from
+  `_moves`) of this fold, of `internal_product`'s fold and of its term list.
   c^lam_{mu,nu} = c^lam_{nu,mu} = c^lam'_{mu',nu'}, so of the four
   orientations (mu, nu), (nu, mu), (mu', nu') and (nu', mu') only the first
   in `_walk_order` is folded: the content with the fewest letters, which is
@@ -176,13 +176,31 @@ def _moves(expanded: tuple, row: int, mask: int):
     """(column, sign, size) for each free column of `mask` whose entry
     h_size, size = expanded[row] - row + column, in expanded's Jacobi-Trudi
     matrix is nonzero (size >= 0): the sign is -1 to the number of used
-    columns left of the column."""
+    columns left of the column.  Read by _laplace and by the shape-only
+    estimate _fold_cost of internal_product."""
     sign = 1
     for j in range(len(expanded)):
         if mask >> j & 1:
             sign = -sign
         elif (size := expanded[row] - row + j) >= 0:
             yield j, sign, size
+
+
+def _laplace(expanded: tuple, start, combine):
+    """The Laplace expansion of expanded's Jacobi-Trudi determinant over
+    column masks, bottom row first, from `start` at the empty mask: row r
+    makes each mask's table by one combine(r, moves) call on the (table,
+    sign, size) of every move of _moves into it, in the order of the masks
+    and columns.  Returns the full mask's table (`start` for an empty
+    determinant)."""
+    tables = {0: start}
+    for row in range(len(expanded) - 1, -1, -1):
+        reached = {}
+        for mask, table in tables.items():
+            for j, sign, size in _moves(expanded, row, mask):
+                reached.setdefault(mask | 1 << j, []).append((table, sign, size))
+        tables = {mask: combine(row, moves) for mask, moves in reached.items()}
+    return tables[(1 << len(expanded)) - 1]
 
 
 @memo
@@ -205,43 +223,31 @@ def _pieri(degree: int, at: int, size: int) -> tuple:
 def _product_fold(mu: tuple, nu: tuple) -> dict:
     """{position: c^lam_{mu,nu}} over partitions_of(|mu| + |nu|), positions
     ascending and zeros dropped: s_mu * det(h_{nu_r - r + j}) folded by
-    Laplace expansion over column masks, row by row from the bottom up, from
-    {position of mu: 1}.
-
-    After the rows below r, the state is one table per bitmask of the
-    columns they use, the signed sum of their terms' products, all of one
-    degree, so at most 2^len(nu) tables are stepped.  Row r moves each table
-    once per move of _moves by the Pieri steps of _pieri, and the tables
-    that reach one mask are summed.  Row 0 moves every table to the one full
-    mask, whose table is the product; it is summed in a dense list.  The
+    _laplace from (|mu|, {position of mu: 1}), each move by the Pieri steps
+    of _pieri.  The full mask's table is summed in a dense list; the
     positions are the int objects of _positions.
     """
-    total = sum(mu) + sum(nu)
-    if not nu:
-        return {_positions(total)[mu]: 1}
-    tables = {0: (sum(mu), {_positions(sum(mu))[mu]: 1})}
-    for row in range(len(nu) - 1, 0, -1):
-        reached = {}
-        for mask, (degree, table) in tables.items():
-            for j, sign, size in _moves(nu, row, mask):
-                acc = reached.setdefault(mask | 1 << j, (degree + size, {}))[1]
-                get = acc.get
+    def combine(row, moves):
+        (degree, _), _, size = moves[0]
+        degree += size
+        if row:
+            acc = {}
+            get = acc.get
+            for (d, table), sign, size in moves:
                 for alpha, c in table.items():
                     c *= sign
-                    for beta in _pieri(degree, alpha, size):
+                    for beta in _pieri(d, alpha, size):
                         acc[beta] = get(beta, 0) + c
-        tables = {
-            mask: (degree, {beta: c for beta, c in acc.items() if c})
-            for mask, (degree, acc) in reached.items()
-        }
-    acc = [0] * len(partitions_of(total))
-    for mask, (degree, table) in tables.items():
-        for _, sign, size in _moves(nu, 0, mask):
+            return degree, {beta: c for beta, c in acc.items() if c}
+        acc = [0] * len(partitions_of(degree))
+        for (d, table), sign, size in moves:
             for alpha, c in table.items():
                 c *= sign
-                for beta in _pieri(degree, alpha, size):
+                for beta in _pieri(d, alpha, size):
                     acc[beta] += c
-    return dict(compress(zip(_positions(total).values(), acc), acc))
+        return degree, dict(compress(zip(_positions(degree).values(), acc), acc))
+
+    return _laplace(nu, (sum(mu), {_positions(sum(mu))[mu]: 1}), combine)[1]
 
 
 def _walk_order(mu: tuple, nu: tuple) -> tuple:

@@ -36,7 +36,7 @@ from polykron import (
 )
 from polykron._memo import clear_all
 from polykron.characters import character_row
-from polykron.internal_product import _chain, _fold, _gamma_steps
+from polykron.internal_product import _chain, _fold, _steps
 from polykron.partitions import _contingency_rows, _partitions_between, partitions_of
 from polykron.schur import _product_terms
 
@@ -55,7 +55,7 @@ MODES = pytest.mark.parametrize("mode", ["cold", "warm"])
 @pytest.mark.parametrize("parts", [(5, 4, 3, 2)], ids=["d14"])
 def test_chain(benchmark, mode, parts):
     # The single chain of the leading Jacobi-Trudi term h_mu of mu = lam.
-    measure(benchmark, mode, _chain, parts, _gamma_steps(Partition(parts)))
+    measure(benchmark, mode, _chain, parts, _steps(parts, ()))
 
 
 @MODES

@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 
 from .errors import ConsistencyError, DegreeMismatchError, SizeBoundError
 from .internal_product import (
@@ -119,7 +120,7 @@ def render_report(report: dict, as_json: bool) -> str:
     if not report["expansion"]:
         lines.append("  (zero)")
     else:
-        texts = [(Composition(e["partition"]).text(), e["mult"]) for e in report["expansion"]]
+        texts = [(",".join(map(str, e["partition"])) or "0", e["mult"]) for e in report["expansion"]]
         width = max(len(t) for t, _ in texts)
         lines.extend(f"  {t.ljust(width)}  {m}" for t, m in texts)
     return "\n".join(lines)
@@ -130,10 +131,7 @@ def _schur_pairs(expansion):
 
 
 def _multiset_pairs(weights):
-    counts = {}
-    for w in weights:
-        counts[w.entries] = counts.get(w.entries, 0) + 1
-    return list(counts.items())
+    return Counter(w.entries for w in weights).items()
 
 
 def _cmd_kron(args) -> dict:

@@ -5,6 +5,7 @@ of contingency matrices with the two weights as margins.  Tensoring a Weyl
 functor with a divided-power weight produces an explicit Weyl filtration whose
 multiplicities are sums of products of Littlewood-Richardson coefficients,
 indexed by chains of nested partitions; along (d) they are Kostka numbers.
+`_chain_entry` is the one reader of the chain memo.
 Combining that filtration with the Jacobi-Trudi determinant gives
 symmetric-group Kronecker multiplicities in characteristic zero: `kronecker`
 answers the unit (n) and the sign (1^n), sends (a, 1) to a product reading
@@ -261,8 +262,11 @@ def _chain(lam: tuple, steps: tuple) -> dict:
     return _compressed(out)
 
 
-def _gamma_steps(nu: Composition) -> tuple:
-    return _steps(tuple(nu), ())
+def _chain_entry(lam: tuple, gammas: tuple, wedges: tuple = ()) -> dict:
+    """s_lam * (h_gammas e_wedges) as {position: coefficient}, the one reader
+    of the _chain memo: its entry at lam, by the canonical _steps.  The
+    returned dict is the memo's own and must not be changed."""
+    return _chain(lam, _steps(gammas, wedges)).get(lam, {})
 
 
 @memo
@@ -324,22 +328,18 @@ def _nonnegative(result: SchurExpansion, lam: Partition, other: str) -> SchurExp
     return result
 
 
-def _weyl_entry(lam: Partition, steps: tuple, flip=None) -> SchurExpansion:
-    """The chain table's entry at lam as a fresh expansion; with a `flip`
-    from _conjugation, its omega image."""
-    entry = _chain(lam.parts, steps).get(lam.parts, {})
-    return SchurExpansion._from_index(
-        lam.size, [(flip[i], c) for i, c in entry.items()] if flip else entry.items()
-    )
-
-
-def _weyl_steps(lam: Partition, nu: Composition) -> tuple:
-    """The chain steps of lam x Gamma^nu, once the degrees agree."""
+def _weyl_expansion(lam: Partition, nu: Composition, dual: bool = False) -> SchurExpansion:
+    """The chain entry of lam x Gamma^nu as a fresh expansion, once the
+    degrees agree; when dual, its omega image through _conjugation."""
     if lam.size != nu.degree:
         raise DegreeMismatchError(
             f"partition has size {lam.size} but weight has degree {nu.degree}"
         )
-    return _gamma_steps(nu)
+    entry = _chain_entry(lam.parts, nu.entries).items()
+    if dual:
+        flip = _conjugation(lam.size)
+        entry = [(flip[i], c) for i, c in entry]
+    return SchurExpansion._from_index(lam.size, entry)
 
 
 def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
@@ -351,33 +351,31 @@ def weyl_tensor_gamma(lam: Partition, nu: Composition) -> SchurExpansion:
     A zero step forces the chain to pause, so weights with zeros are legal.
     The multiplicities are independent of the base ring.
     """
-    return _weyl_entry(lam, _weyl_steps(lam, nu))
+    return _weyl_expansion(lam, nu)
 
 
 def kostka(shape: Partition, content: Composition) -> int:
     """Number of semistandard Young tableaux of the given shape and content.
 
     Gamma^d = W_(d) is the unit of the internal product, so the Kostka
-    numbers are the Weyl multiplicities of (d) x Gamma^content: the count is
-    read from the chain table that weyl_tensor_gamma((d), content) reads.  A
-    degree mismatch yields 0 by convention.
+    numbers are the Weyl multiplicities of (d) x Gamma^content, the entry
+    that weyl_tensor_gamma((d), content) reads.  A degree mismatch yields 0
+    by convention.
     """
     d = shape.size
     if d != content.degree:
         return 0
-    row = (d,) if d else ()
-    return _chain(row, _gamma_steps(content))[row].get(_positions(d)[shape.parts], 0)
+    return _chain_entry((d,) if d else (), content.entries).get(_positions(d)[shape.parts], 0)
 
 
 def weyl_tensor_wedge(lam: Partition, nu: Composition) -> SchurExpansion:
     """Dual-Weyl-filtration multiplicities of (Weyl functor lam) x (Wedge nu).
 
     Keys index dual Weyl functors: the coefficient of beta here equals the
-    coefficient of the conjugate of beta in weyl_tensor_gamma(lam, nu), so
-    the chain's entry at lam is read through _conjugation.
+    coefficient of the conjugate of beta in weyl_tensor_gamma(lam, nu).
     The multiplicities are independent of the base ring.
     """
-    return _weyl_entry(lam, _weyl_steps(lam, nu), _conjugation(lam.size))
+    return _weyl_expansion(lam, nu, dual=True)
 
 
 def jacobi_trudi(mu: Partition):
@@ -457,7 +455,7 @@ def hook_mixed(lam: Partition, p: int, q: int) -> SchurExpansion:
         raise ValueError(f"need p >= 1 and q >= 0, got ({p}, {q})")
     if p + q != lam.size:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
-    return _weyl_entry(lam, _steps((p,), (q,)))
+    return SchurExpansion._from_index(lam.size, _chain_entry(lam.parts, (p,), (q,)).items())
 
 
 def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
@@ -470,7 +468,7 @@ def kronecker_hook(lam: Partition, p: int, q: int) -> SchurExpansion:
         raise DegreeMismatchError(f"{p} + {q} != {lam.size}")
     total = {}
     for i in range(q + 1):
-        for mu, x in _chain(lam.parts, _steps((p + i,), (q - i,)))[lam.parts].items():
+        for mu, x in _chain_entry(lam.parts, (p + i,), (q - i,)).items():
             total[mu] = total.get(mu, 0) + (-1) ** i * x
     return _nonnegative(SchurExpansion._from_index(lam.size, total.items()), lam, f"({p},1^{q})")
 

@@ -64,7 +64,7 @@ from polykron import (
 )
 from polykron._memo import MEMOS, clear_all
 from polykron.internal_product import (
-    _chain, _compressed, _contingency_weights, _fold, _gamma_steps, _step,
+    _chain, _chain_entry, _compressed, _contingency_weights, _fold, _step,
 )
 from polykron.partitions import enumerate_compositions, partitions_of
 from polykron.schur import _pieri, _product_fold, _product_terms, _skew_terms
@@ -328,7 +328,7 @@ def _chained_terms(chain, expanded):
     them."""
     total = Counter()
     for sign, nu in jacobi_trudi(expanded):
-        for i, c in _chain(chain.parts, _gamma_steps(nu)).get(chain.parts, {}).items():
+        for i, c in _chain_entry(chain.parts, nu.entries).items():
             total[i] += sign * c
     return {i: c for i, c in total.items() if c}
 
